@@ -4,19 +4,18 @@ Values are coefficient vectors in the power basis {1, z, ..., z^(phi(n)-1)}
 reduced modulo the n-th cyclotomic polynomial, with unbounded Python ints
 as coefficients, so equality is plain vector equality and no precision is
 ever lost. Character sums accumulate root-of-unity counts in a length-n
-vector and reduce once at the end; the reduced rows for z^j, j >= phi(n),
-are precomputed per n.
+vector and reduce once at the end. Reduction folds with z^n = 1 and then
+divides by Phi_n over its nonzero terms only, and multiplication skips the
+zero coefficients of its sparser operand, so the cost follows the number
+of nonzero terms rather than phi(n).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
-
-# Dense row tables are precomputed up to this n; the table is
-# (n - phi(n)) x phi(n) ints, so keep the cap modest.
-_DENSE_ROWS_MAX = 1024
 
 
 def euler_phi(n: int) -> int:
@@ -109,84 +108,41 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 class _Ring:
-    """Per-n context: Phi_n, reduction rows for z^j, cached constants."""
+    """Per-n context: Phi_n and the reduction modulo it."""
 
     def __init__(self, n: int):
+        poly = cyclotomic_poly(n)
         self.n = n
-        self.poly = cyclotomic_poly(n)
-        self.phi = len(self.poly) - 1
-        self.rows: list[tuple[int, ...]] | None = None
-        if n <= _DENSE_ROWS_MAX:
-            self.rows = self._build_rows()
-        self._np_rows = None
+        self.phi = len(poly) - 1
+        # z^phi = sum t * z^i over the nonzero lower terms of the monic Phi_n
+        self.tail = tuple((i, -c) for i, c in enumerate(poly[:-1]) if c)
 
-    def _build_rows(self):
-        n, phi = self.n, self.phi
-        rows = [
-            tuple(1 if i == j else 0 for i in range(phi)) for j in range(phi)
-        ]
-        if phi < n:
-            cur = [-c for c in self.poly[:phi]]  # z^phi
-            rows.append(tuple(cur))
-            for _ in range(phi + 1, n):
-                lead = cur[-1]
-                cur = [0] + cur[:-1]
-                if lead:
-                    for i in range(phi):
-                        cur[i] -= lead * self.poly[i]
-                rows.append(tuple(cur))
-        return rows
+    def reduce(self, vec: list[int]) -> tuple[int, ...]:
+        """Reduce sum vec[k] * z^k to the power basis; consumes vec.
 
-    @property
-    def np_rows(self):
-        if self._np_rows is None:
-            if self.rows is None:
-                raise ValueError(f"n = {self.n} too large for dense row table")
-            self._np_rows = np.array(self.rows, dtype=np.int64)
-        return self._np_rows
+        Folds with z^n = 1, then divides by Phi_n from the top degree down,
+        touching only its nonzero terms: (min(len, n) - phi) * len(tail)
+        products at most.
+        """
+        n, phi, tail = self.n, self.phi, self.tail
+        for k in range(n, len(vec)):
+            vec[k % n] += vec[k]
+        for k in range(min(len(vec), n) - 1, phi - 1, -1):
+            c = vec[k]
+            if c:
+                base = k - phi
+                for i, t in tail:
+                    vec[base + i] += c * t
+        if len(vec) < phi:
+            vec += [0] * (phi - len(vec))
+        return tuple(vec[:phi])
 
-    def reduce_counts(self, counts) -> tuple[int, ...]:
-        """Reduce a length-n vector of zeta-power weights to the power basis."""
-        n, phi = self.n, self.phi
-        out = list(counts[:phi]) + [0] * (phi - min(phi, len(counts)))
-        if self.rows is not None:
-            rows = self.rows
-            for j in range(phi, min(n, len(counts))):
-                c = counts[j]
-                if c:
-                    row = rows[j]
-                    for i in range(phi):
-                        out[i] += c * row[i]
-            return tuple(out)
-        return self._reduce_large(counts)
-
-    def _reduce_large(self, counts):
-        # Synthetic division of the length-n vector by Phi_n; numpy path
-        # with overflow monitoring, exact Python fallback.
-        n, phi, poly = self.n, self.phi, self.poly
-        rem = np.array(list(counts) + [0] * (n - len(counts)), dtype=np.int64)
-        ok = True
-        body = np.array(poly[:phi], dtype=np.int64)
-        for i in range(n - 1, phi - 1, -1):
-            c = int(rem[i])
-            if c == 0:
-                continue
-            if abs(c) > (1 << 55):
-                ok = False
-                break
-            rem[i - phi : i] -= c * body
-            rem[i] = 0
-        if ok:
-            return tuple(int(v) for v in rem[:phi])
-        rem2 = [int(v) for v in counts] + [0] * (n - len(counts))
-        for i in range(n - 1, phi - 1, -1):
-            c = rem2[i]
-            if c == 0:
-                continue
-            for j in range(phi):
-                rem2[i - phi + j] -= c * poly[j]
-            rem2[i] = 0
-        return tuple(rem2[:phi])
+    @functools.cached_property
+    def np_rows(self) -> np.ndarray:
+        """(n, phi) int64 matrix whose row j is z^j reduced, for numpy callers."""
+        return np.array(
+            [self.reduce([0] * j + [1]) for j in range(self.n)], dtype=np.int64
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,12 +187,12 @@ class CycInt:
     @staticmethod
     def from_int(n: int, v: int) -> "CycInt":
         phi = _ring(n).phi
-        return CycInt(n, (v,) + (0,) * (phi - 1))
+        return _new(n, (v,) + (0,) * (phi - 1))
 
     @staticmethod
     def from_powers(n: int, weights) -> "CycInt":
         """Sum of weights[j] * zeta_n^j for a length-<=n weight vector."""
-        return CycInt(n, _ring(n).reduce_counts(list(weights)))
+        return _new(n, _ring(n).reduce(list(weights)))
 
     def _coerce(self, other):
         if isinstance(other, CycInt):
@@ -253,18 +209,18 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.n, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _new(self.n, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(self.n, tuple(-a for a in self.coeffs))
+        return _new(self.n, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.n, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _new(self.n, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -274,34 +230,22 @@ class CycInt:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.n, tuple(a * other for a in self.coeffs))
+            return _new(self.n, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ring = _ring(self.n)
-        phi = ring.phi
+        # the sparser operand outside, skipping its zero terms, so a root
+        # of unity costs about nnz * phi products
         a, b = self.coeffs, o.coeffs
-        prod = [0] * (2 * phi - 1)
+        if a.count(0) < b.count(0):
+            a, b = b, a
+        ring = _ring(self.n)
+        prod = [0] * (2 * ring.phi - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-        out = list(prod[:phi]) + [0] * (phi - min(phi, len(prod)))
-        if self.n <= _DENSE_ROWS_MAX:
-            rows = ring.rows
-            n = self.n
-            for k in range(phi, len(prod)):
-                c = prod[k]
-                if c:
-                    row = rows[k % n]
-                    for i in range(phi):
-                        out[i] += c * row[i]
-            return CycInt(self.n, out)
-        folded = [0] * self.n
-        for k, c in enumerate(prod):
-            folded[k % self.n] += c
-        return CycInt(self.n, ring.reduce_counts(folded))
+            if ai:
+                for k, bj in enumerate(b, i):
+                    prod[k] += ai * bj
+        return _new(self.n, ring.reduce(prod))
 
     __rmul__ = __mul__
 
@@ -317,22 +261,19 @@ class CycInt:
             if rem:
                 raise InexactDivisionError(self.n, i, c, m)
             out.append(d)
-        return CycInt(self.n, out)
+        return _new(self.n, tuple(out))
 
     def galois(self, k: int) -> "CycInt":
         """The automorphism zeta -> zeta^k, for k coprime to n."""
-        import math
-
         n = self.n
         k %= n
         if math.gcd(k, n) != 1:
             raise ValueError(f"k = {k} is not coprime to n = {n}")
-        ring = _ring(n)
         counts = [0] * n
         for i, c in enumerate(self.coeffs):
             if c:
                 counts[(i * k) % n] += c
-        return CycInt(n, ring.reduce_counts(counts))
+        return _new(n, _ring(n).reduce(counts))
 
     def as_integer(self) -> int | None:
         """The value as a rational integer, or None."""
@@ -379,6 +320,14 @@ class CycInt:
         return CycInt(int(d["n"]), tuple(int(c) for c in d["coeffs"]))
 
 
+def _new(n: int, coeffs: tuple[int, ...]) -> CycInt:
+    """A CycInt from coefficients the ring just produced, without checks."""
+    out = object.__new__(CycInt)
+    object.__setattr__(out, "n", n)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
+
+
 def cyc_zero(n: int) -> CycInt:
     return CycInt.from_int(n, 0)
 
@@ -389,13 +338,7 @@ def cyc_one(n: int) -> CycInt:
 
 def root_of_unity(n: int, k: int) -> CycInt:
     """zeta_n^k in canonical form."""
-    ring = _ring(n)
-    k %= n
-    if ring.rows is not None:
-        return CycInt(n, ring.rows[k])
-    counts = [0] * n
-    counts[k] = 1
-    return CycInt(n, ring.reduce_counts(counts))
+    return _new(n, _ring(n).reduce([0] * (k % n) + [1]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -173,7 +173,8 @@ def _scan_samples(entry, ctx, domains, seed, start, stop, cap):
 
 def _worker(args):
     p, r, identity_id, mode, seed, start, stop, cap = args
-    ft = build_field(p, r)
+    # the parent already admitted this field under its own table cap
+    ft = build_field(p, r, max_q=p**r)
     ctx = EvalContext(ft)
     entry = get_identity(identity_id)
     domains = _entry_domains(entry, ft)

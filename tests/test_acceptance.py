@@ -34,6 +34,9 @@ from appellfq import (
 from appellfq.identities import registry
 from appellfq.verifier import find_counterexample, mutated_case
 
+# the criteria share module fixtures that take minutes to build
+pytestmark = pytest.mark.slow
+
 FOUNDATION_IDS = [
     "prop2.1-a", "prop2.1-b", "prop2.2", "prop2.3-a", "prop2.3-b",
     "thm1.1", "thm1.2", "thm1.3",

@@ -1,5 +1,6 @@
 """Cyclotomic integer ring: canonical forms, exact ops, Galois action."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from appellfq import (
     euler_phi,
     root_of_unity,
 )
+from appellfq.cyclotomic import _ring
 
 
 def _naive_cyclotomic(n, _cache={}):
@@ -185,3 +187,59 @@ def test_immutability():
 def test_repr_forms():
     assert "3" in repr(CycInt.from_int(6, 3))
     assert "z" in repr(root_of_unity(8, 1))
+
+
+# large n: Phi_1025 (phi = 800) has 65 nonzero terms, Phi_1155 (phi = 480)
+# has 343 with coefficients up to 3; sympy's remainder at 1025 takes seconds
+ORACLE_N = list(range(1, 61)) + [100, pytest.param(1025, marks=pytest.mark.slow), 1155]
+
+
+def _sympy_rem(sympy, n, poly):
+    """Oracle: the power-basis coefficients of poly mod Phi_n, via sympy."""
+    x = sympy.Symbol("x")
+    rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
+    low_to_high = [int(c) for c in reversed(rem.all_coeffs())]
+    return tuple(low_to_high + [0] * (euler_phi(n) - len(low_to_high)))
+
+
+@pytest.mark.parametrize("n", ORACLE_N)
+def test_kernel_matches_sympy_oracle(n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(terms):
+        return sympy.Poly.from_dict(dict(((k,), c) for k, c in terms) or {(0,): 0}, x)
+
+    rng = random.Random(n)
+    big = 10**30  # far outside int64: a truncating fast path cannot pass
+    phi = euler_phi(n)
+
+    weights = [rng.randint(-big, big) for _ in range(n)]
+    assert CycInt.from_powers(n, weights).coeffs == _sympy_rem(
+        sympy, n, poly(enumerate(weights))
+    )
+
+    a = [rng.randint(-big, big) for _ in range(phi)]
+    b = [rng.randint(-big, big) for _ in range(phi)]
+    sparse = [0] * phi
+    for i in rng.sample(range(phi), min(phi, 3)):
+        sparse[i] = rng.choice((-big, big + 1))
+    k = rng.randrange(n)
+    root = root_of_unity(n, k).coeffs
+    assert root == _sympy_rem(sympy, n, poly([(k, 1)]))
+    for u, v in [(a, b), (a, sparse), (sparse, sparse), (a, root)]:
+        want = _sympy_rem(sympy, n, poly(enumerate(u)) * poly(enumerate(v)))
+        assert (CycInt(n, u) * CycInt(n, v)).coeffs == want
+        assert (CycInt(n, v) * CycInt(n, u)).coeffs == want
+
+    for g in [g for g in range(1, n) if math.gcd(g, n) == 1][:3]:
+        image = [(i * g, c) for i, c in enumerate(a)]  # g is a unit: no clashes
+        assert CycInt(n, a).galois(g).coeffs == _sympy_rem(sympy, n, poly(image))
+
+
+@pytest.mark.parametrize("n", [24, 100])
+def test_np_rows_are_reduced_roots(n):
+    rows = _ring(n).np_rows
+    assert rows.shape == (n, euler_phi(n))
+    for j in range(n):
+        assert tuple(int(v) for v in rows[j]) == root_of_unity(n, j).coeffs

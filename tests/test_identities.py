@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import appellfq.fields
 from appellfq import build_field, get_identity, registry, verify, verify_all
 from appellfq.identities import EvalContext
 from appellfq.verifier import (
@@ -152,6 +153,16 @@ def test_jobs_parallel_matches_serial(ft5):
     s1 = verify("cor3.3", ft5, jobs=1, **kw)
     s2 = verify("cor3.3", ft5, jobs=2, **kw)
     assert json.dumps(s1.to_json()) == json.dumps(s2.to_json())
+
+
+def test_jobs_parallel_respects_table_cap(monkeypatch):
+    # forked workers must admit a field the caller built above the default cap
+    monkeypatch.setattr(appellfq.fields, "DEFAULT_TABLE_CAP", 4)
+    ft = build_field(5, 1, max_q=5)
+    r1 = verify("cor1.1-sym", ft, jobs=1)
+    r2 = verify("cor1.1-sym", ft, jobs=2)
+    assert r2.passed
+    assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
 
 
 def test_thm13_batch_path_matches_generic(ft4, ft5):
