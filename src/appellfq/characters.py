@@ -12,6 +12,10 @@ sum over u in F_q of A(u) * B(1 - u).
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from .cyclotomic import CycInt, cyc_zero, root_of_unity
 from .fields import FieldElement, FieldTable
 
@@ -129,35 +133,50 @@ def binom(A: Character, B: Character) -> CycInt:
     )
 
 
-def _binom_counts_table(ft: FieldTable) -> list[list[tuple[int, ...]]]:
-    """Unreduced zeta-power weights of binom(chi_i, chi_j) for all pairs.
+def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
+    """l1 = log u and l2 = log(-1) - log(1 - u) over u outside {0, 1}, so
+    that binom(chi_a, chi_b) = sum_u zeta^(a l1 + b l2); cached."""
+    logs = ft._caches.get("binom_logs")
+    if logs is None:
+        om = np.array(ft.one_minus_idx, dtype=np.int64)
+        us = np.flatnonzero(om[1:]) + 1  # indices of the u outside {0, 1}
+        logs = ft._caches["binom_logs"] = (us - 1, ft.log_minus_one + 1 - om[us])
+    return logs
 
-    Cached on the field; the char-sum evaluators index this heavily.
+
+def binom_counts(ft: FieldTable, a, b, shift=0) -> np.ndarray:
+    """Unreduced zeta-power weights of zeta^shift * binom(chi_a, chi_b).
+
+    `a`, `b` and `shift` are broadcastable integer arrays; the result has
+    their shape plus an axis of length n, from one bincount over all pairs.
     """
-    key = "binom_counts"
-    tab = ft._caches.get(key)
-    if tab is None:
-        n = ft.n
-        lm1 = ft.log_minus_one
-        tab = [
-            [
-                tuple(_jacobi_counts(ft, a, -b % n, (b * lm1) % n))
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        ft._caches[key] = tab
-    return tab
+    n = ft.n
+    l1, l2 = _binom_logs(ft)
+    e = (np.asarray(a, dtype=np.int64)[..., None] * l1
+         + np.asarray(b, dtype=np.int64)[..., None] * l2
+         + np.asarray(shift, dtype=np.int64)[..., None]) % n  # (pairs..., q-2)
+    shape = e.shape[:-1]
+    pairs = math.prod(shape)
+    e += n * np.arange(pairs).reshape(shape + (1,))
+    return np.bincount(e.ravel(), minlength=pairs * n).reshape(shape + (n,))
 
 
-def binomial_table(ft: FieldTable) -> list[list[CycInt]]:
-    """binom(chi_i, chi_j) for all exponent pairs (i, j), cached."""
-    key = "binom_table"
-    tab = ft._caches.get(key)
+class _BinomRow(dict):
+    """Row a of the binomial table; an entry is computed on first read."""
+
+    def __init__(self, ft: FieldTable, a: int):
+        self.ft, self.a = ft, a
+
+    def __missing__(self, b: int) -> CycInt:
+        v = self[b] = CycInt.from_powers(
+            self.ft.n, binom_counts(self.ft, self.a, b).tolist())
+        return v
+
+
+def binomial_table(ft: FieldTable) -> list[_BinomRow]:
+    """binom(chi_i, chi_j) as tab[i][j], cached on the field and filled on
+    demand, so that a run pays only for the entries it reads."""
+    tab = ft._caches.get("binom_table")
     if tab is None:
-        counts = _binom_counts_table(ft)
-        tab = [
-            [CycInt.from_powers(ft.n, row) for row in rows] for rows in counts
-        ]
-        ft._caches[key] = tab
+        tab = ft._caches["binom_table"] = [_BinomRow(ft, a) for a in range(ft.n)]
     return tab

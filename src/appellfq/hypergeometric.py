@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, _binom_counts_table
+from .characters import Character, binom_counts
 from .cyclotomic import CycInt, _ring, cyc_zero
 from .fields import FieldElement, FieldTable
 
@@ -118,40 +118,53 @@ def f1_point_idx(
 # Character-sum evaluators (uncleared: without the 1/(q-1)^k factor).
 # ----------------------------------------------------------------------
 
+def _np_ctx(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, ar), idx[m, i] = (m - i) mod n and ar = 0..n-1; cached."""
+    ctx = ft._caches.get("np_ctx")
+    if ctx is None:
+        ar = np.arange(ft.n)
+        ctx = ft._caches["np_ctx"] = ((ar[:, None] - ar[None, :]) % ft.n, ar)
+    return ctx
+
+
+def _reduction_rows(ft: FieldTable) -> np.ndarray:
+    """The (n, phi) rows that reduce zeta-power counts, once the int64
+    tensor paths are known not to overflow on this field.
+
+    Binomial counts have mass q - 2, so the uncleared F1 sum has mass at
+    most n^2 (q-2)^3 and the point side of the thm1.3 batch, P_red (q-1)^2,
+    at most (q-2)(q-1)^2; reducing multiplies by at most max |rows|. Past
+    2^63 this raises ValueError before any tensor, or the rows, is built.
+    """
+    rows = ft._caches.get("rows")
+    if rows is None:
+        n, q = ft.n, ft.q
+        bound = max(n * n * (q - 2) ** 3, (q - 2) * (q - 1) ** 2)
+        if bound < 2**63:
+            bound *= int(np.abs(_ring(n).np_rows).max())
+        if bound >= 2**63:
+            raise ValueError(
+                f"q = {q}: exact character sums here can reach {bound}, past "
+                f"the int64 limit 2^63 - 1; the point-sum route has no such limit"
+            )
+        rows = ft._caches["rows"] = _ring(n).np_rows
+    return rows
+
+
 def f21_charsum_idx(ft: FieldTable, a: int, b: int, c: int, xi: int) -> CycInt:
-    """sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n]."""
+    """sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
+
+    A product in the group ring Z[C_n] of two binomial rows per chi, counted
+    in one call; its mass is at most n (q-2)^2, far inside int64.
+    """
     n = ft.n
     if xi == 0:
         return cyc_zero(n)
-    bc = _binom_counts_table(ft)
-    lx = xi - 1
-    total = [0] * n
-    for k in range(n):
-        u = bc[(a + k) % n][k]
-        v = bc[(b + k) % n][(c + k) % n]
-        rot = (k * lx) % n
-        for i, ui in enumerate(u):
-            if ui:
-                base = i + rot
-                for j, vj in enumerate(v):
-                    if vj:
-                        total[(base + j) % n] += ui * vj
-    return CycInt.from_powers(n, total)
-
-
-def _np_ctx(ft: FieldTable) -> dict:
-    ctx = ft._caches.get("np_ctx")
-    if ctx is None:
-        n = ft.n
-        ar = np.arange(n)
-        ctx = {
-            "bc": np.array(_binom_counts_table(ft), dtype=np.int64),  # (n,n,n)
-            "idx": (ar[:, None] - ar[None, :]) % n,  # [m,i] -> (m-i) mod n
-            "rows": _ring(n).np_rows,  # (n, phi)
-            "ar": ar,
-        }
-        ft._caches["np_ctx"] = ctx
-    return ctx
+    idx, ar = _np_ctx(ft)
+    # [A chi_k | chi_k] chi_k(x) and [B chi_k | C chi_k] for every k
+    U, V = binom_counts(ft, [a + ar, b + ar], [ar, c + ar], np.outer([xi - 1, 0], ar))
+    total = np.einsum("ki,kmi->m", U, V[:, idx])
+    return CycInt.from_powers(n, total.tolist())
 
 
 def f1_charsum_idx(
@@ -160,26 +173,22 @@ def f1_charsum_idx(
     """sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam] chi(x) lam(y).
 
     Grouped by s = chi*lam and evaluated as integer tensor contractions in
-    the group ring Z[C_n]; coefficients stay far below 2^63 for any q
-    within the table cap that is feasible for a Theta(q^2) sum.
+    the group ring Z[C_n] over its 3n binomials, counted in one call; a
+    field where int64 could overflow is refused (`_reduction_rows`).
     """
     n = ft.n
     if xi == 0 or yi == 0:
         return cyc_zero(n)
-    ctx = _np_ctx(ft)
-    bc, idx, ar = ctx["bc"], ctx["idx"], ctx["ar"]
-    lx, ly = xi - 1, yi - 1
-    rot_x = (ar * lx) % n
-    rot_y = (ar * ly) % n
-    U = bc[(b + ar) % n, ar][ar[:, None], (ar[None, :] - rot_x[:, None]) % n]
-    V = bc[(bp + ar) % n, ar][ar[:, None], (ar[None, :] - rot_y[:, None]) % n]
-    W = bc[(a + ar) % n, (c + ar) % n]
+    rows = _reduction_rows(ft)
+    idx, ar = _np_ctx(ft)
+    # [B chi_k | chi_k] chi_k(x), [B' lam_k | lam_k] lam_k(y), [A s_k | C s_k]
+    U, V, W = binom_counts(ft, [b + ar, bp + ar, a + ar], [ar, ar, c + ar],
+                           np.outer([xi - 1, yi - 1, 0], ar))
     # pairwise group-ring products U[k] * V[l], then collapse k+l = s
     C1 = np.einsum("ki,lmi->klm", U, V[:, idx])
-    KS = (ar[None, :] - ar[:, None]) % n  # [k,s] -> (s-k) mod n
-    G = C1[ar[:, None], KS, :].sum(axis=0)  # (s, m)
+    G = C1[ar[:, None], idx.T, :].sum(axis=0)  # (s, m); idx.T[k,s] = s-k
     S = np.einsum("si,smi->m", W, G[:, idx])
-    reduced = S @ ctx["rows"]
+    reduced = S @ rows
     return CycInt(n, tuple(int(v) for v in reduced))
 
 

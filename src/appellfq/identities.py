@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .characters import _binom_counts_table, binomial_table
+import numpy as np
+
+from .characters import binom_counts, binomial_table
 from .cyclotomic import CycInt, all_roots, cyc_zero
 from .fields import FieldTable
 from .hypergeometric import (
@@ -272,17 +274,9 @@ def _binthm_sum(c, A, x):
     # sum over chi of binom(A chi, chi) chi(x), exact and uncleared
     if x == 0:
         return c.zero
-    bc = _binom_counts_table(c.ft)
-    n = c.n
-    lx = x - 1
-    tot = [0] * n
-    for k in range(n):
-        row = bc[(A + k) % n][k]
-        rot = k * lx
-        for i, w in enumerate(row):
-            if w:
-                tot[(i + rot) % n] += w
-    return CycInt.from_powers(n, tot)
+    ar = np.arange(c.n)
+    rows = binom_counts(c.ft, A + ar, ar, ar * (x - 1))
+    return CycInt.from_powers(c.n, rows.sum(axis=0).tolist())
 
 
 def _prop22_lhs(c, b):
@@ -624,17 +618,19 @@ def _cor33_mut(c, b):
     )
 
 
-def _thm41_lhs(c, b):
-    A, B, Bp, C, x, y, t = b
+def _theta_sum(c, t, X, term):
+    # sum over theta of [X theta | theta] term(theta) theta(t), uncleared
     if t == 0:
         return c.zero
-    lt = t - 1
     tot = c.zero
     for th in range(c.n):
-        tot = tot + c.binom(A - C + th, th) * c.f1(A + th, B, Bp, C, x, y) * c.roots[
-            (th * lt) % c.n
-        ]
+        tot = tot + c.binom(X + th, th) * term(th) * c.roots[(th * (t - 1)) % c.n]
     return tot
+
+
+def _thm41_lhs(c, b):
+    A, B, Bp, C, x, y, t = b
+    return _theta_sum(c, t, A - C, lambda th: c.f1(A + th, B, Bp, C, x, y))
 
 
 def _thm41_rhs(c, b):
@@ -669,15 +665,7 @@ def _thm41_mut(c, b):
 
 def _thm42_lhs(c, b):
     A, B, Bp, C, x, y, t = b
-    if t == 0:
-        return c.zero
-    lt = t - 1
-    tot = c.zero
-    for th in range(c.n):
-        tot = tot + c.binom(B + th, th) * c.f1(A, B + th, Bp, C, x, y) * c.roots[
-            (th * lt) % c.n
-        ]
-    return tot
+    return _theta_sum(c, t, B, lambda th: c.f1(A, B + th, Bp, C, x, y))
 
 
 def _thm42_rhs(c, b):
@@ -708,15 +696,7 @@ def _thm42_mut(c, b):
 
 def _thm43a_lhs(c, b):
     A, B, C, x, t = b
-    if t == 0:
-        return c.zero
-    lt = t - 1
-    tot = c.zero
-    for th in range(c.n):
-        tot = tot + c.binom(A - C + th, th) * c.f21(B, A + th, C, x) * c.roots[
-            (th * lt) % c.n
-        ]
-    return tot
+    return _theta_sum(c, t, A - C, lambda th: c.f21(B, A + th, C, x))
 
 
 def _thm43a_rhs(c, b):
@@ -735,15 +715,7 @@ def _thm43a_mut(c, b):
 
 def _thm43b_lhs(c, b):
     A, B, C, x, t = b
-    if t == 0:
-        return c.zero
-    lt = t - 1
-    tot = c.zero
-    for th in range(c.n):
-        tot = tot + c.binom(B + th, th) * c.f21(B + th, A, C, x) * c.roots[
-            (th * lt) % c.n
-        ]
-    return tot
+    return _theta_sum(c, t, B, lambda th: c.f21(B + th, A, C, x))
 
 
 def _thm43b_rhs(c, b):

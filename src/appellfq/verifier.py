@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characters import binom_counts
 from .fields import FieldTable, build_field
-from .hypergeometric import _np_ctx
+from .hypergeometric import _np_ctx, _reduction_rows
 from .identities import EvalContext, IdentityCase, get_identity
 
 _U64 = (1 << 64) - 1
@@ -216,8 +217,9 @@ def _thm13_exhaustive_batch(entry, ctx, cap):
     ft = ctx.ft
     n, q = ft.n, ft.q
     qm1sq = (q - 1) ** 2
-    npctx = _np_ctx(ft)
-    bc, idx, rows, ar = npctx["bc"], npctx["idx"], npctx["rows"], npctx["ar"]
+    rows = _reduction_rows(ft)  # int64 bound of both sides, checked first
+    idx, ar = _np_ctx(ft)
+    bc = binom_counts(ft, ar[:, None], ar[None, :])  # (n, n, n)
     om = ft.one_minus_idx
 
     # point-sum tables shared by all character tuples
@@ -242,7 +244,6 @@ def _thm13_exhaustive_batch(entry, ctx, cap):
     ) % n  # [lx, ly, k, l, m]
     KK = ar[None, None, :, None, None]
     LL = ar[None, None, None, :, None]
-    Wg_idx = idx  # [m, i] -> (m - i) mod n
 
     failures = 0
     cex: list[dict] = []
@@ -267,9 +268,9 @@ def _thm13_exhaustive_batch(entry, ctx, cap):
         U0 = bc[(b + ar) % n, ar]
         V0 = bc[(bp + ar) % n, ar]
         W = bc[(a + ar) % n, (cc + ar) % n]
-        P2 = np.einsum("ki,lmi->klm", U0, V0[:, Wg_idx])
+        P2 = np.einsum("ki,lmi->klm", U0, V0[:, idx])
         Wkl = W[(ar[:, None] + ar[None, :]) % n]
-        T = np.einsum("kli,klmi->klm", P2, Wkl[:, :, Wg_idx])
+        T = np.einsum("kli,klmi->klm", P2, Wkl[:, :, idx])
         S = T[KK, LL, IND].sum(axis=(2, 3))  # [lx, ly, m]
         S_red = S.reshape(n * n, n) @ rows
 
@@ -281,9 +282,8 @@ def _thm13_exhaustive_batch(entry, ctx, cap):
             lx, ly = divmod(int(flat), n)
             mism_bindings.append((a, b, bp, cc, lx + 1, ly + 1))
 
-    divisor_rep = qm1sq if entry.div_power else None
     for binding in mism_bindings:
-        found = _check_binding(entry, ctx, binding, divisor_rep)
+        found = _check_binding(entry, ctx, binding, divisor)
         failures += len(found)
         if len(cex) < cap:
             cex.extend(found[: cap - len(cex)])

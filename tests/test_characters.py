@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from appellfq import (
@@ -16,6 +17,9 @@ from appellfq import (
     jacobi_sum,
     trivial_character,
 )
+from appellfq.characters import _jacobi_counts, binom_counts
+from appellfq.cyclotomic import CycInt
+from appellfq.identities import EvalContext
 
 QS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -159,6 +163,42 @@ def test_binomial_table_matches_binom(fields):
         chars = all_characters(ft)
         for a, b in itertools.product(range(ft.n), repeat=2):
             assert tab[a][b] == binom(chars[a], chars[b])
+
+
+@pytest.mark.parametrize("p,r", QS + [(11, 1)])
+def test_binom_counts_matches_scalar_oracle(p, r):
+    ft = build_field(p, r)
+    n, lm1 = ft.n, ft.log_minus_one
+    chars = all_characters(ft)
+    expect = np.array([
+        _jacobi_counts(ft, a, -b % n, (b * lm1) % n)
+        for a, b in itertools.product(range(n), repeat=2)
+    ])
+    for a, b in itertools.product(range(n), repeat=2):
+        counts = binom_counts(ft, a, b)
+        assert counts.shape == (n,)
+        assert counts.tolist() == expect[a * n + b].tolist()
+        assert binom_counts(ft, a + n, b - n).tolist() == counts.tolist()
+        assert CycInt.from_powers(n, counts.tolist()) == binom(chars[a], chars[b])
+    ar = np.arange(n)
+    table = binom_counts(ft, ar[:, None], ar[None, :])
+    assert table.shape == (n, n, n)
+    assert (table.reshape(n * n, n) == expect).all()
+    flat = binom_counts(ft, np.repeat(ar, n), np.tile(ar, n))
+    assert flat.shape == (n * n, n)
+    assert (flat == expect).all()
+
+
+def test_binomial_table_fills_on_demand():
+    ft = build_field(101, 1)
+    ctx = EvalContext(ft)
+    assert sum(map(len, ctx.bt)) == 0
+    value = ctx.binom(37, -5)
+    assert sum(map(len, ctx.bt)) == 1
+    chars = all_characters(ft)
+    assert value == binom(chars[37], chars[95])
+    assert ctx.binom(37, 95) is value
+    assert sum(map(len, ctx.bt)) == 1
 
 
 def test_field_mismatch_rejected():

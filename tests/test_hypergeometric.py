@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,8 +19,10 @@ from appellfq import (
     f21_char_sum,
     f21_point_sum,
 )
-from appellfq.cyclotomic import all_roots
-from appellfq.hypergeometric import f1_charsum_idx
+from appellfq.cyclotomic import _ring, all_roots
+from appellfq.hypergeometric import f1_charsum_idx, f21_charsum_idx
+from appellfq.identities import get_identity
+from appellfq.verifier import _thm13_exhaustive_batch
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +180,50 @@ def test_f1_charsum_tensor_path_vs_reference(fields):
         xi, yi = rng.randrange(1, 7), rng.randrange(1, 7)
         assert f1_charsum_idx(ft, a, b, bp, c, xi, yi) == \
             _f1_charsum_reference(ft, a, b, bp, c, xi, yi)
+
+
+def _f21_charsum_reference(ft, a, b, c, xi):
+    """Independent loop over characters, scalar binom and CycInt arithmetic."""
+    A, B, C = Character(ft, a), Character(ft, b), Character(ft, c)
+    x = ft.elements[xi]
+    total = cyc_zero(ft.n)
+    for k in range(ft.n):
+        chi = Character(ft, k)
+        total = total + binom(A * chi, chi) * binom(B * chi, C * chi) * chi(x)
+    return total
+
+
+def test_f21_charsum_vs_reference(fields):
+    for q in (3, 4, 5, 7):
+        ft = fields[q]
+        for a, b, c in itertools.product(range(ft.n), repeat=3):
+            for xi in range(q):
+                assert f21_charsum_idx(ft, a, b, c, xi) == \
+                    _f21_charsum_reference(ft, a, b, c, xi)
+    rng = random.Random(12)
+    for p, r in ((2, 3), (3, 2), (5, 2)):
+        ft = build_field(p, r)
+        for _ in range(40):
+            a, b, c = (rng.randrange(ft.n) for _ in range(3))
+            xi = rng.randrange(ft.q)
+            assert f21_charsum_idx(ft, a, b, c, xi) == \
+                _f21_charsum_reference(ft, a, b, c, xi)
+
+
+def test_int64_bound_checked_before_allocating():
+    ft = build_field(7919, 1)
+    with pytest.raises(ValueError, match=r"q = 7919: .*2\^63"):
+        f1_charsum_idx(ft, 1, 2, 3, 4, 2, 3)
+    with pytest.raises(ValueError, match=r"q = 7919: .*2\^63"):
+        # the batch reads only the field of its context before refusing
+        _thm13_exhaustive_batch(get_identity("thm1.3"), SimpleNamespace(ft=ft), 10)
+    assert "np_ctx" not in ft._caches
+    assert "np_rows" not in vars(_ring(ft.n))  # refused before building rows
+    ft = build_field(101, 1)
+    args = (Character(ft, 1), Character(ft, 2), Character(ft, 3), Character(ft, 4),
+            ft.elements[2], ft.elements[3])
+    assert appell_f1_char_sum(AppellF1Params(*args)) == \
+        appell_f1_point_sum(AppellF1Params(*args))
 
 
 def test_char_sums_divide_exactly(fields):
