@@ -341,7 +341,19 @@ def root_of_unity(n: int, k: int) -> CycInt:
     return _new(n, _ring(n).reduce([0] * (k % n) + [1]))
 
 
+class _Roots(dict):
+    """zeta_n^k as roots[k], for 0 <= k < n."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, k: int) -> CycInt:
+        v = self[k] = root_of_unity(self.n, k)
+        return v
+
+
 @functools.lru_cache(maxsize=None)
-def all_roots(n: int) -> tuple[CycInt, ...]:
-    """All n roots zeta_n^0 .. zeta_n^(n-1); cached for sum evaluation."""
-    return tuple(root_of_unity(n, k) for k in range(n))
+def all_roots(n: int) -> _Roots:
+    """The roots zeta_n^0 .. zeta_n^(n-1) by exponent; cached, and each root
+    is reduced on its first read."""
+    return _Roots(n)

@@ -22,14 +22,18 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import binom_counts, binomial_table
+from .characters import _binom_logs, binom_counts, binomial_table
 from .cyclotomic import CycInt, all_roots, cyc_zero
 from .fields import FieldTable
 from .hypergeometric import (
+    _admit,
     f1_charsum_idx,
     f1_point_idx,
     f21_charsum_idx,
     f21_point_idx,
+    point_logs,
+    ring_dot,
+    theta_counts,
 )
 
 
@@ -49,7 +53,7 @@ class EvalContext:
         self.ng = ft.neg_idx
         self.lm1 = ft.log_minus_one
         self.zero = cyc_zero(ft.n)
-        self.roots = all_roots(ft.n)
+        self.roots = all_roots(ft.n)  # filled on first read
         self.bt = binomial_table(ft)
 
     # element ops on enumeration indices
@@ -274,6 +278,7 @@ def _binthm_sum(c, A, x):
     # sum over chi of binom(A chi, chi) chi(x), exact and uncleared
     if x == 0:
         return c.zero
+    _admit(c.ft, c.n * (c.q - 2), c.n)
     ar = np.arange(c.n)
     rows = binom_counts(c.ft, A + ar, ar, ar * (x - 1))
     return CycInt.from_powers(c.n, rows.sum(axis=0).tolist())
@@ -618,19 +623,28 @@ def _cor33_mut(c, b):
     )
 
 
-def _theta_sum(c, t, X, term):
-    # sum over theta of [X theta | theta] term(theta) theta(t), uncleared
-    if t == 0:
+def _theta_sum(c, t, X, e0, d):
+    """sum over theta of [X theta|theta] theta(t) S(theta), uncleared, where
+    S(theta) is the point sum whose exponent at its terms is e0 + theta d.
+
+    [X theta|theta] theta(t) has exponent X l1 + theta (l1 + l2 + log t) at
+    its binomial pairs (l1, l2), so both factors are `theta_counts`, and the
+    sum is one contraction in Z[C_n]; every count has mass at most n (q-2)^2.
+    """
+    if t == 0 or not e0.size:
         return c.zero
-    tot = c.zero
-    for th in range(c.n):
-        tot = tot + c.binom(X + th, th) * term(th) * c.roots[(th * (t - 1)) % c.n]
-    return tot
+    ft, n = c.ft, c.n
+    _admit(ft, n * (ft.q - 2) ** 2, 2 * n)
+    l1, l2 = _binom_logs(ft)
+    B = theta_counts(ft, X * l1, l1 + l2 + (t - 1))
+    P = theta_counts(ft, e0, d)
+    return CycInt.from_powers(n, ring_dot(ft, B, P).tolist())
 
 
 def _thm41_lhs(c, b):
     A, B, Bp, C, x, y, t = b
-    return _theta_sum(c, t, A - C, lambda th: c.f1(A + th, B, Bp, C, x, y))
+    L = point_logs(c.ft, x, y)  # F1(A theta;B,B';C;x,y)
+    return _theta_sum(c, t, A - C, np.dot((A, C, B, Bp), L), L[0])
 
 
 def _thm41_rhs(c, b):
@@ -665,7 +679,8 @@ def _thm41_mut(c, b):
 
 def _thm42_lhs(c, b):
     A, B, Bp, C, x, y, t = b
-    return _theta_sum(c, t, B, lambda th: c.f1(A, B + th, Bp, C, x, y))
+    L = point_logs(c.ft, x, y)  # F1(A;B theta,B';C;x,y)
+    return _theta_sum(c, t, B, np.dot((A, C, B, Bp), L), L[2])
 
 
 def _thm42_rhs(c, b):
@@ -696,7 +711,8 @@ def _thm42_mut(c, b):
 
 def _thm43a_lhs(c, b):
     A, B, C, x, t = b
-    return _theta_sum(c, t, A - C, lambda th: c.f21(B, A + th, C, x))
+    L = point_logs(c.ft, x)  # 2F1[B,A theta;C;x]
+    return _theta_sum(c, t, A - C, np.dot((A, C, B), L), L[0])
 
 
 def _thm43a_rhs(c, b):
@@ -715,7 +731,8 @@ def _thm43a_mut(c, b):
 
 def _thm43b_lhs(c, b):
     A, B, C, x, t = b
-    return _theta_sum(c, t, B, lambda th: c.f21(B + th, A, C, x))
+    L = point_logs(c.ft, x)  # 2F1[B theta,A;C;x]
+    return _theta_sum(c, t, B, np.dot((A, C, B), L), L[2])
 
 
 def _thm43b_rhs(c, b):

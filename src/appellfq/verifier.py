@@ -217,7 +217,9 @@ def _thm13_exhaustive_batch(entry, ctx, cap):
     ft = ctx.ft
     n, q = ft.n, ft.q
     qm1sq = (q - 1) ** 2
-    rows = _reduction_rows(ft)  # int64 bound of both sides, checked first
+    # int64 bound of both sides and the memory of the n^2 binomial rows and
+    # the rotation gather (two n^5 and two n^4 arrays), checked first
+    rows = _reduction_rows(ft, n * n, 2 * n**5 + 2 * n**4)
     idx, ar = _np_ctx(ft)
     bc = binom_counts(ft, ar[:, None], ar[None, :])  # (n, n, n)
     om = ft.one_minus_idx

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -224,6 +225,23 @@ def test_int64_bound_checked_before_allocating():
             ft.elements[2], ft.elements[3])
     assert appell_f1_char_sum(AppellF1Params(*args)) == \
         appell_f1_point_sum(AppellF1Params(*args))
+
+
+def test_memory_budget_checked_before_allocating():
+    # inside the int64 bound, but the (n, n, n) tensors would need terabytes
+    ft = build_field(6199, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"q = 6199: .* bytes .*--route point"):
+        f1_charsum_idx(ft, 1, 2, 3, 4, 2, 3)
+    with pytest.raises(ValueError, match=r"q = 6199: .* bytes .*--route point"):
+        _thm13_exhaustive_batch(get_identity("thm1.3"), SimpleNamespace(ft=ft), 10)
+    assert time.perf_counter() - t0 < 0.5
+    for cache in ("np_ctx", "binom_logs", "rows"):
+        assert cache not in ft._caches
+    assert "np_rows" not in vars(_ring(ft.n))
+    ft = build_field(101, 1)
+    assert f1_charsum_idx(ft, 1, 2, 3, 4, 2, 3) == \
+        _f1_charsum_reference(ft, 1, 2, 3, 4, 2, 3)
 
 
 def test_char_sums_divide_exactly(fields):

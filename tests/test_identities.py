@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
 import appellfq.fields
 from appellfq import build_field, get_identity, registry, verify, verify_all
+from appellfq.cyclotomic import root_of_unity
 from appellfq.identities import EvalContext
 from appellfq.verifier import (
     _decode,
@@ -241,3 +243,13 @@ def test_eval_context_helpers(ft5):
     assert ctx.cp((1, 0)).is_zero
     assert ctx.cp((0, 3)) == ctx.roots[0]
     assert ctx.sign(0).as_integer() == 1
+
+
+def test_eval_context_fills_roots_on_demand():
+    ft = appellfq.fields.build_field(7919, 1)
+    t0 = time.perf_counter()
+    ctx = EvalContext(ft)
+    assert time.perf_counter() - t0 < 1.0
+    for k in (0, 1, 2, ft.n // 2, ft.n - 1):
+        assert ctx.roots[k] == root_of_unity(ft.n, k)
+    assert ctx.sign(1) == root_of_unity(ft.n, ft.log_minus_one)
