@@ -1,8 +1,10 @@
 """Command-line front end: field info, single evaluations, value tables,
 and the identity verification suite, with machine-readable JSON output.
 
-Exit codes: 0 all good, 1 at least one counterexample, 2 usage error,
-3 internal error.
+Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
+arguments: the field, the table cap, an element, a missing flag), 3 an
+evaluation failed: an evaluator refused the request (past the int64 bound
+or the memory budget of the character-sum routes) or raised.
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -12,6 +14,7 @@ vector is accepted as "v:c0,c1,..." or "c0,c1,...".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -101,34 +104,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _field(args, q=None) -> FieldTable:
+    """The field of q, or of -p/-r; a bad q, p or r, or a q over the table
+    cap, is a usage error."""
+    try:
+        p, r = (args.p, args.r) if q is None else prime_power_decompose(int(q))
+        return build_field(p, r, max_q=args.table_cap)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _field_from_args(args) -> FieldTable:
     if args.q is not None:
         if args.p is not None:
             raise UsageError("give either -q or -p/-r, not both")
-        p, r = prime_power_decompose(args.q)
-    elif args.p is not None:
-        p, r = args.p, args.r
-    else:
-        raise UsageError("a field is required: -p P [-r R] or -q Q")
-    return build_field(p, r, max_q=args.table_cap)
+        return _field(args, args.q)
+    if args.p is not None:
+        return _field(args)
+    raise UsageError("a field is required: -p P [-r R] or -q Q")
 
 
 def _fields_from_qlist(args) -> list[FieldTable]:
     if args.q is not None:
         if args.p is not None:
             raise UsageError("give either -q or -p/-r, not both")
-        fields = []
-        for part in str(args.q).split(","):
-            part = part.strip()
-            if not part:
-                continue
-            p, r = prime_power_decompose(int(part))
-            fields.append(build_field(p, r, max_q=args.table_cap))
+        fields = [_field(args, part) for part in args.q.split(",") if part.strip()]
         if not fields:
             raise UsageError("-q list is empty")
         return fields
     if args.p is not None:
-        return [build_field(args.p, args.r, max_q=args.table_cap)]
+        return [_field(args)]
     raise UsageError("a field is required: -p P [-r R] or -q Q,...")
 
 
@@ -153,12 +158,20 @@ def _require_exponent(args, name: str) -> int:
     return v
 
 
-def _emit(text: str, out_path: str | None):
+def _output(out_path: str | None):
+    """The --out file, opened for writing, or stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out_path, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, out) -> None:
+    out.write(text)
+
+
+def _emit_once(text: str, out_path: str | None) -> None:
+    with _output(out_path) as out:
+        _emit(text, out)
 
 
 def _value_payload(value: CycInt) -> tuple[dict, str | None]:
@@ -170,10 +183,10 @@ def _cmd_field_info(args) -> int:
     ft = _field_from_args(args)
     doc = ft.describe()
     if args.fmt == "json":
-        _emit(json.dumps(doc) + "\n", args.out)
+        text = json.dumps(doc)
     else:
-        lines = [f"{k}: {v}" for k, v in doc.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(f"{k}: {v}" for k, v in doc.items())
+    _emit_once(text + "\n", args.out)
     return EXIT_PASS
 
 
@@ -229,11 +242,11 @@ def _cmd_eval(args) -> int:
             "value": value_json,
             "integer": as_int,
         }
-        _emit(json.dumps(doc) + "\n", args.out)
+        _emit_once(json.dumps(doc) + "\n", args.out)
     else:
         shown = as_int if as_int is not None else repr(value)
         arglist = ", ".join(f"{k}={v}" for k, v in params.items())
-        _emit(f"{args.kind}({arglist}) over F_{ft.q} = {shown}\n", args.out)
+        _emit_once(f"{args.kind}({arglist}) over F_{ft.q} = {shown}\n", args.out)
     return EXIT_PASS
 
 
@@ -291,7 +304,7 @@ def _cmd_verify(args) -> int:
                     f"{len(rep.counterexamples)} {status} "
                     f"({rep.wall_ms:.1f} ms)"
                 )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_once("\n".join(lines) + "\n", args.out)
     if any_error:
         return EXIT_INTERNAL
     return EXIT_COUNTEREXAMPLE if any_cex else EXIT_PASS
@@ -299,23 +312,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     ft = _field_from_args(args)
+    with _output(args.out) as out:
+        for params, value in _table_rows(args.kind, ft):
+            value_json, as_int = _value_payload(value)
+            row = json.dumps({**params, "value": value_json, "integer": as_int})
+            _emit(row + "\n", out)
+    return EXIT_PASS
+
+
+def _table_rows(kind: str, ft: FieldTable):
+    """(params, value) for every row of the table, in lexicographic order,
+    made one at a time so that rows are written as they come."""
     n, q = ft.n, ft.q
-    rows = []
-
-    def emit_row(params: dict, value: CycInt):
-        value_json, as_int = _value_payload(value)
-        rows.append(
-            json.dumps({**params, "value": value_json, "integer": as_int})
-        )
-
-    if args.kind in ("jacobi", "binom"):
-        fn = jacobi_sum if args.kind == "jacobi" else binom
+    if kind in ("jacobi", "binom"):
+        fn = jacobi_sum if kind == "jacobi" else binom
         for a in range(n):
             for b in range(n):
-                emit_row(
-                    {"A": a, "B": b}, fn(Character(ft, a), Character(ft, b))
-                )
-    elif args.kind == "f21":
+                yield {"A": a, "B": b}, fn(Character(ft, a), Character(ft, b))
+    elif kind == "f21":
         for a in range(n):
             for b in range(n):
                 for c in range(n):
@@ -326,10 +340,7 @@ def _cmd_table(args) -> int:
                             Character(ft, c),
                             ft.elements[xi],
                         )
-                        emit_row(
-                            {"A": a, "B": b, "C": c, "x": xi},
-                            f21_point_sum(params),
-                        )
+                        yield {"A": a, "B": b, "C": c, "x": xi}, f21_point_sum(params)
     else:
         for a in range(n):
             for b in range(n):
@@ -345,19 +356,11 @@ def _cmd_table(args) -> int:
                                     ft.elements[xi],
                                     ft.elements[yi],
                                 )
-                                emit_row(
-                                    {
-                                        "A": a,
-                                        "B": b,
-                                        "Bp": bp,
-                                        "C": c,
-                                        "x": xi,
-                                        "y": yi,
-                                    },
+                                yield (
+                                    {"A": a, "B": b, "Bp": bp, "C": c,
+                                     "x": xi, "y": yi},
                                     appell_f1_point_sum(params),
                                 )
-    _emit("\n".join(rows) + "\n", args.out)
-    return EXIT_PASS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,11 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # an evaluator refused the request, or failed
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

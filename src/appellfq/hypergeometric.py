@@ -16,6 +16,12 @@ sum forms are independent routes used for cross-validation:
 where [.|.] is the scaled binomial coefficient from `characters.binom`.
 Both divisions are exact; a remaining remainder raises and signals a bug
 or a convention mismatch.
+
+The character sums work on unreduced zeta-power counts in the group ring
+Z[C_n] and read only the binomial pairs, never the point-sum tables. The
+double F1 sum is evaluated by character orthogonality: the binomial
+exponents are linear in the characters, so summing over chi and lam keeps
+only the pairs whose slopes cancel, Theta(n^3) work in all.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, binom_counts
+from .characters import Character, _binom_logs, binom_counts
 from .cyclotomic import CycInt, _ring, cyc_zero
 from .fields import FieldElement, FieldTable
 
@@ -242,25 +248,41 @@ def f1_charsum_idx(
 ) -> CycInt:
     """sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam] chi(x) lam(y).
 
-    Grouped by s = chi*lam: the pairwise group-ring products of the chi and
-    lam rows are one (n, n, n) integer tensor, collapsed to one row per s and
-    contracted with the [A s|C s] rows by `ring_dot`, over 3n binomials
-    counted in one call. A field where int64 could overflow, or where the
-    tensors would not fit in memory, is refused first (`_reduction_rows`).
+    At a binomial pair (l1, l2) the three factors, with chi = chi_k,
+    lam = chi_l and s = k + l, have exponents linear in the characters:
+    b l1 + k (l1 + l2 + log x), b' l1 + l (l1 + l2 + log y) and
+    a l1 + c l2 + s (l1 + l2). Since sum_k zeta^(k D) = n [D = 0 mod n],
+    only pairs whose slopes cancel survive, and the double sum is
+    n^2 sum_t H_chi[t] H_lam[t] H_s[-t] in Z[C_n], where each H counts
+    the pairs by (slope, intercept) mod n: one (n, n, n) gather for the
+    per-t products, one `ring_dot`, Theta(n^3) work instead of the
+    Theta(n^4) of pairing every chi with every lam.
+
+    The result is n^2 = (q-1)^2 times an element of Z[zeta_n] by
+    construction, so its exact division by (q-1)^2 is no check here; the
+    thm1.3 exhaustive batch, which enumerates (chi, lam), still checks it.
+    Only the binomial pairs are read, never the point-sum tables. A field
+    where int64 could overflow, or where the arrays would not fit in
+    memory, is refused first (`_reduction_rows`).
     """
     n = ft.n
     if xi == 0 or yi == 0:
         return cyc_zero(n)
-    rows = _reduction_rows(ft, 3 * n, 3 * n**3)
-    idx, ar = _np_ctx(ft)
-    # [B chi_k | chi_k] chi_k(x), [B' lam_k | lam_k] lam_k(y), [A s_k | C s_k]
-    U, V, W = binom_counts(ft, [b + ar, bp + ar, a + ar], [ar, ar, c + ar],
-                           np.outer([xi - 1, yi - 1, 0], ar))
-    # pairwise group-ring products U[k] * V[l], then collapse k+l = s
-    C1 = np.einsum("ki,lmi->klm", U, V[:, idx])
-    G = C1[ar[:, None], idx.T, :].sum(axis=0)  # (s, m); idx.T[k,s] = s-k
-    reduced = ring_dot(ft, W, G) @ rows
+    rows = _reduction_rows(ft, 3, n**3 + 6 * n * n)
+    idx, _ = _np_ctx(ft)
+    l1, l2 = _binom_logs(ft)
+    s = l1 + l2
+    H_chi = _line_counts(n, s + xi - 1, b * l1)  # [B chi|chi] chi(x)
+    H_lam = _line_counts(n, s + yi - 1, bp * l1)  # [B' lam|lam] lam(y)
+    H_s = _line_counts(n, -s, a * l1 + c * l2)  # [A s|C s], by -slope
+    G = np.einsum("ti,tmi->tm", H_chi, H_lam[:, idx])  # H_chi[t] H_lam[t]
+    reduced = n * n * ring_dot(ft, H_s, G) @ rows
     return CycInt(n, tuple(int(v) for v in reduced))
+
+
+def _line_counts(n: int, slope: np.ndarray, intercept: np.ndarray) -> np.ndarray:
+    """(n, n) counts of the pairs by (slope mod n, intercept mod n)."""
+    return np.bincount(slope % n * n + intercept % n, minlength=n * n).reshape(n, n)
 
 
 # ----------------------------------------------------------------------

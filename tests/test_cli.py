@@ -235,3 +235,24 @@ def test_module_invocation_end_to_end():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["integer"] == "3"
+
+
+def test_evaluator_refusal_exits_3_from_every_command(capsys):
+    # q = 6199 is a valid field; the character-sum routes refuse it over
+    # the memory budget, which is no usage error, from eval and verify alike
+    budget = "bytes of int64 arrays, over the budget"
+    rc, out, err = run(capsys, "eval", "f1", "-q", "6199", "-A", "1", "-B", "2",
+                       "-Bp", "3", "-C", "4", "-x", "2", "-y", "3", "--route", "char")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ValueError: q = 6199") and budget in err
+    rc, out, _ = run(capsys, "verify", "thm1.3", "-q", "6199", "--sampled", "--samples", "1")
+    assert rc == 3
+    assert budget in json.loads(out)["error"]
+
+
+def test_bad_q_list_and_element_vector_are_usage_errors(capsys):
+    rc, _, err = run(capsys, "verify", "thm1.1", "-q", "3,x")
+    assert rc == 2 and "'x'" in err
+    rc, _, err = run(capsys, "eval", "f21", "-q", "9", "-A", "0", "-B", "0",
+                     "-C", "0", "-x", "1,2,3")
+    assert rc == 2 and "bad element" in err

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +23,8 @@ from appellfq import (
     f21_point_sum,
 )
 from appellfq.cyclotomic import _ring, all_roots
-from appellfq.hypergeometric import f1_charsum_idx, f21_charsum_idx
+from appellfq import hypergeometric
+from appellfq.hypergeometric import f1_charsum_idx, f1_point_idx, f21_charsum_idx
 from appellfq.identities import get_identity
 from appellfq.verifier import _thm13_exhaustive_batch
 
@@ -181,6 +184,54 @@ def test_f1_charsum_tensor_path_vs_reference(fields):
         xi, yi = rng.randrange(1, 7), rng.randrange(1, 7)
         assert f1_charsum_idx(ft, a, b, bp, c, xi, yi) == \
             _f1_charsum_reference(ft, a, b, bp, c, xi, yi)
+
+
+def _f1_bindings(ft, rng, count):
+    """`count` random (a, b, b', c, x, y) with x, y != 0, after bindings
+    with trivial characters, x = y and x = 1 (index 1 is the element 1)."""
+    n, q = ft.n, ft.q
+    rand = [tuple(rng.randrange(n) for _ in range(4))
+            + (rng.randrange(1, q), rng.randrange(1, q)) for _ in range(count)]
+    x = rng.randrange(2, q)
+    return [
+        (0, 0, 0, 0, x, x), (0, 0, 0, 0, 1, x), (0, 0, 0, 0, 1, 1),
+        rand[0][:4] + (x, x), rand[1][:4] + (1, x), rand[2][:4] + (1, 1),
+    ] + rand
+
+
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (2, 4), (5, 2)])
+def test_f1_charsum_vs_reference_extension_fields(p, r):
+    ft = build_field(p, r)
+    rng = random.Random(ft.q)
+    for binding in _f1_bindings(ft, rng, 12):
+        assert f1_charsum_idx(ft, *binding) == _f1_charsum_reference(ft, *binding)
+
+
+@pytest.mark.parametrize("p,r", [(7, 2), (101, 1)])
+def test_f1_charsum_vs_point_route_large_q(p, r):
+    ft = build_field(p, r)
+    rng = random.Random(ft.q)
+    for binding in _f1_bindings(ft, rng, 10):
+        assert f1_charsum_idx(ft, *binding) == \
+            f1_point_idx(ft, *binding) * (ft.q - 1) ** 2
+
+
+def test_f1_charsum_peak_memory_within_admitted_estimate(monkeypatch):
+    ft = build_field(101, 1)
+    args = (1, 2, 3, 4, 2, 3)
+    f1_charsum_idx(ft, *args)  # the per-field caches belong to no one call
+    tracemalloc.start()
+    try:
+        f1_charsum_idx(ft, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # with no memory to spare, `_admit` refuses and names its estimate
+    monkeypatch.setattr(hypergeometric.os, "sysconf", lambda name: 0)
+    with pytest.raises(ValueError, match="needs about") as refused:
+        f1_charsum_idx(ft, *args)
+    need = int(re.search(r"needs about (\d+) bytes", str(refused.value))[1])
+    assert peak <= need <= 2 * peak
 
 
 def _f21_charsum_reference(ft, a, b, c, xi):
