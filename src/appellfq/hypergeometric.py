@@ -17,11 +17,8 @@ where [.|.] is the scaled binomial coefficient from `characters.binom`.
 Both divisions are exact; a remaining remainder raises and signals a bug
 or a convention mismatch.
 
-The character sums work on unreduced zeta-power counts in the group ring
-Z[C_n] and read only the binomial pairs, never the point-sum tables. The
-double F1 sum is evaluated by character orthogonality: the binomial
-exponents are linear in the characters, so summing over chi and lam keeps
-only the pairs whose slopes cancel, Theta(n^3) work in all.
+The character sums count zeta powers in the group ring Z[C_n]; the double
+F1 sum is taken by character orthogonality in Theta(n^3) (`f1_charsum_idx`).
 """
 
 from __future__ import annotations
@@ -196,6 +193,11 @@ def theta_counts(ft: FieldTable, e0: np.ndarray, d) -> np.ndarray:
     return np.bincount(e.ravel(), minlength=n * n).reshape(n, n)
 
 
+def _line_counts(n: int, slope: np.ndarray, intercept: np.ndarray) -> np.ndarray:
+    """(n, n) counts of the pairs by (slope mod n, intercept mod n)."""
+    return np.bincount(slope % n * n + intercept % n, minlength=n * n).reshape(n, n)
+
+
 def point_logs(ft: FieldTable, *xis: int) -> np.ndarray:
     """Rows L of the point-sum exponents, which are linear in the characters.
 
@@ -248,22 +250,15 @@ def f1_charsum_idx(
 ) -> CycInt:
     """sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam] chi(x) lam(y).
 
-    At a binomial pair (l1, l2) the three factors, with chi = chi_k,
-    lam = chi_l and s = k + l, have exponents linear in the characters:
-    b l1 + k (l1 + l2 + log x), b' l1 + l (l1 + l2 + log y) and
-    a l1 + c l2 + s (l1 + l2). Since sum_k zeta^(k D) = n [D = 0 mod n],
-    only pairs whose slopes cancel survive, and the double sum is
-    n^2 sum_t H_chi[t] H_lam[t] H_s[-t] in Z[C_n], where each H counts
-    the pairs by (slope, intercept) mod n: one (n, n, n) gather for the
-    per-t products, one `ring_dot`, Theta(n^3) work instead of the
-    Theta(n^4) of pairing every chi with every lam.
-
-    The result is n^2 = (q-1)^2 times an element of Z[zeta_n] by
-    construction, so its exact division by (q-1)^2 is no check here; the
-    thm1.3 exhaustive batch, which enumerates (chi, lam), still checks it.
-    Only the binomial pairs are read, never the point-sum tables. A field
-    where int64 could overflow, or where the arrays would not fit in
-    memory, is refused first (`_reduction_rows`).
+    At a binomial pair (l1, l2), with chi = chi_k, lam = chi_l, s = k + l,
+    the three rows have exponents b l1 + k (l1 + l2 + log x), b' l1 +
+    l (l1 + l2 + log y) and a l1 + c l2 + s (l1 + l2). As sum_k zeta^(kD)
+    = n [D = 0 mod n], the sum is n^2 sum_t H_chi[t] H_lam[t] H_s[-t] in
+    Z[C_n], each H counting the pairs by (slope, intercept): Theta(n^3).
+    So the (q-1)^2 division is exact by construction; the thm1.3 batch,
+    which enumerates (chi, lam), still checks it. Only binomial pairs are
+    read, never the point-sum tables. Fields past the int64 bound or the
+    memory budget are refused first (`_reduction_rows`).
     """
     n = ft.n
     if xi == 0 or yi == 0:
@@ -278,11 +273,6 @@ def f1_charsum_idx(
     G = np.einsum("ti,tmi->tm", H_chi, H_lam[:, idx])  # H_chi[t] H_lam[t]
     reduced = n * n * ring_dot(ft, H_s, G) @ rows
     return CycInt(n, tuple(int(v) for v in reduced))
-
-
-def _line_counts(n: int, slope: np.ndarray, intercept: np.ndarray) -> np.ndarray:
-    """(n, n) counts of the pairs by (slope mod n, intercept mod n)."""
-    return np.bincount(slope % n * n + intercept % n, minlength=n * n).reshape(n, n)
 
 
 # ----------------------------------------------------------------------
