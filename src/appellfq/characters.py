@@ -144,17 +144,16 @@ def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
     return logs
 
 
-def binom_counts(ft: FieldTable, a, b, shift=0) -> np.ndarray:
-    """Unreduced zeta-power weights of zeta^shift * binom(chi_a, chi_b).
+def binom_counts(ft: FieldTable, a, b) -> np.ndarray:
+    """Unreduced zeta-power weights of binom(chi_a, chi_b).
 
-    `a`, `b` and `shift` are broadcastable integer arrays; the result has
-    their shape plus an axis of length n, from one bincount over all pairs.
+    `a` and `b` are broadcastable integer arrays; the result has their
+    shape plus an axis of length n, from one bincount over all pairs.
     """
     n = ft.n
     l1, l2 = _binom_logs(ft)
     e = (np.asarray(a, dtype=np.int64)[..., None] * l1
-         + np.asarray(b, dtype=np.int64)[..., None] * l2
-         + np.asarray(shift, dtype=np.int64)[..., None]) % n  # (pairs..., q-2)
+         + np.asarray(b, dtype=np.int64)[..., None] * l2) % n  # (pairs..., q-2)
     shape = e.shape[:-1]
     pairs = math.prod(shape)
     e += n * np.arange(pairs).reshape(shape + (1,))

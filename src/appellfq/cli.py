@@ -3,8 +3,8 @@ and the identity verification suite, with machine-readable JSON output.
 
 Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
 arguments: the field, the table cap, an element, a missing flag), 3 an
-evaluation failed: an evaluator refused the request (past the int64 bound
-or the memory budget of the character-sum routes) or raised.
+evaluation failed: an evaluator raised, or refused the request (only the
+exhaustive thm1.3 batch refuses, past its int64 bound or memory budget).
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient

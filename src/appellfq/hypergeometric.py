@@ -17,19 +17,21 @@ where [.|.] is the scaled binomial coefficient from `characters.binom`.
 Both divisions are exact; a remaining remainder raises and signals a bug
 or a convention mismatch.
 
-The character sums count zeta powers in the group ring Z[C_n]; the double
-F1 sum is taken by character orthogonality in Theta(n^3) (`f1_charsum_idx`).
+At a binomial pair (or a point) each factor of a character sum has an
+exponent intercept + k slope, linear in the summed character chi_k, and
+sum_k zeta^(kD) = n [D = 0 mod n]. So every character sum here is n (or
+n^2) times one `np.bincount` of summed intercepts over the entries whose
+slopes cancel (`_join`): O(q) time and memory, with no int64 bound.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, _binom_logs, binom_counts
-from .cyclotomic import CycInt, _ring, cyc_zero
+from .characters import Character, _binom_logs
+from .cyclotomic import CycInt, cyc_zero
 from .fields import FieldElement, FieldTable
 
 
@@ -122,80 +124,30 @@ def f1_point_idx(
 # Character-sum evaluators (uncleared: without the 1/(q-1)^k factor).
 # ----------------------------------------------------------------------
 
-def _np_ctx(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, ar), idx[m, i] = (m - i) mod n and ar = 0..n-1; cached."""
-    ctx = ft._caches.get("np_ctx")
-    if ctx is None:
-        ar = np.arange(ft.n)
-        ctx = ft._caches["np_ctx"] = ((ar[:, None] - ar[None, :]) % ft.n, ar)
-    return ctx
+def _join(n: int, s1: np.ndarray, e1: np.ndarray, s2: np.ndarray, e2: np.ndarray):
+    """(s1[i], e1[i] + e2[j]) over every pair i, j with s1[i] + s2[j] = 0 mod n.
 
-
-def _admit(ft: FieldTable, bound: int, rows: int, cells: int = 0) -> None:
-    """Refuse, before anything is allocated, a call whose exact int64 counts
-    can reach `bound` (2^63 or more), or whose int64 arrays would pass half
-    of physical memory: `rows` rows of q - 2 pairs (three such arrays are
-    alive at once while they are counted) and `cells` further entries."""
-    q = ft.q
-    if bound >= 2**63:
-        raise ValueError(
-            f"q = {q}: exact character sums here can reach {bound}, past "
-            f"the int64 limit 2^63 - 1; the point-sum route has no such limit"
-        )
-    need = 8 * (3 * rows * (q - 2) + cells)
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-    if need > budget:
-        raise ValueError(
-            f"q = {q}: this exact sum needs about {need} bytes of int64 "
-            f"arrays, over the budget of {budget} bytes (half of physical "
-            f"memory); the point-sum route (--route point) needs O(q)"
-        )
-
-
-def _reduction_rows(ft: FieldTable, rows: int, cells: int) -> np.ndarray:
-    """The (n, phi) rows that reduce zeta-power counts, once the int64
-    tensor paths are known not to overflow on this field and the caller's
-    arrays to fit in memory (`_admit`).
-
-    Binomial counts have mass q - 2, so the uncleared F1 sum has mass at
-    most n^2 (q-2)^3 and the point side of the thm1.3 batch, P_red (q-1)^2,
-    at most (q-2)(q-1)^2; reducing multiplies by at most max |rows|. Past
-    2^63, or past the memory budget, this raises ValueError before any
-    tensor, or the rows, is built.
+    A row entry (s, e) stands for zeta^(e + k s) in a sum over k = 0 .. n-1,
+    and sum_k zeta^(k (s1 + s2)) = n [s1 + s2 = 0 mod n], so these pairs are
+    the only terms of the product of two rows that survive the sum over k.
+    The second row is sorted by slope class, and each entry of the first is
+    repeated over its class, so a class may hold any number of entries.
     """
-    n, q = ft.n, ft.q
-    bound = max(n * n * (q - 2) ** 3, (q - 2) * (q - 1) ** 2)
-    _admit(ft, bound, rows, cells)
-    red = ft._caches.get("rows")
-    if red is None:
-        red = _ring(n).np_rows
-        _admit(ft, bound * int(np.abs(red).max()), 0)
-        ft._caches["rows"] = red
-    return red
+    key = s2 % n
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    want = -s1 % n
+    lo = np.searchsorted(key, want)
+    reps = np.searchsorted(key, want, side="right") - lo
+    i = np.repeat(np.arange(len(s1)), reps)
+    # a match's place in `key`: its entry's `lo` plus its rank in the class
+    at = np.arange(len(i)) + np.repeat(lo + reps - np.cumsum(reps), reps)
+    return s1[i], e1[i] + e2[order[at]]
 
 
-def ring_dot(ft: FieldTable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sum_k U[k] * V[k] in the group ring Z[C_n], for (K, n) count arrays.
-
-    One (n, n) integer matmul, then a sum over its anti-diagonals mod n;
-    exact while the result's mass (sum_k |U[k]| |V[k]|) stays below 2^63.
-    """
-    idx, ar = _np_ctx(ft)
-    return (U.T @ V)[ar, idx].sum(axis=1)
-
-
-def theta_counts(ft: FieldTable, e0: np.ndarray, d) -> np.ndarray:
-    """(n, n) counts whose row theta is the histogram of (e0 + theta d) mod n:
-    the zeta powers of a sum whose exponents shift linearly in theta."""
-    _, ar = _np_ctx(ft)
-    n = ft.n
-    e = (e0 + ar[:, None] * d) % n + n * ar[:, None]
-    return np.bincount(e.ravel(), minlength=n * n).reshape(n, n)
-
-
-def _line_counts(n: int, slope: np.ndarray, intercept: np.ndarray) -> np.ndarray:
-    """(n, n) counts of the pairs by (slope mod n, intercept mod n)."""
-    return np.bincount(slope % n * n + intercept % n, minlength=n * n).reshape(n, n)
+def _power_sum(n: int, e: np.ndarray) -> CycInt:
+    """sum_i zeta_n^e[i], exact."""
+    return CycInt.from_powers(n, np.bincount(e % n, minlength=n).tolist())
 
 
 def point_logs(ft: FieldTable, *xis: int) -> np.ndarray:
@@ -232,17 +184,17 @@ def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
 def f21_charsum_idx(ft: FieldTable, a: int, b: int, c: int, xi: int) -> CycInt:
     """sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
 
-    Two binomial rows per chi, counted in one call, multiplied and summed in
-    the group ring Z[C_n] by one `ring_dot`; the mass is at most n (q-2)^2.
+    At binomial pairs (l1, l2), with chi = chi_k and s = l1 + l2, the two
+    rows have exponents a l1 + k (s + log x) and b l1 + c l2 + k s, so the
+    sum over k is n times one `_join` of the rows on their slopes.
     """
     n = ft.n
     if xi == 0:
         return cyc_zero(n)
-    _admit(ft, n * (ft.q - 2) ** 2, 2 * n)
-    _, ar = _np_ctx(ft)
-    # [A chi_k | chi_k] chi_k(x) and [B chi_k | C chi_k] for every k
-    U, V = binom_counts(ft, [a + ar, b + ar], [ar, c + ar], np.outer([xi - 1, 0], ar))
-    return CycInt.from_powers(n, ring_dot(ft, U, V).tolist())
+    l1, l2 = _binom_logs(ft)
+    s = l1 + l2
+    _, e = _join(n, s + (xi - 1), a * l1, s, b * l1 + c * l2)
+    return _power_sum(n, e) * n
 
 
 def f1_charsum_idx(
@@ -250,29 +202,23 @@ def f1_charsum_idx(
 ) -> CycInt:
     """sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam] chi(x) lam(y).
 
-    At a binomial pair (l1, l2), with chi = chi_k, lam = chi_l, s = k + l,
-    the three rows have exponents b l1 + k (l1 + l2 + log x), b' l1 +
-    l (l1 + l2 + log y) and a l1 + c l2 + s (l1 + l2). As sum_k zeta^(kD)
-    = n [D = 0 mod n], the sum is n^2 sum_t H_chi[t] H_lam[t] H_s[-t] in
-    Z[C_n], each H counting the pairs by (slope, intercept): Theta(n^3).
-    So the (q-1)^2 division is exact by construction; the thm1.3 batch,
+    At binomial pairs (l1, l2), with chi = chi_k, lam = chi_l and
+    s = l1 + l2, the three rows have exponents b l1 + k (s + log x),
+    b' l1 + l (s + log y) and a l1 + c l2 + (k + l) s. The sums over k and
+    l each keep only the terms whose slopes cancel, so the whole sum is
+    n^2 times two `_join`s around the [A chi lam|C chi lam] row: O(q) work.
+    The (q-1)^2 division is thus exact by construction; the thm1.3 batch,
     which enumerates (chi, lam), still checks it. Only binomial pairs are
-    read, never the point-sum tables. Fields past the int64 bound or the
-    memory budget are refused first (`_reduction_rows`).
+    read, never the point-sum tables.
     """
     n = ft.n
     if xi == 0 or yi == 0:
         return cyc_zero(n)
-    rows = _reduction_rows(ft, 3, n**3 + 6 * n * n)
-    idx, _ = _np_ctx(ft)
     l1, l2 = _binom_logs(ft)
     s = l1 + l2
-    H_chi = _line_counts(n, s + xi - 1, b * l1)  # [B chi|chi] chi(x)
-    H_lam = _line_counts(n, s + yi - 1, bp * l1)  # [B' lam|lam] lam(y)
-    H_s = _line_counts(n, -s, a * l1 + c * l2)  # [A s|C s], by -slope
-    G = np.einsum("ti,tmi->tm", H_chi, H_lam[:, idx])  # H_chi[t] H_lam[t]
-    reduced = n * n * ring_dot(ft, H_s, G) @ rows
-    return CycInt(n, tuple(int(v) for v in reduced))
+    t, e = _join(n, s + (xi - 1), b * l1, s, a * l1 + c * l2)  # k
+    _, e = _join(n, -t, e, s + (yi - 1), bp * l1)  # l: the slope t again
+    return _power_sum(n, e) * (n * n)
 
 
 # ----------------------------------------------------------------------

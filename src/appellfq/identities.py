@@ -22,18 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import _binom_logs, binom_counts, binomial_table
+from .characters import _binom_logs, binomial_table
 from .cyclotomic import CycInt, all_roots, cyc_zero
 from .fields import FieldTable
 from .hypergeometric import (
-    _admit,
+    _join,
+    _power_sum,
     f1_charsum_idx,
     f1_point_idx,
     f21_charsum_idx,
     f21_point_idx,
     point_logs,
-    ring_dot,
-    theta_counts,
 )
 
 
@@ -275,13 +274,12 @@ def _prop21b_mut(c, b):
 
 
 def _binthm_sum(c, A, x):
-    # sum over chi of binom(A chi, chi) chi(x), exact and uncleared
+    # sum over chi of binom(A chi, chi) chi(x), exact and uncleared: chi_k has
+    # exponent A l1 + k (l1 + l2 + log x), so only slope 0 survives, n times
     if x == 0:
         return c.zero
-    _admit(c.ft, c.n * (c.q - 2), c.n)
-    ar = np.arange(c.n)
-    rows = binom_counts(c.ft, A + ar, ar, ar * (x - 1))
-    return CycInt.from_powers(c.n, rows.sum(axis=0).tolist())
+    l1, l2 = _binom_logs(c.ft)
+    return _power_sum(c.n, A * l1[(l1 + l2 + (x - 1)) % c.n == 0]) * c.n
 
 
 def _prop22_lhs(c, b):
@@ -628,17 +626,14 @@ def _theta_sum(c, t, X, e0, d):
     S(theta) is the point sum whose exponent at its terms is e0 + theta d.
 
     [X theta|theta] theta(t) has exponent X l1 + theta (l1 + l2 + log t) at
-    its binomial pairs (l1, l2), so both factors are `theta_counts`, and the
-    sum is one contraction in Z[C_n]; every count has mass at most n (q-2)^2.
+    its binomial pairs (l1, l2), so the sum is n times one `_join` of the
+    binomial row with the point-sum row on their slopes.
     """
     if t == 0 or not e0.size:
         return c.zero
-    ft, n = c.ft, c.n
-    _admit(ft, n * (ft.q - 2) ** 2, 2 * n)
-    l1, l2 = _binom_logs(ft)
-    B = theta_counts(ft, X * l1, l1 + l2 + (t - 1))
-    P = theta_counts(ft, e0, d)
-    return CycInt.from_powers(n, ring_dot(ft, B, P).tolist())
+    l1, l2 = _binom_logs(c.ft)
+    _, e = _join(c.n, l1 + l2 + (t - 1), X * l1, d, e0)
+    return _power_sum(c.n, e) * c.n
 
 
 def _thm41_lhs(c, b):

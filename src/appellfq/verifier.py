@@ -16,14 +16,15 @@ as a counterexample marked "divisibility".
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .characters import binom_counts
+from .cyclotomic import _ring
 from .fields import FieldTable, build_field
-from .hypergeometric import _np_ctx, _reduction_rows
 from .identities import EvalContext, IdentityCase, get_identity
 
 _U64 = (1 << 64) - 1
@@ -211,16 +212,48 @@ def _run_parallel(entry, ft, mode, seed, total, cap, jobs):
 # algebra; mismatches are re-evaluated on the scalar path for reporting.
 # ----------------------------------------------------------------------
 
+def _reduction_rows(ft: FieldTable) -> np.ndarray:
+    """The (n, phi) rows that reduce zeta-power counts, once the batch is
+    known to fit. Binomial counts have mass q - 2, so its int64 counts
+    reach at most n^2 (q-2)^3 on the character side and (q-2)(q-1)^2 on the
+    point side, times max |rows| once reduced; its arrays (three
+    (n, n, q - 2) temporaries for the n^2 binomial rows, two n^5 and two n^4
+    for the rotation gather) must fit in half of physical memory. Past
+    either, this raises ValueError before any array, or the rows, is built.
+    """
+    n, q = ft.n, ft.q
+
+    def within_int64(bound):
+        if bound >= 2**63:
+            raise ValueError(
+                f"q = {q}: exact character sums here can reach {bound}, past "
+                f"the int64 limit 2^63 - 1; the point-sum route has no such limit"
+            )
+
+    bound = max(n * n * (q - 2) ** 3, (q - 2) * (q - 1) ** 2)
+    within_int64(bound)
+    need = 8 * (3 * n * n * (q - 2) + 2 * n**5 + 2 * n**4)
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if need > budget:
+        raise ValueError(
+            f"q = {q}: this exact sum needs about {need} bytes of int64 "
+            f"arrays, over the budget of {budget} bytes (half of physical "
+            f"memory); the point-sum route (--route point) needs O(q)"
+        )
+    rows = _ring(n).np_rows
+    within_int64(bound * int(np.abs(rows).max()))
+    return rows
+
+
 def _thm13_exhaustive_batch(entry, ctx, cap):
     import itertools
 
     ft = ctx.ft
     n, q = ft.n, ft.q
     qm1sq = (q - 1) ** 2
-    # int64 bound of both sides and the memory of the n^2 binomial rows and
-    # the rotation gather (two n^5 and two n^4 arrays), checked first
-    rows = _reduction_rows(ft, n * n, 2 * n**5 + 2 * n**4)
-    idx, ar = _np_ctx(ft)
+    rows = _reduction_rows(ft)
+    ar = np.arange(n)
+    idx = (ar[:, None] - ar[None, :]) % n  # idx[m, i] = (m - i) mod n
     bc = binom_counts(ft, ar[:, None], ar[None, :])  # (n, n, n)
     om = ft.one_minus_idx
 

@@ -237,17 +237,34 @@ def test_module_invocation_end_to_end():
     assert json.loads(proc.stdout)["integer"] == "3"
 
 
-def test_evaluator_refusal_exits_3_from_every_command(capsys):
-    # q = 6199 is a valid field; the character-sum routes refuse it over
-    # the memory budget, which is no usage error, from eval and verify alike
-    budget = "bytes of int64 arrays, over the budget"
-    rc, out, err = run(capsys, "eval", "f1", "-q", "6199", "-A", "1", "-B", "2",
+def test_evaluator_refusal_exits_3_from_every_command(capsys, monkeypatch):
+    # q = 101 is a valid field; the exhaustive thm1.3 batch refuses it over
+    # the memory budget (2 n^5 int64 cells), which is no usage error
+    rc, out, _ = run(capsys, "verify", "thm1.3", "-q", "101", "--exhaustive")
+    assert rc == 3
+    assert "bytes of int64 arrays, over the budget" in json.loads(out)["error"]
+    # the character routes refuse no field, so `eval` reaches exit 3 only
+    # through an evaluator that raises
+    import appellfq.cli as cli
+
+    def refuse(params):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cli, "appell_f1_char_sum", refuse)
+    rc, out, err = run(capsys, "eval", "f1", "-q", "101", "-A", "1", "-B", "2",
                        "-Bp", "3", "-C", "4", "-x", "2", "-y", "3", "--route", "char")
     assert rc == 3 and out == ""
-    assert err.startswith("error: ValueError: q = 6199") and budget in err
-    rc, out, _ = run(capsys, "verify", "thm1.3", "-q", "6199", "--sampled", "--samples", "1")
-    assert rc == 3
-    assert budget in json.loads(out)["error"]
+    assert err.startswith("error: ValueError: refused")
+
+
+def test_verify_all_sampled_at_q_1021(capsys):
+    # no route refuses a field in the thousands in sampled mode
+    rc, out, _ = run(capsys, "verify", "--all", "--sampled", "--samples", "2",
+                     "-q", "1021")
+    assert rc == 0
+    docs = [json.loads(line) for line in out.strip().split("\n")]
+    assert len(docs) == 28
+    assert all(d["counterexamples"] == [] and "error" not in d for d in docs)
 
 
 def test_bad_q_list_and_element_vector_are_usage_errors(capsys):

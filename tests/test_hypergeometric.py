@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -23,8 +22,12 @@ from appellfq import (
     f21_point_sum,
 )
 from appellfq.cyclotomic import _ring, all_roots
-from appellfq import hypergeometric
-from appellfq.hypergeometric import f1_charsum_idx, f1_point_idx, f21_charsum_idx
+from appellfq.hypergeometric import (
+    f1_charsum_idx,
+    f1_point_idx,
+    f21_charsum_idx,
+    f21_point_idx,
+)
 from appellfq.identities import get_identity
 from appellfq.verifier import _thm13_exhaustive_batch
 
@@ -207,7 +210,10 @@ def test_f1_charsum_vs_reference_extension_fields(p, r):
         assert f1_charsum_idx(ft, *binding) == _f1_charsum_reference(ft, *binding)
 
 
-@pytest.mark.parametrize("p,r", [(7, 2), (101, 1)])
+LARGE_Q = [(7, 2), (101, 1), (1021, 1), pytest.param(4099, 1, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("p,r", LARGE_Q)
 def test_f1_charsum_vs_point_route_large_q(p, r):
     ft = build_field(p, r)
     rng = random.Random(ft.q)
@@ -216,22 +222,29 @@ def test_f1_charsum_vs_point_route_large_q(p, r):
             f1_point_idx(ft, *binding) * (ft.q - 1) ** 2
 
 
-def test_f1_charsum_peak_memory_within_admitted_estimate(monkeypatch):
-    ft = build_field(101, 1)
-    args = (1, 2, 3, 4, 2, 3)
-    f1_charsum_idx(ft, *args)  # the per-field caches belong to no one call
-    tracemalloc.start()
-    try:
-        f1_charsum_idx(ft, *args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # with no memory to spare, `_admit` refuses and names its estimate
-    monkeypatch.setattr(hypergeometric.os, "sysconf", lambda name: 0)
-    with pytest.raises(ValueError, match="needs about") as refused:
-        f1_charsum_idx(ft, *args)
-    need = int(re.search(r"needs about (\d+) bytes", str(refused.value))[1])
-    assert peak <= need <= 2 * peak
+@pytest.mark.parametrize("p,r", LARGE_Q)
+def test_f21_charsum_vs_point_route_large_q(p, r):
+    ft = build_field(p, r)
+    rng = random.Random(ft.q)
+    for a, b, _, c, xi, _ in _f1_bindings(ft, rng, 10):
+        assert f21_charsum_idx(ft, a, b, c, xi) == \
+            f21_point_idx(ft, a, b, c, xi) * (ft.q - 1)
+
+
+def test_f1_charsum_peak_memory_within_admitted_estimate():
+    # its arrays are a few rows over the q - 2 binomial pairs, so a warm
+    # call's peak is linear in q
+    for q in (1021, 4099):
+        ft = build_field(q, 1)
+        args = (1, 2, 3, 4, 2, 3)
+        f1_charsum_idx(ft, *args)  # the per-field caches belong to no one call
+        tracemalloc.start()
+        try:
+            f1_charsum_idx(ft, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * q, (q, peak)
 
 
 def _f21_charsum_reference(ft, a, b, c, xi):
@@ -262,15 +275,27 @@ def test_f21_charsum_vs_reference(fields):
                 _f21_charsum_reference(ft, a, b, c, xi)
 
 
+def _char_routes_match_point_routes(ft):
+    """Both character routes equal (q-1)^k times the point routes on a few
+    bindings; neither route has a size limit to refuse the field with."""
+    for a, b, bp, c, xi, yi in ((1, 2, 3, 4, 2, 3), (0, 5, 0, 7, 9, 9)):
+        assert f21_charsum_idx(ft, a, b, c, xi) == \
+            f21_point_idx(ft, a, b, c, xi) * (ft.q - 1)
+        assert f1_charsum_idx(ft, a, b, bp, c, xi, yi) == \
+            f1_point_idx(ft, a, b, bp, c, xi, yi) * (ft.q - 1) ** 2
+
+
 def test_int64_bound_checked_before_allocating():
     ft = build_field(7919, 1)
     with pytest.raises(ValueError, match=r"q = 7919: .*2\^63"):
-        f1_charsum_idx(ft, 1, 2, 3, 4, 2, 3)
-    with pytest.raises(ValueError, match=r"q = 7919: .*2\^63"):
         # the batch reads only the field of its context before refusing
         _thm13_exhaustive_batch(get_identity("thm1.3"), SimpleNamespace(ft=ft), 10)
-    assert "np_ctx" not in ft._caches
     assert "np_rows" not in vars(_ring(ft.n))  # refused before building rows
+    # the character routes count in O(q) and scale by n in Python ints, so
+    # no int64 bound applies to them
+    t0 = time.perf_counter()
+    _char_routes_match_point_routes(ft)
+    assert time.perf_counter() - t0 < 4
     ft = build_field(101, 1)
     args = (Character(ft, 1), Character(ft, 2), Character(ft, 3), Character(ft, 4),
             ft.elements[2], ft.elements[3])
@@ -279,20 +304,20 @@ def test_int64_bound_checked_before_allocating():
 
 
 def test_memory_budget_checked_before_allocating():
-    # inside the int64 bound, but the (n, n, n) tensors would need terabytes
+    # inside the int64 bound, but the batch's n^5 arrays would need terabytes
     ft = build_field(6199, 1)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=r"q = 6199: .* bytes .*--route point"):
-        f1_charsum_idx(ft, 1, 2, 3, 4, 2, 3)
-    with pytest.raises(ValueError, match=r"q = 6199: .* bytes .*--route point"):
         _thm13_exhaustive_batch(get_identity("thm1.3"), SimpleNamespace(ft=ft), 10)
     assert time.perf_counter() - t0 < 0.5
-    for cache in ("np_ctx", "binom_logs", "rows"):
+    for cache in ("binom_logs", "rows"):
         assert cache not in ft._caches
     assert "np_rows" not in vars(_ring(ft.n))
-    ft = build_field(101, 1)
-    assert f1_charsum_idx(ft, 1, 2, 3, 4, 2, 3) == \
-        _f1_charsum_reference(ft, 1, 2, 3, 4, 2, 3)
+    # the character routes need O(q) memory and never build reduction rows
+    t0 = time.perf_counter()
+    _char_routes_match_point_routes(ft)
+    assert time.perf_counter() - t0 < 4
+    assert "np_rows" not in vars(_ring(ft.n)) and "rows" not in ft._caches
 
 
 def test_char_sums_divide_exactly(fields):

@@ -1,8 +1,8 @@
-"""Generating-function left sides (thm4.*) and the group-ring contraction.
+"""Generating-function left sides (thm4.*) and the slope join.
 
-The left sides are computed from two theta histograms and one `ring_dot`;
-here they are checked against the plain theta loop over scalar point sums,
-and `ring_dot` against a `CycInt` product-sum.
+Each left side is one `_join` of the binomial row with the point-sum row
+on their slopes; here they are checked against the plain theta loop over
+scalar point sums, and `_join` against enumeration of all pairs.
 """
 
 import itertools
@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from appellfq import build_field, get_identity
-from appellfq.cyclotomic import CycInt, cyc_zero, root_of_unity
+from appellfq.cyclotomic import cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
-from appellfq.hypergeometric import f1_point_idx, f21_point_idx, ring_dot
+from appellfq.hypergeometric import _join, f1_point_idx, f21_point_idx
 from appellfq.identities import EvalContext
 
 
@@ -101,20 +101,17 @@ def test_theta_sum_matches_theta_loop_sampled(identity_id, q, count):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 25, 101])  # n = 1, 2, 4, 24, 100
-def test_ring_dot_matches_cycint_product_sum(q):
-    ft = _field(q)
-    n = ft.n
+def test_join_matches_pair_enumeration(q):
+    n = _field(q).n
     rng = np.random.default_rng(q)
-    for rows in (1, 3, n):
-        U = rng.integers(-50, 50, size=(rows, n))
-        V = rng.integers(0, 50, size=(rows, n))
-        got = ring_dot(ft, U, V)
-        # the unreduced group-ring sum, term by term
-        want = [sum(int(U[k, i]) * int(V[k, (m - i) % n])
-                    for k in range(rows) for i in range(n)) for m in range(n)]
-        assert got.tolist() == want
-        total = cyc_zero(n)
-        for k in range(rows):
-            total = total + (CycInt.from_powers(n, U[k].tolist())
-                             * CycInt.from_powers(n, V[k].tolist()))
-        assert CycInt.from_powers(n, got.tolist()) == total
+    # sizes 0 give empty rows; slopes drawn from a few values past n give
+    # slope classes of several entries on both sides, negative ones included
+    for m1, m2 in ((0, 0), (0, 5), (5, 0), (1, 1), (7, 30), (40, 3), (n, n)):
+        s1, s2 = (rng.integers(-3 * n, 3 * n, size=m, endpoint=True)
+                  for m in (m1, m2))
+        e1, e2 = (rng.integers(-50, 50, size=m) for m in (m1, m2))
+        got = sorted(zip(*(v.tolist() for v in _join(n, s1, e1, s2, e2))))
+        want = sorted((int(s1[i]), int(e1[i] + e2[j]))
+                      for i in range(m1) for j in range(m2)
+                      if (s1[i] + s2[j]) % n == 0)
+        assert got == want
