@@ -136,18 +136,23 @@ def _check_binding(entry, ctx, binding, divisor):
     return out
 
 
-def _scan_range(entry, ctx, domains, shape, start, stop, cap):
+def _scan(entry, ctx, bindings, cap):
+    """(failure count, first `cap` counterexample records) over `bindings`."""
     divisor = (ctx.q - 1) ** entry.div_power if entry.div_power else None
     cex: list[dict] = []
     failures = 0
-    for index in range(start, stop):
-        binding = _decode(entry, domains, shape, index)
+    for binding in bindings:
         found = _check_binding(entry, ctx, binding, divisor)
         if found:
             failures += len(found)
             if len(cex) < cap:
                 cex.extend(found[: cap - len(cex)])
     return failures, cex
+
+
+def _scan_range(entry, ctx, domains, shape, start, stop, cap):
+    bindings = (_decode(entry, domains, shape, i) for i in range(start, stop))
+    return _scan(entry, ctx, bindings, cap)
 
 
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
@@ -156,17 +161,8 @@ def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
 
 
 def _scan_samples(entry, ctx, domains, seed, start, stop, cap):
-    divisor = (ctx.q - 1) ** entry.div_power if entry.div_power else None
-    cex: list[dict] = []
-    failures = 0
-    for i in range(start, stop):
-        binding = _sample_binding(entry, domains, seed, i)
-        found = _check_binding(entry, ctx, binding, divisor)
-        if found:
-            failures += len(found)
-            if len(cex) < cap:
-                cex.extend(found[: cap - len(cex)])
-    return failures, cex
+    bindings = (_sample_binding(entry, domains, seed, i) for i in range(start, stop))
+    return _scan(entry, ctx, bindings, cap)
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +223,8 @@ def _reduction_rows(ft: FieldTable) -> np.ndarray:
         if bound >= 2**63:
             raise ValueError(
                 f"q = {q}: exact character sums here can reach {bound}, past "
-                f"the int64 limit 2^63 - 1; the point-sum route has no such limit"
+                f"the int64 limit 2^63 - 1; sampled verification (--sampled) "
+                f"has no such limit"
             )
 
     bound = max(n * n * (q - 2) ** 3, (q - 2) * (q - 1) ** 2)
@@ -238,7 +235,8 @@ def _reduction_rows(ft: FieldTable) -> np.ndarray:
         raise ValueError(
             f"q = {q}: this exact sum needs about {need} bytes of int64 "
             f"arrays, over the budget of {budget} bytes (half of physical "
-            f"memory); the point-sum route (--route point) needs O(q)"
+            f"memory); sampled verification (--sampled) needs O(q) per "
+            f"binding"
         )
     rows = _ring(n).np_rows
     within_int64(bound * int(np.abs(rows).max()))
@@ -459,6 +457,4 @@ def mutated_case(entry: IdentityCase) -> tuple:
     mut = entry.mutation
     if mut is None:
         raise ValueError(f"identity {entry.id} has no registered mutation")
-    if mut.side == "lhs":
-        return mut.fn, entry.rhs
     return entry.lhs, mut.fn

@@ -307,7 +307,7 @@ def test_memory_budget_checked_before_allocating():
     # inside the int64 bound, but the batch's n^5 arrays would need terabytes
     ft = build_field(6199, 1)
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=r"q = 6199: .* bytes .*--route point"):
+    with pytest.raises(ValueError, match=r"q = 6199: .* bytes .*--sampled"):
         _thm13_exhaustive_batch(get_identity("thm1.3"), SimpleNamespace(ft=ft), 10)
     assert time.perf_counter() - t0 < 0.5
     for cache in ("binom_logs", "rows"):

@@ -9,7 +9,7 @@ import pytest
 import appellfq.fields
 from appellfq import build_field, get_identity, registry, verify, verify_all
 from appellfq.cyclotomic import root_of_unity
-from appellfq.identities import EvalContext
+from appellfq.identities import EvalContext, _entry
 from appellfq.verifier import (
     _decode,
     _entry_domains,
@@ -233,6 +233,19 @@ def test_statements_present():
     for entry in registry():
         assert entry.statement
         assert entry.mutation is not None
+
+
+def test_mutation_text_must_occur_once():
+    for rhs in ("c.binom(A, B)", "c.binom(A, A - B) * c.binom(B, A - B)"):
+        with pytest.raises(ValueError, match="prop2.1-x"):
+            _entry("prop2.1-x", "[A|B] = [A|A B~]", "AB", "", "c.binom(A, B)",
+                   rhs, ("A B~ -> A~ B", "A - B", "B - A"))
+
+
+def test_mutants_differ_from_their_rhs():
+    for entry in registry():
+        assert entry.mutation.fn is not entry.rhs
+        assert entry.mutation.fn.__code__ != entry.rhs.__code__, entry.id
 
 
 def test_eval_context_helpers(ft5):
