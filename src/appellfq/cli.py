@@ -2,9 +2,11 @@
 and the identity verification suite, with machine-readable JSON output.
 
 Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
-arguments: the field, the table cap, an element, a missing flag), 3 an
-evaluation failed: an evaluator raised, or refused the request (only the
-exhaustive thm1.3 batch refuses, past its int64 bound or memory budget).
+arguments: the field, the table cap, an element, a missing flag, a
+--samples, --jobs or --max-counterexamples below 1), 3 an evaluation
+failed: an evaluator raised, or refused the request (the exhaustive thm1.3
+batch past its int64 bound or memory budget, or an exhaustive comparison
+past its int64 bound).
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -263,6 +265,10 @@ def _cmd_verify(args) -> int:
     mode = "sampled" if args.sampled else "exhaustive"
     if mode == "sampled" and args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    if args.max_counterexamples < 1:
+        raise UsageError("--max-counterexamples must be >= 1")
 
     lines = []
     any_cex = False

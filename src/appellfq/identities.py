@@ -19,22 +19,27 @@ must occur exactly once in the rhs, and the mutant is the rhs with it
 replaced by `new`, compiled the same way.
 
 Bindings are plain int tuples: character exponents first, then element
-enumeration indices, in the order of `chars` + `elems`.
+enumeration indices, in the order of `chars` + `elems`. The same compiled
+side also takes a `BatchContext` and a tuple of int64 columns, one entry
+per binding, and then returns the values of a whole chunk of bindings as
+`Counts`; so a side is written without Python branches on its bindings.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .characters import _binom_logs, binomial_table
+from .characters import _binom_logs, binom_counts, binomial_table
 from .cyclotomic import CycInt, all_roots, cyc_zero
 from .fields import FieldTable
 from .hypergeometric import (
     _join,
+    _point_table,
     _power_sum,
     f1_charsum_idx,
     f1_point_idx,
@@ -144,6 +149,244 @@ class EvalContext:
         l1, l2 = _binom_logs(self.ft)
         _, e = _join(self.n, l1 + l2 + (t - 1), X * l1, L[k], np.dot(coeffs, L))
         return _power_sum(self.n, e) * self.n
+
+
+class Counts:
+    """S values of Z[zeta_n] as an (S, n) int64 array of unreduced
+    zeta-power counts; a (1, n) array stands for one value in every row.
+
+    `mass` is a Python-int bound on sum |count| in any row, carried through
+    every operation. int64 arithmetic is exact modulo 2^64 and these are
+    ring operations, so a result whose reduced coefficients are known, from
+    `mass`, to stay below 2^63 is exact even if an intermediate wrapped.
+    """
+
+    __slots__ = ("a", "mass")
+    __array_ufunc__ = None  # a numpy column defers to the reflected operators
+
+    def __init__(self, a: np.ndarray, mass: int):
+        self.a, self.mass = a, mass
+
+    def __add__(self, other):
+        if not isinstance(other, Counts):
+            other = _const(self.a.shape[1], other)
+        return Counts(self.a + other.a, self.mass + other.mass)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Counts(-self.a, self.mass)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        """A cyclic convolution by Counts, or a scale by an int or by an int
+        column (one factor per row)."""
+        if isinstance(other, Counts):
+            return _convolve(self, other)
+        if isinstance(other, np.ndarray) and other.ndim:
+            k = other.reshape(-1, 1)
+            return Counts(self.a * k, self.mass * int(np.abs(k).max(initial=0)))
+        return Counts(self.a * int(other), self.mass * abs(int(other)))
+
+    __rmul__ = __mul__
+
+
+def _const(n: int, v) -> Counts:
+    """v zeta^0 in each row, for an int or an int column v."""
+    v = np.asarray(v, dtype=np.int64).reshape(-1, 1)
+    return Counts(np.pad(v, ((0, 0), (0, n - 1))), int(np.abs(v).max(initial=0)))
+
+
+def _convolve(u: Counts, v: Counts) -> Counts:
+    """Row-wise product in Z[C_n]: out[m] = sum_j u[j] v[m - j]."""
+    a, b = u.a, v.a
+    out = np.zeros((max(len(a), len(b)), a.shape[1]), dtype=np.int64)
+    for j in np.flatnonzero(a.any(axis=0)):
+        out += a[:, j, None] * np.roll(b, j, axis=1)
+    return Counts(out, u.mass * v.mass)
+
+
+def _row_counts(n: int, e: np.ndarray, keep=True) -> np.ndarray:
+    """(S, n) counts of the exponents e (S, m) mod n in each row, over the
+    entries where `keep`, with one `np.bincount`."""
+    e, keep = np.broadcast_arrays(e, keep)
+    rows = e.shape[0]
+    e = e % n + n * np.arange(rows)[:, None]
+    return np.bincount(e[keep], minlength=rows * n).reshape(rows, n)
+
+
+def _col(v) -> np.ndarray:
+    """An int column (S,) as (S, 1), or an int as (1, 1), to broadcast
+    against a row of length m."""
+    return np.asarray(v, dtype=np.int64).reshape(-1, 1)
+
+
+class BatchContext:
+    """`EvalContext`'s helpers over columns of bindings.
+
+    Each argument is an int64 column with one entry per binding, or an int
+    that stands for every row, and each value is `Counts`, so a compiled
+    side evaluates a whole chunk of bindings in one call. The exponents are
+    those of the scalar evaluators, counted per row with `np.bincount`
+    instead of reduced one binding at a time.
+
+    The character sums gather through `_inv_slope`: the slope of a binomial
+    pair, l1 + l2 = log(u / (u - 1)), is injective on u outside {0, 1}, so
+    a slope class holds at most one pair, and the pair that cancels a given
+    slope is one table lookup. Each sum is then O(q) per binding.
+    """
+
+    def __init__(self, ft: FieldTable):
+        self.ft = ft
+        self.n = ft.n
+        self.q = ft.q
+        self.qm1 = ft.q - 1
+        self.lm1 = ft.log_minus_one
+        self.zero = _const(ft.n, 0)
+
+    @functools.cached_property
+    def om(self) -> np.ndarray:
+        return np.array(self.ft.one_minus_idx, dtype=np.int64)
+
+    @functools.cached_property
+    def ng(self) -> np.ndarray:
+        return np.array(self.ft.neg_idx, dtype=np.int64)
+
+    @functools.cached_property
+    def _sub(self) -> np.ndarray:
+        """(q, q) table of the index of x_i - x_j, from coefficient vectors."""
+        ft = self.ft
+        coeffs = np.array([el.coeffs for el in ft.elements], dtype=np.int64)
+        place = ft.p ** np.arange(ft.r)
+        index = np.empty(ft.q, dtype=np.int64)
+        index[coeffs @ place] = np.arange(ft.q)
+        return index[((coeffs[:, None] - coeffs[None, :]) % ft.p) @ place]
+
+    @functools.cached_property
+    def _inv_slope(self) -> np.ndarray:
+        """inv[v] is the binomial pair whose slope is v mod n, or -1 (v = 0,
+        the slope of u / (u - 1) = 1, has none)."""
+        l1, l2 = _binom_logs(self.ft)
+        inv = np.full(self.n, -1, dtype=np.int64)
+        inv[(l1 + l2) % self.n] = np.arange(len(l1))
+        return inv
+
+    @functools.cached_property
+    def _pair_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_binom_logs` with a 0 appended, for the -1 of `_inv_slope` to
+        read where no pair matches (those entries are masked out)."""
+        return tuple(np.append(v, 0) for v in _binom_logs(self.ft))
+
+    def _onehot(self, t, keep=True) -> Counts:
+        """zeta^t in each row where `keep`, else 0."""
+        return Counts(_row_counts(self.n, _col(t), _col(keep).astype(bool)), 1)
+
+    def _points(self, *xis) -> tuple[list, np.ndarray]:
+        """The rows of `hypergeometric.point_logs` by lu = log u, one row per
+        binding for each x in `xis`, and the mask of the u that contribute."""
+        base, neg = _point_table(self.ft)
+        ar = np.arange(self.n)
+        ls = [neg[(_col(xi) - 1) % self.n + ar] for xi in xis]
+        ok = neg[:self.n] <= 0
+        for xi, row in zip(xis, ls):
+            ok = ok & (row <= 0) & (_col(xi) != 0)
+        return [base[0], base[1], *ls], ok
+
+    def _point_sum(self, coeffs, xis) -> Counts:
+        L, ok = self._points(*xis)
+        e = sum(_col(c) * row for c, row in zip(coeffs, L))
+        return Counts(_row_counts(self.n, e, ok), self.n)
+
+    def sub(self, i, j):
+        return self._sub[i, j]
+
+    def div(self, i, j):
+        if np.any(np.asarray(j) == 0):
+            raise ZeroDivisionError("inverse of 0 in F_q")
+        return np.where(np.asarray(i) == 0, 0, (i - j) % self.n + 1)
+
+    def eps(self, i):
+        return (np.asarray(i) != 0).astype(np.int64)
+
+    def delta(self, i):
+        return (np.asarray(i) == 0).astype(np.int64)
+
+    def dchar(self, e):
+        return (np.asarray(e) % self.n == 0).astype(np.int64)
+
+    def sign(self, e):
+        return self._onehot(e * self.lm1)
+
+    def cp(self, *pairs):
+        t = sum(e * (i - 1) for e, i in pairs)
+        keep = np.logical_and.reduce([np.asarray(i) != 0 for _, i in pairs])
+        return self._onehot(t, keep)
+
+    def intv(self, v):
+        return _const(self.n, v)
+
+    def binom(self, i, j):
+        a = binom_counts(self.ft, _col(i) % self.n, _col(j) % self.n)
+        return Counts(a.reshape(-1, self.n), self.q - 2)
+
+    def f21(self, a, b, c, x):
+        return self._point_sum((b, c, a), (x,))
+
+    def f1(self, a, b, bp, c, x, y):
+        return self._point_sum((a, c, b, bp), (x, y))
+
+    def f21_sum(self, a, b, c, x):
+        """As `f21_charsum_idx`: the pair j whose slope cancels that of pair
+        i of the chi(x) row, for every i."""
+        n = self.n
+        l1, l2 = _binom_logs(self.ft)
+        m1, m2 = self._pair_logs
+        x = _col(x)
+        j = self._inv_slope[-(l1 + l2 + x - 1) % n]
+        e = _col(a) * l1 + _col(b) * m1[j] + _col(c) * m2[j]
+        keep = (j >= 0) & (x != 0)
+        return Counts(_row_counts(n, e, keep) * n, n * (self.q - 2))
+
+    def f1_sum(self, a, b, bp, c, x, y):
+        """As `f1_charsum_idx`: for pair i of the chi(x) row, pair j of the
+        [A chi lam|C chi lam] row cancels its slope t, and pair k of the
+        lam(y) row cancels -t."""
+        n = self.n
+        l1, l2 = _binom_logs(self.ft)
+        m1, m2 = self._pair_logs
+        x, y = _col(x), _col(y)
+        t = l1 + l2 + x - 1
+        j = self._inv_slope[-t % n]
+        k = self._inv_slope[(t - y + 1) % n]
+        e = _col(b) * l1 + _col(a) * m1[j] + _col(c) * m2[j] + _col(bp) * m1[k]
+        keep = (j >= 0) & (k >= 0) & (x != 0) & (y != 0)
+        return Counts(_row_counts(n, e, keep) * (n * n), n * n * (self.q - 2))
+
+    def power_sum(self, step):
+        return Counts(_row_counts(self.n, _col(step) * np.arange(self.n)), self.n)
+
+    def binthm(self, A, x):
+        """As `EvalContext.binthm`: the one pair of slope -log x, n times."""
+        i = self._inv_slope[-(_col(x) - 1) % self.n]
+        e = _col(A) * self._pair_logs[0][i]
+        return self._onehot(e, (i >= 0) & (_col(x) != 0)) * self.n
+
+    def theta(self, t, X, coeffs, k, *xis):
+        """As `EvalContext.theta`: for each point u, the binomial pair whose
+        slope cancels L[k] at u plus log t."""
+        n = self.n
+        L, ok = self._points(*xis)
+        t = _col(t)
+        i = self._inv_slope[-(L[k] + t - 1) % n]
+        e = _col(X) * self._pair_logs[0][i] + sum(
+            _col(c) * row for c, row in zip(coeffs, L))
+        keep = ok & (i >= 0) & (t != 0)
+        return Counts(_row_counts(n, e, keep) * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -289,7 +532,7 @@ _REGISTRY: list[IdentityCase] = [
     _entry(
         "prop2.3-a",
         "sum_chi chi(t) = (q-1) d(t-1)",
-        "", "t", "c.zero if t == 0 else c.power_sum(t - 1)",
+        "", "t", "c.eps(t) * c.power_sum(t - 1)",
         "c.intv(c.qm1 * c.delta(c.sub(t, 1)))",
         ("d(t-1) -> d(t)", "c.delta(c.sub(t, 1))", "c.delta(t)"),
     ),
@@ -378,14 +621,15 @@ _REGISTRY: list[IdentityCase] = [
         excluded={"x": _NOT_ONE},
     ),
     # at x = 1 the first term's prefactor A~(1-x) = A~(0) is 0, and its
-    # argument x/(x-1) is undefined
+    # argument x/(x-1) is undefined; it is evaluated as x/(x - eps(1-x)),
+    # since the 0/1 of eps is also the index of the element 0 or 1
     _entry(
         "cor3.1-greene-extended",
         "2F1[A,B;C;x] = C(-1) A~(1-x) 2F1[A,C B~;C;x/(x-1)]"
         " + A(-1) [B|A~C] d(1-x)",
         "ABC", "x", "c.f21(A, B, C, x)",
-        "(c.zero if x == 1 else c.sign(C) * c.cp((-A, c.om[x]))"
-        " * c.f21(A, C - B, C, c.div(x, c.sub(x, 1))))"
+        "c.sign(C) * c.cp((-A, c.om[x]))"
+        " * c.f21(A, C - B, C, c.div(x, c.sub(x, c.eps(c.om[x]))))"
         " + c.sign(A) * c.binom(B, C - A) * c.delta(c.om[x])",
         ("d(1-x) -> d(x)", "c.delta(c.om[x])", "c.delta(x)"),
     ),

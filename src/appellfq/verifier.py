@@ -4,8 +4,15 @@ Exhaustive mode enumerates the full declared domain in a fixed order
 (character exponents lexicographically, then element indices); sampled
 mode draws bindings from a counter-based PRNG so that sample i depends
 only on (seed, i). Both modes therefore produce identical reports for
-identical inputs, independent of the worker count: work is split into
-contiguous index chunks and merged back in order.
+identical inputs, independent of the worker count.
+
+Exhaustive mode runs in one process. It decodes the domain a chunk of
+bindings at a time into int64 columns and calls each compiled side once
+per chunk on an `identities.BatchContext`, whose values are unreduced
+zeta-power counts; only the bindings that fail are evaluated again, one
+at a time on the `EvalContext`, to build the report. Sampled mode
+evaluates one binding at a time, and with --jobs > 1 splits its samples
+into contiguous index chunks across fork workers, merged back in order.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing. Entries
 registered with a div_power additionally assert that every coefficient of
@@ -15,6 +22,7 @@ as a counterexample marked "divisibility".
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -25,7 +33,13 @@ import numpy as np
 from .characters import binom_counts
 from .cyclotomic import _ring
 from .fields import FieldTable, build_field
-from .identities import EvalContext, IdentityCase, get_identity
+from .identities import (
+    BatchContext,
+    EvalContext,
+    IdentityCase,
+    get_identity,
+    registry,
+)
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -97,13 +111,16 @@ class VerifyReport:
         }
 
 
-def _decode(entry: IdentityCase, domains: list[list[int]], shape: list[int],
-            index: int) -> tuple[int, ...]:
-    out = [0] * len(shape)
+def _columns(domains: list[np.ndarray], shape: list[int], start: int,
+             stop: int) -> tuple[np.ndarray, ...]:
+    """The bindings start .. stop - 1 in domain order, as one int64 column
+    per parameter (the last parameter varies fastest)."""
+    index = np.arange(start, stop)
+    cols = [None] * len(shape)
     for pos in range(len(shape) - 1, -1, -1):
-        index, digit = divmod(index, shape[pos])
-        out[pos] = domains[pos][digit]
-    return tuple(out)
+        index, digit = np.divmod(index, shape[pos])
+        cols[pos] = domains[pos][digit]
+    return tuple(cols)
 
 
 def _entry_domains(entry: IdentityCase, ft: FieldTable) -> list[list[int]]:
@@ -150,9 +167,61 @@ def _scan(entry, ctx, bindings, cap):
     return failures, cex
 
 
+# int64 cells of a chunk's widest temporaries, which are (bindings, q):
+# 128 KB each; a whole verify peaks at 1.1-1.4 MB (tracemalloc, q <= 25)
+_CHUNK_CELLS = 1 << 14
+
+
 def _scan_range(entry, ctx, domains, shape, start, stop, cap):
-    bindings = (_decode(entry, domains, shape, i) for i in range(start, stop))
-    return _scan(entry, ctx, bindings, cap)
+    """(failure count, first `cap` counterexample records) over the bindings
+    start .. stop - 1 in domain order.
+
+    Each side is called once per chunk of bindings on a `BatchContext`. A
+    binding fails where lhs - rhs reduces to nonzero (by the (n, phi) rows
+    that reduce z^j), or where the reduced lhs leaves a remainder mod
+    (q-1)^div_power. Each failing binding, up to `cap` records, is checked
+    again on `ctx`, so the report holds the scalar sides' values.
+    """
+    ft = ctx.ft
+    n, q = ft.n, ft.q
+    batch = BatchContext(ft)
+    rows = _ring(n).np_rows
+    row_max = int(np.abs(rows).max())
+    divisor = (q - 1) ** entry.div_power if entry.div_power else None
+    doms = [np.asarray(d, dtype=np.int64) for d in domains]
+    step = max(1, _CHUNK_CELLS // q)
+    failures = 0
+    cex: list[dict] = []
+    for lo in range(start, stop, step):
+        cols = _columns(doms, shape, lo, min(lo + step, stop))
+        size = (len(cols[0]), n)
+        lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
+        diff = lhs - rhs
+        bound = diff.mass * row_max
+        if bound >= 2**63:
+            raise ValueError(
+                f"q = {q}: exact batched comparison can reach {bound}, past "
+                f"the int64 limit 2^63 - 1; sampled verification (--sampled) "
+                f"has no such limit"
+            )
+        unequal = (np.broadcast_to(diff.a, size) @ rows).any(axis=1)
+        undivided = np.zeros(size[0], dtype=bool)
+        if divisor is not None:
+            undivided = (np.broadcast_to(lhs.a, size) @ rows % divisor).any(axis=1)
+        failures += int(unequal.sum() + undivided.sum())
+        for r in np.flatnonzero(unequal | undivided):
+            if len(cex) >= cap:
+                break
+            binding = tuple(int(col[r]) for col in cols)
+            found = _check_binding(entry, ctx, binding, divisor)
+            notes = [False] * int(unequal[r]) + [True] * int(undivided[r])
+            if ["note" in ce for ce in found] != notes:
+                raise RuntimeError(
+                    f"{entry.id}: batched and scalar evaluation disagree at "
+                    f"{_binding_dict(entry, binding)}"
+                )
+            cex.extend(found[: cap - len(cex)])
+    return failures, cex
 
 
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
@@ -166,27 +235,23 @@ def _scan_samples(entry, ctx, domains, seed, start, stop, cap):
 
 
 # ----------------------------------------------------------------------
-# Parallel workers (fork-based; bindings and reports are plain data)
+# Parallel sampling workers (fork-based; bindings and reports are plain data)
 # ----------------------------------------------------------------------
 
 def _worker(args):
-    p, r, identity_id, mode, seed, start, stop, cap = args
+    p, r, identity_id, seed, start, stop, cap = args
     # the parent already admitted this field under its own table cap
     ft = build_field(p, r, max_q=p**r)
-    ctx = EvalContext(ft)
     entry = get_identity(identity_id)
     domains = _entry_domains(entry, ft)
-    if mode == "exhaustive":
-        shape = [len(d) for d in domains]
-        return _scan_range(entry, ctx, domains, shape, start, stop, cap)
-    return _scan_samples(entry, ctx, domains, seed, start, stop, cap)
+    return _scan_samples(entry, EvalContext(ft), domains, seed, start, stop, cap)
 
 
-def _run_parallel(entry, ft, mode, seed, total, cap, jobs):
+def _run_parallel(entry, ft, seed, total, cap, jobs):
     chunk = (total + 4 * jobs - 1) // (4 * jobs)
     chunk = max(chunk, 1)
     tasks = [
-        (ft.p, ft.r, entry.id, mode, seed, s, min(s + chunk, total), cap)
+        (ft.p, ft.r, entry.id, seed, s, min(s + chunk, total), cap)
         for s in range(0, total, chunk)
     ]
     mp = multiprocessing.get_context("fork")
@@ -336,10 +401,20 @@ def verify(
     jobs: int = 1,
     max_counterexamples: int = 10,
 ) -> VerifyReport:
-    """Check one identity over one field and report exactly."""
+    """Check one identity over one field and report exactly.
+
+    `jobs` > 1 forks workers for a sampled run; an exhaustive run is batched
+    in one process. Every report is the same at every `jobs`.
+    """
     entry = get_identity(identity) if isinstance(identity, str) else identity
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
+    if max_counterexamples < 1:
+        # with no record kept, a failing identity would report a pass
+        raise ValueError(
+            f"max_counterexamples must be >= 1, not {max_counterexamples}")
     if mode == "sampled":
         if not sample_count or sample_count < 1:
             raise ValueError("sampled mode requires sample_count >= 1")
@@ -357,20 +432,19 @@ def verify(
     if mode == "exhaustive":
         total = entry.domain_size(field)
         if entry.id == "thm1.3" and entry is get_identity("thm1.3"):
-            failures, cex = _thm13_exhaustive_batch(entry, ctx, cap)
-        elif jobs > 1 and total >= 4096:
-            failures, cex = _run_parallel(entry, field, mode, seed, total, cap, jobs)
+            _, cex = _thm13_exhaustive_batch(entry, ctx, cap)
         else:
             shape = [len(d) for d in domains]
-            failures, cex = _scan_range(entry, ctx, domains, shape, 0, total, cap)
+            _, cex = _scan_range(entry, ctx, domains, shape, 0, total, cap)
         report_seed = None
         cases = total
     else:
         total = sample_count
-        if jobs > 1 and total >= 4096:
-            failures, cex = _run_parallel(entry, field, mode, seed, total, cap, jobs)
+        # workers look the entry up by id, so only a registered one forks
+        if jobs > 1 and total >= 4096 and any(entry is e for e in registry()):
+            _, cex = _run_parallel(entry, field, seed, total, cap, jobs)
         else:
-            failures, cex = _scan_samples(entry, ctx, domains, seed, 0, total, cap)
+            _, cex = _scan_samples(entry, ctx, domains, seed, 0, total, cap)
         report_seed = seed
         cases = total
 
@@ -397,8 +471,6 @@ def verify_all(
 ) -> list[VerifyReport]:
     """Run every registry entry (or the given ids); per-entry errors are
     captured in the report instead of aborting the batch."""
-    from .identities import registry
-
     entries = registry() if ids is None else [get_identity(i) for i in ids]
     reports = []
     for entry in entries:
@@ -439,17 +511,13 @@ def find_counterexample(
     Used by mutation-sensitivity tests: pass a mutated side to confirm the
     encoding is not vacuous.
     """
-    ctx = EvalContext(field)
-    lhs_fn = lhs or entry.lhs
-    rhs_fn = rhs or entry.rhs
+    probe = dataclasses.replace(
+        entry, lhs=lhs or entry.lhs, rhs=rhs or entry.rhs, div_power=0)
     domains = _entry_domains(entry, field)
     shape = [len(d) for d in domains]
-    total = entry.domain_size(field)
-    for index in range(total):
-        binding = _decode(entry, domains, shape, index)
-        if lhs_fn(ctx, binding) != rhs_fn(ctx, binding):
-            return binding
-    return None
+    _, cex = _scan_range(probe, EvalContext(field), domains, shape, 0,
+                         entry.domain_size(field), 1)
+    return tuple(cex[0]["binding"].values()) if cex else None
 
 
 def mutated_case(entry: IdentityCase) -> tuple:

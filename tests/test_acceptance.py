@@ -10,6 +10,8 @@ Criteria:
   6  convention validation (Jacobi sum definition, chi(0)=0)
   7  mutation sensitivity of every registry encoding at q=5
   8  point-sum vs character-sum route agreement (implementation redundancy)
+and one run beyond them: the generating-function identities exhaustive at
+q in {8, 9}, about 2.7 million bindings each for thm4.1 and thm4.2 at q = 9.
 """
 
 import itertools
@@ -120,6 +122,14 @@ def test_criterion_3_section4_suite(sec4_reports):
     _assert_all_pass(sec4_reports)
     assert sec4_reports[("thm4.1", 7)].cases == 6**4 * 7 * 7 * 6
     print("ACCEPTANCE criterion 3 (generating-function suite): PASS")
+
+
+def test_section4_exhaustive_at_q8_q9(fields):
+    reports = _run_suite(SEC4_IDS, [8, 9], fields)
+    _assert_all_pass(reports)
+    assert reports[("thm4.1", 9)].cases == 8**4 * 9 * 9 * 8
+    assert reports[("thm4.3-b", 8)].cases == 7**3 * 8 * 7
+    print("ACCEPTANCE generating-function suite exhaustive at q in {8, 9}: PASS")
 
 
 def test_criterion_4_divisibility(fields, foundation_reports, sec4_reports):

@@ -3,7 +3,9 @@
 `perfbench/spans.py` patches functions and methods of the package by name
 for the traced pass (`perfbench/run.py --trace 1`). A renamed one would
 break only that pass, so this test runs the same instrumentation on a
-fresh import of the package, in its own interpreter, and one traced verify.
+fresh import of the package, in its own interpreter, on a sampled verify,
+which evaluates one binding at a time through every scalar layer, and on
+an exhaustive verify, which is batched and reaches the scan only.
 """
 
 import json
@@ -23,9 +25,13 @@ from spans import Tracer, instrument
 afq = import_package(root)
 tracer = Tracer()
 instrument(tracer, afq)
-rep = afq.verifier.verify("thm4.3-a", afq.fields.build_field(5, 1))
+ft = afq.fields.build_field(5, 1)
+rep = afq.verifier.verify("thm4.3-a", ft, mode="sampled", sample_count=40, seed=1)
 calls = {name: agg[0] for name, agg in tracer.totals.items()}
-print(json.dumps({"passed": rep.passed, "cases": rep.cases, "calls": calls}))
+full = afq.verifier.verify("thm4.3-a", ft)
+print(json.dumps({"passed": rep.passed, "cases": rep.cases, "calls": calls,
+                  "exhaustive_passed": full.passed, "exhaustive_cases": full.cases,
+                  "scans": tracer.totals["verifier.scan"][0]}))
 """
 
 
@@ -36,7 +42,7 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["passed"] and out["cases"] > 0
+    assert out["passed"] and out["cases"] == 40
     calls = out["calls"]
     for name in ("fields.build", "verifier.verify", "identities.ctx_build",
                  "characters.binom_table"):
@@ -44,3 +50,5 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
     for name in ("verifier.scan", "identities.eval", "hypergeometric.f21_point",
                  "cyclotomic.mul"):
         assert calls[name] > 0, name
+    assert out["exhaustive_passed"] and out["exhaustive_cases"] == 4**3 * 5 * 4
+    assert out["scans"] > calls["verifier.scan"]

@@ -175,6 +175,13 @@ def test_verify_exit_code_on_counterexample(capsys, monkeypatch):
     assert doc["counterexamples"][0]["lhs"] == {"n": 2, "coeffs": ["1"]}
 
 
+def test_verify_counts_below_one_are_usage_errors(capsys):
+    for flag, value in (("--max-counterexamples", "0"),
+                        ("--max-counterexamples", "-1"), ("--jobs", "0")):
+        rc, out, err = run(capsys, "verify", "thm3.7", "-q", "5", flag, value)
+        assert rc == 2 and out == "" and flag in err
+
+
 def test_verify_human_format(capsys):
     rc, out, _ = run(capsys, "verify", "prop2.3-a", "-q", "5",
                      "--exhaustive", "--format", "human")

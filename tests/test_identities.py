@@ -4,6 +4,7 @@ import dataclasses
 import json
 import time
 
+import numpy as np
 import pytest
 
 import appellfq.fields
@@ -11,7 +12,7 @@ from appellfq import build_field, get_identity, registry, verify, verify_all
 from appellfq.cyclotomic import root_of_unity
 from appellfq.identities import EvalContext, _entry
 from appellfq.verifier import (
-    _decode,
+    _columns,
     _entry_domains,
     find_counterexample,
     mutated_case,
@@ -85,12 +86,9 @@ def test_domain_restrictions_enumerated(ft5):
     shape = [len(d) for d in domains]
     total = entry.domain_size(ft5)
     assert total == ft5.n**4 * 3 * 3
-    seen = set()
-    for i in range(total):
-        b = _decode(entry, domains, shape, i)
-        assert b[4] not in (0, 1) and b[5] not in (0, 1)
-        seen.add(b)
-    assert len(seen) == total
+    cols = _columns([np.array(d) for d in domains], shape, 0, total)
+    assert not np.isin(cols[4], (0, 1)).any() and not np.isin(cols[5], (0, 1)).any()
+    assert len(set(zip(*map(list, cols)))) == total
     # entries with a division by 1-x exclude only x = 1
     assert get_identity("thm3.3-b").elem_domain(ft5, "x") == [0, 2, 3, 4]
     assert get_identity("thm3.3-b").elem_domain(ft5, "y") == [0, 1, 2, 3, 4]
@@ -157,6 +155,20 @@ def test_jobs_parallel_matches_serial(ft5):
     assert json.dumps(s1.to_json()) == json.dumps(s2.to_json())
 
 
+def test_jobs_sampled_checks_the_entry_given():
+    # fork workers rebuild a registered entry by id; a mutant must not be
+    # swapped for it (it was, and passed, at jobs=2)
+    entry = get_identity("thm3.7")
+    lhs, rhs = mutated_case(entry)
+    mutant = dataclasses.replace(entry, lhs=lhs, rhs=rhs)
+    kw = dict(mode="sampled", sample_count=4096, seed=1)
+    ft = build_field(7, 1)
+    serial = verify(mutant, ft, jobs=1, **kw)
+    assert not serial.passed
+    assert json.dumps(verify(mutant, ft, jobs=2, **kw).to_json()) == \
+        json.dumps(serial.to_json())
+
+
 def test_jobs_parallel_respects_table_cap(monkeypatch):
     # forked workers must admit a field the caller built above the default cap
     monkeypatch.setattr(appellfq.fields, "DEFAULT_TABLE_CAP", 4)
@@ -220,6 +232,18 @@ def test_report_json_schema(ft5):
     assert doc["counterexamples"] == []
     assert doc["ms"] is None  # timing withheld for byte-identical reports
     assert rep.wall_ms >= 0
+
+
+def test_counterexample_cap_and_jobs_below_one_rejected(ft5):
+    # with no counterexample kept, thm3.7's failing mutant used to pass
+    entry = get_identity("thm3.7")
+    lhs, rhs = mutated_case(entry)
+    mutant = dataclasses.replace(entry, lhs=lhs, rhs=rhs)
+    assert not verify(mutant, ft5, max_counterexamples=1).passed
+    for kw in ({"max_counterexamples": 0}, {"max_counterexamples": -2},
+               {"jobs": 0}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            verify(mutant, ft5, **kw)
 
 
 def test_verify_mode_validation(ft5):
