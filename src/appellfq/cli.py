@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sampled", action="store_true")
     p_ver.add_argument("--samples", type=int, default=10000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1, help="accepted (>= 1); "
+                       "one process runs, and output is the same at every value")
     p_ver.add_argument("--max-counterexamples", type=int, default=10)
 
     p_tab = sub.add_parser("table", help="dump a full value table (JSON lines)")

@@ -139,10 +139,33 @@ class _Ring:
 
     @functools.cached_property
     def np_rows(self) -> np.ndarray:
-        """(n, phi) int64 matrix whose row j is z^j reduced, for numpy callers."""
-        return np.array(
-            [self.reduce([0] * j + [1]) for j in range(self.n)], dtype=np.int64
-        )
+        """(n, phi) int64 matrix whose row j is z^j reduced, for numpy callers.
+
+        Past the unit rows, row j is z * row(j-1): row(j-1) shifted up one
+        place plus its top coefficient c times the tail. `top` bounds every
+        |entry| so far and grows by at most |c| max|tail| a step, so a step
+        that could pass 2^63 raises ValueError naming n before it is taken.
+        """
+        n, phi = self.n, self.phi
+        tail = np.zeros(phi, dtype=np.int64)
+        tail[[i for i, _ in self.tail]] = [t for _, t in self.tail]
+        rows = np.eye(n, phi, dtype=np.int64)
+        top, widest = 1, int(np.abs(tail).max())
+        for j in range(phi, n):
+            c = int(rows[j - 1, -1])
+            top += abs(c) * widest
+            if top >= 2**63:
+                raise ValueError(f"n = {n}: reducing z^{j} can reach {top}, "
+                                 f"past the int64 limit 2^63 - 1")
+            rows[j, 1:] = rows[j - 1, :-1]
+            rows[j] += c * tail
+        return rows
+
+    @functools.cached_property
+    def row_max(self) -> int:
+        """max |entry| of `np_rows`, found without an (n, phi) temporary."""
+        rows = self.np_rows
+        return max(int(rows.max()), -int(rows.min()))
 
 
 @functools.lru_cache(maxsize=None)

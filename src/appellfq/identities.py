@@ -258,14 +258,15 @@ class BatchContext:
         return np.array(self.ft.neg_idx, dtype=np.int64)
 
     @functools.cached_property
-    def _sub(self) -> np.ndarray:
-        """(q, q) table of the index of x_i - x_j, from coefficient vectors."""
+    def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (q, r) coefficient vectors of the elements, the base-p place
+        values, and the index of each vector by its base-p number."""
         ft = self.ft
         coeffs = np.array([el.coeffs for el in ft.elements], dtype=np.int64)
         place = ft.p ** np.arange(ft.r)
         index = np.empty(ft.q, dtype=np.int64)
         index[coeffs @ place] = np.arange(ft.q)
-        return index[((coeffs[:, None] - coeffs[None, :]) % ft.p) @ place]
+        return coeffs, place, index
 
     @functools.cached_property
     def _inv_slope(self) -> np.ndarray:
@@ -303,7 +304,9 @@ class BatchContext:
         return Counts(_row_counts(self.n, e, ok), self.n)
 
     def sub(self, i, j):
-        return self._sub[i, j]
+        """x_i - x_j by coefficient vectors, O(r) per binding."""
+        coeffs, place, index = self._vectors
+        return index[((coeffs[i] - coeffs[j]) % self.ft.p) @ place]
 
     def div(self, i, j):
         if np.any(np.asarray(j) == 0):

@@ -2,17 +2,18 @@
 
 Exhaustive mode enumerates the full declared domain in a fixed order
 (character exponents lexicographically, then element indices); sampled
-mode draws bindings from a counter-based PRNG so that sample i depends
-only on (seed, i). Both modes therefore produce identical reports for
-identical inputs, independent of the worker count.
+mode draws bindings from a counter-based splitmix64 stream so that
+sample i depends only on (seed, i). Both modes therefore produce
+identical reports for identical inputs.
 
-Exhaustive mode runs in one process. It decodes the domain a chunk of
-bindings at a time into int64 columns and calls each compiled side once
-per chunk on an `identities.BatchContext`, whose values are unreduced
-zeta-power counts; only the bindings that fail are evaluated again, one
-at a time on the `EvalContext`, to build the report. Sampled mode
-evaluates one binding at a time, and with --jobs > 1 splits its samples
-into contiguous index chunks across fork workers, merged back in order.
+Both modes run in one process and feed one loop int64 columns, a chunk
+of bindings at a time: exhaustive mode decodes a range of its domain,
+and sampled mode draws with the stream vectorized in numpy uint64. The
+loop calls each compiled side once per chunk on an
+`identities.BatchContext`, whose values are unreduced zeta-power counts;
+only failing bindings are evaluated again, one at a time on the
+`EvalContext`, to build the report. A sampled chunk whose counts could
+pass the int64 bound is checked binding by binding instead.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing. Entries
 registered with a div_power additionally assert that every coefficient of
@@ -23,7 +24,6 @@ as a counterexample marked "divisibility".
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -32,7 +32,7 @@ import numpy as np
 
 from .characters import binom_counts
 from .cyclotomic import _ring
-from .fields import FieldTable, build_field
+from .fields import FieldTable
 from .identities import (
     BatchContext,
     EvalContext,
@@ -53,7 +53,9 @@ def _splitmix64(z: int) -> int:
 
 
 class _CounterStream:
-    """Word stream that is a pure function of (seed, counter)."""
+    """Word stream that is a pure function of (seed, counter). A numpy uint64
+    array of counters gives one stream per entry with the same words, since
+    uint64 arithmetic wraps modulo 2^64 as the masked ints do."""
 
     def __init__(self, seed: int, counter: int):
         self._base = _splitmix64(_splitmix64(seed & _U64) ^ ((counter + 1) & _U64))
@@ -61,7 +63,7 @@ class _CounterStream:
 
     def word(self) -> int:
         self._i += 1
-        return _splitmix64((self._base + self._i * _GOLDEN) & _U64)
+        return _splitmix64((self._base + (self._i * _GOLDEN & _U64)) & _U64)
 
     def below(self, bound: int) -> int:
         # unbiased draw in [0, bound)
@@ -136,35 +138,12 @@ def _binding_dict(entry: IdentityCase, binding: tuple[int, ...]) -> dict:
 
 def _check_binding(entry, ctx, binding, divisor):
     """Returns a list of counterexample records for one binding."""
-    lhs = entry.lhs(ctx, binding)
-    rhs = entry.rhs(ctx, binding)
-    out = []
-    if lhs != rhs:
-        out.append({"binding": _binding_dict(entry, binding), "lhs": lhs, "rhs": rhs})
+    lhs, rhs = entry.lhs(ctx, binding), entry.rhs(ctx, binding)
+    record = {"binding": _binding_dict(entry, binding), "lhs": lhs, "rhs": rhs}
+    out = [record] if lhs != rhs else []
     if divisor is not None and any(c % divisor for c in lhs.coeffs):
-        out.append(
-            {
-                "binding": _binding_dict(entry, binding),
-                "lhs": lhs,
-                "rhs": rhs,
-                "note": "divisibility",
-            }
-        )
+        out.append({**record, "note": "divisibility"})
     return out
-
-
-def _scan(entry, ctx, bindings, cap):
-    """(failure count, first `cap` counterexample records) over `bindings`."""
-    divisor = (ctx.q - 1) ** entry.div_power if entry.div_power else None
-    cex: list[dict] = []
-    failures = 0
-    for binding in bindings:
-        found = _check_binding(entry, ctx, binding, divisor)
-        if found:
-            failures += len(found)
-            if len(cex) < cap:
-                cex.extend(found[: cap - len(cex)])
-    return failures, cex
 
 
 # int64 cells of a chunk's widest temporaries, which are (bindings, q):
@@ -172,42 +151,49 @@ def _scan(entry, ctx, bindings, cap):
 _CHUNK_CELLS = 1 << 14
 
 
-def _scan_range(entry, ctx, domains, shape, start, stop, cap):
-    """(failure count, first `cap` counterexample records) over the bindings
-    start .. stop - 1 in domain order.
+def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
+    """(failure count, first `cap` counterexample records) over the
+    bindings start .. stop - 1, which `columns(lo, hi)` gives a chunk at a
+    time as a tuple of int64 columns, one entry per binding.
 
-    Each side is called once per chunk of bindings on a `BatchContext`. A
-    binding fails where lhs - rhs reduces to nonzero (by the (n, phi) rows
-    that reduce z^j), or where the reduced lhs leaves a remainder mod
+    A binding fails where lhs - rhs reduces to nonzero (by the (n, phi)
+    rows that reduce z^j), or where the reduced lhs leaves a remainder mod
     (q-1)^div_power. Each failing binding, up to `cap` records, is checked
-    again on `ctx`, so the report holds the scalar sides' values.
+    again on `ctx`, so the report holds the scalar sides' values. Reduced
+    values are exact while mass * max |row| < 2^63; a chunk past that is
+    checked binding by binding, or raises ValueError if `refuse` names a
+    way out.
     """
     ft = ctx.ft
     n, q = ft.n, ft.q
     batch = BatchContext(ft)
-    rows = _ring(n).np_rows
-    row_max = int(np.abs(rows).max())
+    ring = _ring(n)
     divisor = (q - 1) ** entry.div_power if entry.div_power else None
-    doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    step = max(1, _CHUNK_CELLS // q)
     failures = 0
     cex: list[dict] = []
+    step = max(1, _CHUNK_CELLS // q)
     for lo in range(start, stop, step):
-        cols = _columns(doms, shape, lo, min(lo + step, stop))
+        cols = columns(lo, min(lo + step, stop))
         size = (len(cols[0]), n)
         lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
         diff = lhs - rhs
-        bound = diff.mass * row_max
+        bound = diff.mass * ring.row_max
         if bound >= 2**63:
-            raise ValueError(
-                f"q = {q}: exact batched comparison can reach {bound}, past "
-                f"the int64 limit 2^63 - 1; sampled verification (--sampled) "
-                f"has no such limit"
-            )
-        unequal = (np.broadcast_to(diff.a, size) @ rows).any(axis=1)
+            if refuse is not None:
+                raise ValueError(
+                    f"q = {q}: exact batched comparison can reach {bound}, "
+                    f"past the int64 limit 2^63 - 1; {refuse}"
+                )
+            for binding in zip(*(col.tolist() for col in cols)):
+                found = _check_binding(entry, ctx, binding, divisor)
+                failures += len(found)
+                cex.extend(found[: cap - len(cex)])
+            continue
+        unequal = (np.broadcast_to(diff.a, size) @ ring.np_rows).any(axis=1)
         undivided = np.zeros(size[0], dtype=bool)
         if divisor is not None:
-            undivided = (np.broadcast_to(lhs.a, size) @ rows % divisor).any(axis=1)
+            undivided = (np.broadcast_to(lhs.a, size) @ ring.np_rows
+                         % divisor).any(axis=1)
         failures += int(unequal.sum() + undivided.sum())
         for r in np.flatnonzero(unequal | undivided):
             if len(cex) >= cap:
@@ -224,47 +210,51 @@ def _scan_range(entry, ctx, domains, shape, start, stop, cap):
     return failures, cex
 
 
+def _scan_range(entry, ctx, domains, shape, start, stop, cap):
+    """`_scan` over the bindings start .. stop - 1 in domain order."""
+    doms = [np.asarray(d, dtype=np.int64) for d in domains]
+    return _scan(entry, ctx, lambda lo, hi: _columns(doms, shape, lo, hi),
+                 start, stop, cap,
+                 refuse="sampled verification (--sampled) has no such limit")
+
+
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
     stream = _CounterStream(seed, i)
     return tuple(dom[stream.below(len(dom))] for dom in domains)
 
 
+def _draws(seed, start, stop, bounds):
+    """`_CounterStream(seed, i).below(b)` for each bound b in turn, drawn
+    from one word each, for i = start .. stop - 1: one uint64 column per
+    bound, and the mask of samples where a word fell in `below`'s
+    rejection zone, whose draws are therefore not these."""
+    stream = _CounterStream(seed, np.arange(start, stop, dtype=np.uint64))
+    draws, rejected = [], np.zeros(stop - start, dtype=bool)
+    for bound in bounds:
+        w = stream.word()
+        lim = (1 << 64) - ((1 << 64) % bound)
+        if lim <= _U64:  # else, for a power of two, no word is rejected
+            rejected |= w >= lim
+        draws.append(w % bound)
+    return draws, rejected
+
+
+def _sample_columns(entry, domains, seed, start, stop):
+    """The samples start .. stop - 1 of `_sample_binding` as int64 columns,
+    from the domains as int64 arrays."""
+    draws, rejected = _draws(seed, start, stop, [len(d) for d in domains])
+    cols = tuple(dom[d] for dom, d in zip(domains, draws))
+    for r in np.flatnonzero(rejected):
+        for col, v in zip(cols, _sample_binding(entry, domains, seed, start + int(r))):
+            col[r] = v
+    return cols
+
+
 def _scan_samples(entry, ctx, domains, seed, start, stop, cap):
-    bindings = (_sample_binding(entry, domains, seed, i) for i in range(start, stop))
-    return _scan(entry, ctx, bindings, cap)
-
-
-# ----------------------------------------------------------------------
-# Parallel sampling workers (fork-based; bindings and reports are plain data)
-# ----------------------------------------------------------------------
-
-def _worker(args):
-    p, r, identity_id, seed, start, stop, cap = args
-    # the parent already admitted this field under its own table cap
-    ft = build_field(p, r, max_q=p**r)
-    entry = get_identity(identity_id)
-    domains = _entry_domains(entry, ft)
-    return _scan_samples(entry, EvalContext(ft), domains, seed, start, stop, cap)
-
-
-def _run_parallel(entry, ft, seed, total, cap, jobs):
-    chunk = (total + 4 * jobs - 1) // (4 * jobs)
-    chunk = max(chunk, 1)
-    tasks = [
-        (ft.p, ft.r, entry.id, seed, s, min(s + chunk, total), cap)
-        for s in range(0, total, chunk)
-    ]
-    mp = multiprocessing.get_context("fork")
-    with mp.Pool(processes=jobs) as pool:
-        parts = pool.map(_worker, tasks)
-    failures = sum(p[0] for p in parts)
-    cex: list[dict] = []
-    for _, part_cex in parts:
-        for ce in part_cex:
-            if len(cex) >= cap:
-                break
-            cex.append(ce)
-    return failures, cex
+    """`_scan` over the samples start .. stop - 1."""
+    doms = [np.asarray(d, dtype=np.int64) for d in domains]
+    return _scan(entry, ctx, lambda lo, hi: _sample_columns(entry, doms, seed, lo, hi),
+                 start, stop, cap)
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +293,9 @@ def _reduction_rows(ft: FieldTable) -> np.ndarray:
             f"memory); sampled verification (--sampled) needs O(q) per "
             f"binding"
         )
-    rows = _ring(n).np_rows
-    within_int64(bound * int(np.abs(rows).max()))
-    return rows
+    ring = _ring(n)
+    within_int64(bound * ring.row_max)
+    return ring.np_rows
 
 
 def _thm13_exhaustive_batch(entry, ctx, cap):
@@ -403,8 +393,8 @@ def verify(
 ) -> VerifyReport:
     """Check one identity over one field and report exactly.
 
-    `jobs` > 1 forks workers for a sampled run; an exhaustive run is batched
-    in one process. Every report is the same at every `jobs`.
+    Both modes run batched in one process; `jobs` is validated and otherwise
+    unused, so every report is the same at every `jobs`.
     """
     entry = get_identity(identity) if isinstance(identity, str) else identity
     if mode not in ("exhaustive", "sampled"):
@@ -430,33 +420,24 @@ def verify(
     t0 = time.perf_counter()
 
     if mode == "exhaustive":
-        total = entry.domain_size(field)
+        cases, seed = entry.domain_size(field), None
         if entry.id == "thm1.3" and entry is get_identity("thm1.3"):
             _, cex = _thm13_exhaustive_batch(entry, ctx, cap)
         else:
             shape = [len(d) for d in domains]
-            _, cex = _scan_range(entry, ctx, domains, shape, 0, total, cap)
-        report_seed = None
-        cases = total
+            _, cex = _scan_range(entry, ctx, domains, shape, 0, cases, cap)
     else:
-        total = sample_count
-        # workers look the entry up by id, so only a registered one forks
-        if jobs > 1 and total >= 4096 and any(entry is e for e in registry()):
-            _, cex = _run_parallel(entry, field, seed, total, cap, jobs)
-        else:
-            _, cex = _scan_samples(entry, ctx, domains, seed, 0, total, cap)
-        report_seed = seed
-        cases = total
+        cases = sample_count
+        _, cex = _scan_samples(entry, ctx, domains, seed, 0, cases, cap)
 
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     return VerifyReport(
         identity_id=entry.id,
         q=field.q,
         mode=mode,
-        seed=report_seed,
+        seed=seed,
         cases=cases,
         counterexamples=cex,
-        wall_ms=wall_ms,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
@@ -472,20 +453,12 @@ def verify_all(
     """Run every registry entry (or the given ids); per-entry errors are
     captured in the report instead of aborting the batch."""
     entries = registry() if ids is None else [get_identity(i) for i in ids]
+    kw = dict(mode=mode, sample_count=sample_count, seed=seed, jobs=jobs,
+              max_counterexamples=max_counterexamples)
     reports = []
     for entry in entries:
         try:
-            reports.append(
-                verify(
-                    entry,
-                    field,
-                    mode=mode,
-                    sample_count=sample_count,
-                    seed=seed,
-                    jobs=jobs,
-                    max_counterexamples=max_counterexamples,
-                )
-            )
+            reports.append(verify(entry, field, **kw))
         except Exception as exc:  # keep the batch going
             reports.append(
                 VerifyReport(

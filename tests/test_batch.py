@@ -134,3 +134,83 @@ def test_int64_bound_is_checked_and_names_q():
         rhs=lambda c, b: base.rhs(c, b) * 2**58,
     )
     assert verify(fits, ft).passed
+    # a sampled chunk past the bound is checked binding by binding, and
+    # reports the same bindings as the batched check of the same mutant
+    mutant = dataclasses.replace(base, rhs=base.mutation.fn)
+    huge_mutant = dataclasses.replace(
+        base, id="huge-mutant",
+        lhs=lambda c, b: base.lhs(c, b) * 2**62,
+        rhs=lambda c, b: base.mutation.fn(c, b) * 2**62,
+    )
+    kw = dict(mode="sampled", sample_count=300, seed=4, max_counterexamples=10**6)
+    want = [ce["binding"] for ce in verify(mutant, ft, **kw).counterexamples]
+    got = [ce["binding"] for ce in verify(huge_mutant, ft, **kw).counterexamples]
+    assert want and got == want
+
+
+SEEDS = (0, 2**64 - 1, 20240811)
+
+
+@pytest.mark.parametrize("q", [2, 5, 13, 25, 101])
+def test_vectorized_samples_equal_sample_binding(q):
+    # q = 2 has domains of size 1, and q = 2 and 5 domains of size 2 and 4:
+    # there `below` rejects no word, and its limit 2^64 has no uint64 form
+    ft = _field(q)
+    for entry in registry():
+        domains = _entry_domains(entry, ft)
+        if not all(domains):
+            continue  # sampled mode refuses an empty domain
+        doms = [np.array(d, dtype=np.int64) for d in domains]
+        for seed in SEEDS:
+            for start in (0, 2**62 - 5):
+                cols = V._sample_columns(entry, doms, seed, start, start + 12)
+                got = list(zip(*(c.tolist() for c in cols)))
+                want = [V._sample_binding(entry, domains, seed, i)
+                        for i in range(start, start + 12)]
+                assert got == want, (entry.id, seed, start)
+
+
+def test_draws_flag_the_words_that_below_rejects():
+    # 2^64 mod (2^63 + 1) = 2^63 - 1, so about half of all words are rejected
+    bound = 2**63 + 1
+    for seed in SEEDS:
+        start = 2**62 - 100
+        draws, rejected = V._draws(seed, start, start + 200, [bound, 7])
+        assert 50 < rejected.sum() < 150
+        for r in range(200):
+            stream = V._CounterStream(seed, start + r)
+            if rejected[r]:
+                continue
+            assert int(draws[0][r]) == stream.below(bound)
+            assert int(draws[1][r]) == stream.below(7)
+        # a rejected row's first word is past the limit
+        for r in np.flatnonzero(rejected):
+            assert V._CounterStream(seed, start + int(r)).word() >= 2**64 - (2**63 - 1)
+
+
+def test_rejected_samples_are_redrawn(monkeypatch):
+    # the scalar redraw, which a word in the rejection zone of `below`
+    # triggers at odds of about q / 2^64, replaces every flagged row
+    ft = _field(13)
+    entry = get_identity("thm3.7")
+    domains = _entry_domains(entry, ft)
+    doms = [np.array(d, dtype=np.int64) for d in domains]
+    draws = V._draws
+
+    def all_rejected(seed, start, stop, bounds):
+        out, _ = draws(seed, start, stop, bounds)
+        return [np.zeros_like(d) for d in out], np.ones(stop - start, dtype=bool)
+
+    monkeypatch.setattr(V, "_draws", all_rejected)
+    cols = V._sample_columns(entry, doms, 3, 10, 40)
+    assert list(zip(*(c.tolist() for c in cols))) == [
+        V._sample_binding(entry, domains, 3, i) for i in range(10, 40)]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 101])
+def test_batch_sub_equals_sub_idx(q):
+    ft = _field(q)
+    i, j = np.divmod(np.arange(q * q), q)
+    got = BatchContext(ft).sub(i, j)
+    assert got.tolist() == [ft.sub_idx(a, b) for a, b in zip(i.tolist(), j.tolist())]
+    assert BatchContext(ft).sub(q - 1, 1) == ft.sub_idx(q - 1, 1)

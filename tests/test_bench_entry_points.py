@@ -3,9 +3,12 @@
 `perfbench/spans.py` patches functions and methods of the package by name
 for the traced pass (`perfbench/run.py --trace 1`). A renamed one would
 break only that pass, so this test runs the same instrumentation on a
-fresh import of the package, in its own interpreter, on a sampled verify,
-which evaluates one binding at a time through every scalar layer, and on
-an exhaustive verify, which is batched and reaches the scan only.
+fresh import of the package, in its own interpreter, on two verifies.
+Both modes are batched, and a passing binding never reaches a scalar
+layer; so the sampled verify checks thm4.3-a's documented mutant, whose
+failing bindings are evaluated again one at a time on `EvalContext`,
+through the point sum and `CycInt` multiply. The exhaustive verify of
+the registered entry reaches the scan only.
 """
 
 import json
@@ -16,7 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
-import json, sys
+import dataclasses, json, sys
 from pathlib import Path
 root = Path(sys.argv[1])
 sys.path.insert(0, str(root / "perfbench"))
@@ -26,7 +29,9 @@ afq = import_package(root)
 tracer = Tracer()
 instrument(tracer, afq)
 ft = afq.fields.build_field(5, 1)
-rep = afq.verifier.verify("thm4.3-a", ft, mode="sampled", sample_count=40, seed=1)
+entry = afq.get_identity("thm4.3-a")
+mutant = dataclasses.replace(entry, rhs=entry.mutation.fn)
+rep = afq.verifier.verify(mutant, ft, mode="sampled", sample_count=40, seed=1)
 calls = {name: agg[0] for name, agg in tracer.totals.items()}
 full = afq.verifier.verify("thm4.3-a", ft)
 print(json.dumps({"passed": rep.passed, "cases": rep.cases, "calls": calls,
@@ -42,7 +47,7 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["passed"] and out["cases"] == 40
+    assert not out["passed"] and out["cases"] == 40
     calls = out["calls"]
     for name in ("fields.build", "verifier.verify", "identities.ctx_build",
                  "characters.binom_table"):

@@ -156,6 +156,19 @@ def test_verify_sampled_deterministic(capsys):
     assert outj == out1
 
 
+@pytest.mark.slow
+def test_verify_sampled_all_at_q4099(capsys):
+    # sampled mode at q in the thousands: every id passes, none is refused
+    rc, out, _ = run(capsys, "verify", "--all", "--sampled", "--samples", "3",
+                     "-q", "4099")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert rc == 0
+    assert len(reports) == 28
+    for doc in reports:
+        assert doc["q"] == 4099 and doc["cases"] == 3, doc
+        assert doc["counterexamples"] == [] and "error" not in doc, doc
+
+
 def test_verify_exit_code_on_counterexample(capsys, monkeypatch):
     import appellfq.cli as cli
     from appellfq import cyc_one

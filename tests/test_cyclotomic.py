@@ -14,7 +14,7 @@ from appellfq import (
     euler_phi,
     root_of_unity,
 )
-from appellfq.cyclotomic import _ring
+from appellfq.cyclotomic import _ring, _Ring
 
 
 def _naive_cyclotomic(n, _cache={}):
@@ -237,9 +237,21 @@ def test_kernel_matches_sympy_oracle(n):
         assert CycInt(n, a).galois(g).coeffs == _sympy_rem(sympy, n, poly(image))
 
 
-@pytest.mark.parametrize("n", [24, 100])
+# the recurrence against one exact reduction per row; n = 1155 = 3*5*7*11
+# has max |row| = 9, and 252 and 1020 have repeated prime factors
+@pytest.mark.parametrize("n", list(range(1, 201)) + [252, 1020, 1155])
 def test_np_rows_are_reduced_roots(n):
     rows = _ring(n).np_rows
     assert rows.shape == (n, euler_phi(n))
     for j in range(n):
         assert tuple(int(v) for v in rows[j]) == root_of_unity(n, j).coeffs
+    assert _ring(n).row_max == max(abs(int(v)) for v in rows.flat)
+
+
+def test_np_rows_refuse_to_pass_int64():
+    # phi(30) = 8; with the tail scaled by 2^61, z^8 has entries 2^61 and
+    # z^9 could reach 2^122, so the second step refuses before it is taken
+    ring = _Ring(30)
+    ring.tail = tuple((i, t * 2**61) for i, t in ring.tail)
+    with pytest.raises(ValueError, match=r"n = 30: reducing z\^9 .*2\^63"):
+        ring.np_rows
