@@ -13,7 +13,8 @@ loop calls each compiled side once per chunk on an
 `identities.BatchContext`, whose values are unreduced zeta-power counts;
 only failing bindings are evaluated again, one at a time on the
 `EvalContext`, to build the report. A sampled chunk whose counts could
-pass the int64 bound is checked binding by binding instead.
+pass the int64 bound, or whose (n, phi) reduction rows would pass
+`_ROWS_BYTES`, is checked binding by binding instead.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing. Entries
 registered with a div_power additionally assert that every coefficient of
@@ -24,6 +25,7 @@ as a counterexample marked "divisibility".
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -132,8 +134,7 @@ def _entry_domains(entry: IdentityCase, ft: FieldTable) -> list[list[int]]:
 
 
 def _binding_dict(entry: IdentityCase, binding: tuple[int, ...]) -> dict:
-    names = list(entry.chars) + list(entry.elems)
-    return dict(zip(names, binding))
+    return dict(zip((*entry.chars, *entry.elems), binding))
 
 
 def _check_binding(entry, ctx, binding, divisor):
@@ -150,51 +151,62 @@ def _check_binding(entry, ctx, binding, divisor):
 # 128 KB each; a whole verify peaks at 1.1-1.4 MB (tracemalloc, q <= 25)
 _CHUNK_CELLS = 1 << 14
 
+# bytes of the (n, phi) rows a batched scan may build, which stay cached
+# with `_ring(n)`: 44.7 MB at q = 4099, 113 MB at 8191, 17.2 GB at 65536
+_ROWS_BYTES = 1 << 27
+
 
 def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
-    """(failure count, first `cap` counterexample records) over the
-    bindings start .. stop - 1, which `columns(lo, hi)` gives a chunk at a
-    time as a tuple of int64 columns, one entry per binding.
+    """The first `cap` counterexample records over the bindings
+    start .. stop - 1, which `columns(lo, hi)` gives a chunk at a time as a
+    tuple of int64 columns, one entry per binding.
 
     A binding fails where lhs - rhs reduces to nonzero (by the (n, phi)
     rows that reduce z^j), or where the reduced lhs leaves a remainder mod
     (q-1)^div_power. Each failing binding, up to `cap` records, is checked
     again on `ctx`, so the report holds the scalar sides' values. Reduced
-    values are exact while mass * max |row| < 2^63; a chunk past that is
-    checked binding by binding, or raises ValueError if `refuse` names a
-    way out.
+    values are exact while mass * max |row| < 2^63. A chunk past that, or
+    every chunk if the rows pass `_ROWS_BYTES` or int64, is checked binding
+    by binding, or raises ValueError if `refuse` names a way out.
     """
     ft = ctx.ft
     n, q = ft.n, ft.q
     batch = BatchContext(ft)
     ring = _ring(n)
+    try:
+        if 8 * n * ring.phi > _ROWS_BYTES:  # checked before the rows exist
+            raise ValueError(f"the (n, phi) reduction rows need {8 * n * ring.phi}"
+                             f" bytes, over the budget of {_ROWS_BYTES}")
+        rows = ring.np_rows
+    except ValueError as exc:
+        if refuse is not None:
+            raise ValueError(f"q = {q}: {exc}; {refuse}") from None
+        rows = None
     divisor = (q - 1) ** entry.div_power if entry.div_power else None
-    failures = 0
     cex: list[dict] = []
     step = max(1, _CHUNK_CELLS // q)
     for lo in range(start, stop, step):
         cols = columns(lo, min(lo + step, stop))
-        size = (len(cols[0]), n)
-        lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
-        diff = lhs - rhs
-        bound = diff.mass * ring.row_max
-        if bound >= 2**63:
-            if refuse is not None:
+        if rows is not None:
+            lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
+            diff = lhs - rhs
+            bound = diff.mass * ring.row_max
+            if bound >= 2**63 and refuse is not None:
                 raise ValueError(
                     f"q = {q}: exact batched comparison can reach {bound}, "
                     f"past the int64 limit 2^63 - 1; {refuse}"
                 )
+        if rows is None or bound >= 2**63:
             for binding in zip(*(col.tolist() for col in cols)):
                 found = _check_binding(entry, ctx, binding, divisor)
-                failures += len(found)
                 cex.extend(found[: cap - len(cex)])
             continue
-        unequal = (np.broadcast_to(diff.a, size) @ ring.np_rows).any(axis=1)
+        size = (len(cols[0]), n)
+        unequal = (np.broadcast_to(diff.a, size) @ rows).any(axis=1)
         undivided = np.zeros(size[0], dtype=bool)
         if divisor is not None:
-            undivided = (np.broadcast_to(lhs.a, size) @ ring.np_rows
+            undivided = (np.broadcast_to(lhs.a, size) @ rows
                          % divisor).any(axis=1)
-        failures += int(unequal.sum() + undivided.sum())
         for r in np.flatnonzero(unequal | undivided):
             if len(cex) >= cap:
                 break
@@ -207,12 +219,13 @@ def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
                     f"{_binding_dict(entry, binding)}"
                 )
             cex.extend(found[: cap - len(cex)])
-    return failures, cex
+    return cex
 
 
-def _scan_range(entry, ctx, domains, shape, start, stop, cap):
+def _scan_range(entry, ctx, domains, start, stop, cap):
     """`_scan` over the bindings start .. stop - 1 in domain order."""
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
+    shape = [len(d) for d in doms]
     return _scan(entry, ctx, lambda lo, hi: _columns(doms, shape, lo, hi),
                  start, stop, cap,
                  refuse="sampled verification (--sampled) has no such limit")
@@ -299,8 +312,6 @@ def _reduction_rows(ft: FieldTable) -> np.ndarray:
 
 
 def _thm13_exhaustive_batch(entry, ctx, cap):
-    import itertools
-
     ft = ctx.ft
     n, q = ft.n, ft.q
     qm1sq = (q - 1) ** 2
@@ -333,10 +344,8 @@ def _thm13_exhaustive_batch(entry, ctx, cap):
     KK = ar[None, None, :, None, None]
     LL = ar[None, None, None, :, None]
 
-    failures = 0
     cex: list[dict] = []
     divisor = qm1sq if entry.div_power else None
-    mism_bindings = []
 
     for a, b, bp, cc in itertools.product(range(n), repeat=4):
         # point side for all nonzero x, y
@@ -368,14 +377,10 @@ def _thm13_exhaustive_batch(entry, ctx, cap):
             bad = np.union1d(bad, bad_div)
         for flat in bad:
             lx, ly = divmod(int(flat), n)
-            mism_bindings.append((a, b, bp, cc, lx + 1, ly + 1))
-
-    for binding in mism_bindings:
-        found = _check_binding(entry, ctx, binding, divisor)
-        failures += len(found)
-        if len(cex) < cap:
+            binding = (a, b, bp, cc, lx + 1, ly + 1)
+            found = _check_binding(entry, ctx, binding, divisor)
             cex.extend(found[: cap - len(cex)])
-    return failures, cex
+    return cex
 
 
 # ----------------------------------------------------------------------
@@ -405,11 +410,8 @@ def verify(
         # with no record kept, a failing identity would report a pass
         raise ValueError(
             f"max_counterexamples must be >= 1, not {max_counterexamples}")
-    if mode == "sampled":
-        if not sample_count or sample_count < 1:
-            raise ValueError("sampled mode requires sample_count >= 1")
-        if seed is None:
-            seed = 0
+    if mode == "sampled" and (not sample_count or sample_count < 1):
+        raise ValueError("sampled mode requires sample_count >= 1")
     cap = max_counterexamples
     ctx = EvalContext(field)
     domains = _entry_domains(entry, field)
@@ -422,13 +424,12 @@ def verify(
     if mode == "exhaustive":
         cases, seed = entry.domain_size(field), None
         if entry.id == "thm1.3" and entry is get_identity("thm1.3"):
-            _, cex = _thm13_exhaustive_batch(entry, ctx, cap)
+            cex = _thm13_exhaustive_batch(entry, ctx, cap)
         else:
-            shape = [len(d) for d in domains]
-            _, cex = _scan_range(entry, ctx, domains, shape, 0, cases, cap)
+            cex = _scan_range(entry, ctx, domains, 0, cases, cap)
     else:
-        cases = sample_count
-        _, cex = _scan_samples(entry, ctx, domains, seed, 0, cases, cap)
+        cases, seed = sample_count, seed or 0
+        cex = _scan_samples(entry, ctx, domains, seed, 0, cases, cap)
 
     return VerifyReport(
         identity_id=entry.id,
@@ -487,9 +488,8 @@ def find_counterexample(
     probe = dataclasses.replace(
         entry, lhs=lhs or entry.lhs, rhs=rhs or entry.rhs, div_power=0)
     domains = _entry_domains(entry, field)
-    shape = [len(d) for d in domains]
-    _, cex = _scan_range(probe, EvalContext(field), domains, shape, 0,
-                         entry.domain_size(field), 1)
+    cex = _scan_range(probe, EvalContext(field), domains, 0,
+                      entry.domain_size(field), 1)
     return tuple(cex[0]["binding"].values()) if cex else None
 
 

@@ -148,7 +148,29 @@ def test_int64_bound_is_checked_and_names_q():
     assert want and got == want
 
 
-SEEDS = (0, 2**64 - 1, 20240811)
+def test_rows_over_budget_are_never_built(monkeypatch):
+    ft = _field(13)
+    cases = [get_identity("thm4.1"), get_identity("cor3.3"), _mutant("thm4.3-a")]
+    kw = dict(mode="sampled", sample_count=200, seed=7, max_counterexamples=10**6)
+    want = [json.dumps(verify(e, ft, **kw).to_json()) for e in cases]
+    assert "counterexamples\": [{" in want[2]
+
+    def unbuilt(ring):
+        raise AssertionError(f"rows built for n = {ring.n}")
+
+    # a property is a data descriptor, so it wins over the values that
+    # the runs above cached on the instance
+    ring = _ring(ft.n)
+    monkeypatch.setattr(type(ring), "np_rows", property(unbuilt))
+    monkeypatch.setattr(type(ring), "row_max", property(unbuilt))
+    monkeypatch.setattr(V, "_ROWS_BYTES", 8 * ft.n * ring.phi - 1)
+    # sampled mode checks binding by binding, with the same reports
+    assert [json.dumps(verify(e, ft, **kw).to_json()) for e in cases] == want
+    with pytest.raises(ValueError, match=r"q = 13: .*rows need 384 bytes.*--sampled"):
+        verify(cases[0], ft)
+
+
+SEEDS =(0, 2**64 - 1, 20240811)
 
 
 @pytest.mark.parametrize("q", [2, 5, 13, 25, 101])
