@@ -5,8 +5,10 @@ Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
 arguments: the field, the table cap, an element, a missing flag, a
 --samples, --jobs or --max-counterexamples below 1), 3 an evaluation
 failed: an evaluator raised, or refused the request (the exhaustive thm1.3
-batch past its int64 bound or memory budget, or an exhaustive comparison
-past its int64 bound).
+batch past its int64 bound or memory budget, an exhaustive comparison
+past its int64 bound, or an f21/f1 table whose reduction rows pass their
+memory budget or whose values could pass int64, refused before any row
+is written).
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -18,10 +20,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
+import numpy as np
+
+from . import hypergeometric
 from .characters import Character, binom, jacobi_sum
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _ring
 from .fields import FieldTable, build_field, prime_power_decompose
 from .hypergeometric import (
     AppellF1Params,
@@ -32,7 +38,7 @@ from .hypergeometric import (
     f21_point_sum,
 )
 from .identities import registry
-from .verifier import verify
+from .verifier import _admit_rows, verify
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -317,57 +323,88 @@ def _cmd_verify(args) -> int:
     return EXIT_COUNTEREXAMPLE if any_cex else EXIT_PASS
 
 
+# rows per kernel call of an f21/f1 table, whose (rows, n) int64
+# temporaries stay small next to the process (64 KB each at q = 17)
+_TABLE_CHUNK = 512
+
+# the parameters of an f21/f1 table row, and how many are characters
+_POINT_TABLES = {
+    "f21": (("A", "B", "C", "x"), 3),
+    "f1": (("A", "B", "Bp", "C", "x", "y"), 4),
+}
+
+
 def _cmd_table(args) -> int:
     ft = _field_from_args(args)
+    if args.kind in _POINT_TABLES:
+        chunks = _point_sum_chunks(args.kind, ft, _admit_table(ft))
+    else:
+        chunks = _pair_lines(args.kind, ft)
     with _output(args.out) as out:
-        for params, value in _table_rows(args.kind, ft):
-            value_json, as_int = _value_payload(value)
-            row = json.dumps({**params, "value": value_json, "integer": as_int})
-            _emit(row + "\n", out)
+        for text in chunks:
+            _emit(text, out)
     return EXIT_PASS
 
 
-def _table_rows(kind: str, ft: FieldTable):
-    """(params, value) for every row of the table, in lexicographic order,
-    made one at a time so that rows are written as they come."""
-    n, q = ft.n, ft.q
-    if kind in ("jacobi", "binom"):
-        fn = jacobi_sum if kind == "jacobi" else binom
-        for a in range(n):
-            for b in range(n):
-                yield {"A": a, "B": b}, fn(Character(ft, a), Character(ft, b))
-    elif kind == "f21":
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for xi in range(q):
-                        params = Hyp2F1Params(
-                            Character(ft, a),
-                            Character(ft, b),
-                            Character(ft, c),
-                            ft.elements[xi],
-                        )
-                        yield {"A": a, "B": b, "C": c, "x": xi}, f21_point_sum(params)
-    else:
-        for a in range(n):
-            for b in range(n):
-                for bp in range(n):
-                    for c in range(n):
-                        for xi in range(q):
-                            for yi in range(q):
-                                params = AppellF1Params(
-                                    Character(ft, a),
-                                    Character(ft, b),
-                                    Character(ft, bp),
-                                    Character(ft, c),
-                                    ft.elements[xi],
-                                    ft.elements[yi],
-                                )
-                                yield (
-                                    {"A": a, "B": b, "Bp": bp, "C": c,
-                                     "x": xi, "y": yi},
-                                    appell_f1_point_sum(params),
-                                )
+def _pair_lines(kind: str, ft: FieldTable):
+    """The lines of a jacobi or binom table, one at a time."""
+    fn = jacobi_sum if kind == "jacobi" else binom
+    for a in range(ft.n):
+        for b in range(ft.n):
+            value = fn(Character(ft, a), Character(ft, b))
+            value_json, as_int = _value_payload(value)
+            yield json.dumps({"A": a, "B": b, "value": value_json,
+                              "integer": as_int}) + "\n"
+
+
+def _admit_table(ft: FieldTable):
+    """The (n, phi) rows that reduce the counts of an f21/f1 table.
+
+    Refused with a ValueError naming q, before any line is written, if the
+    rows would pass `verifier._ROWS_BYTES` or int64, or if a value could:
+    a point sum counts at most q - 2 points u, so every reduced
+    coefficient is at most (q - 2) max|row| in size.
+    """
+    rows = _admit_rows(ft)
+    bound = (ft.q - 2) * _ring(ft.n).row_max
+    if bound >= 2**63:
+        raise ValueError(f"q = {ft.q}: table values can reach {bound}, past "
+                         f"the int64 limit 2^63 - 1")
+    return rows
+
+
+def _point_sum_chunks(kind: str, ft: FieldTable, rows):
+    """The text of an f21/f1 table, `_TABLE_CHUNK` lines at a time, in
+    lexicographic order of the parameters: one point-sum kernel call per
+    chunk over the decoded columns, reduced by `rows`."""
+    names, chars = _POINT_TABLES[kind]
+    kernel = getattr(hypergeometric, f"{kind}_point_idx")
+    shape = (ft.n,) * chars + (ft.q,) * (len(names) - chars)
+    total = math.prod(shape)
+    templates = _line_templates(names, ft.n, rows.shape[1])
+    for lo in range(0, total, _TABLE_CHUNK):
+        cols = np.unravel_index(np.arange(lo, min(lo + _TABLE_CHUNK, total)), shape)
+        values = kernel(ft, *cols) @ rows
+        integer = ~values[:, 1:].any(axis=1)
+        # each line's fields in order, and its coefficient 0 again as the
+        # "integer" of an integer value
+        fields = np.column_stack((*cols, values, values[:, 0]))
+        mask = np.ones(fields.shape, dtype=bool)
+        mask[:, -1] = integer
+        text = "".join([templates[i] for i in integer.tolist()])
+        yield text % tuple(fields[mask].tolist())
+
+
+def _line_templates(names, n: int, phi: int) -> tuple[str, str]:
+    """%-templates of a table line as `json.dumps` writes its dict, fed its
+    parameters and then its phi reduced coefficients: one for a value that
+    is not an integer, and one, fed coefficient 0 once more, for a value
+    that is."""
+    params = "".join('"%s": %%d, ' % name for name in names)
+    coeffs = ", ".join(['"%d"'] * phi)
+    head = ("{" + params + '"value": {"n": ' + str(n) + ', "coeffs": ['
+            + coeffs + ']}, "integer": ')
+    return head + "null}\n", head + '"%d"}\n'
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,8 +6,13 @@ character; "~" below means character inversion):
     2F1[A,B;C;x]      = eps(x) (BC)(-1) sum_u B(u) (B~C)(1-u) A~(1-ux)
     F1(A;B,B';C;x,y)  = eps(xy) (AC)(-1) sum_u A(u) (A~C)(1-u) B~(1-ux) B'~(1-uy)
 
-The point sums above are the canonical Theta(q) evaluators. The character
-sum forms are independent routes used for cross-validation:
+The point sums above are the canonical Theta(q) evaluators, in two forms
+of one function each (`f21_point_idx`, `f1_point_idx`). With int
+arguments a Python loop over u gives a `CycInt`: the scalar reference,
+and the faster form for one binding. With int64 columns one `np.bincount`
+over u gives the (S, n) zeta-power counts of S bindings, unreduced: the
+kernel of `identities.BatchContext` and of the f21/f1 `table`. The
+character sum forms are independent routes used for cross-validation:
 
     2F1 = 1/(q-1)   sum_chi     [A chi | chi] [B chi | C chi] chi(x)
     F1  = 1/(q-1)^2 sum_chi,lam [A chi lam | C chi lam] [B chi | chi]
@@ -66,10 +71,19 @@ class AppellF1Params:
 
 # ----------------------------------------------------------------------
 # Point-sum evaluators on raw indices (exponents mod n, enumeration
-# indices for elements). These are the hot paths of the verifier.
+# indices for elements), as ints or as int64 columns.
 # ----------------------------------------------------------------------
 
-def f21_point_idx(ft: FieldTable, a: int, b: int, c: int, xi: int) -> CycInt:
+def f21_point_idx(ft: FieldTable, a, b, c, xi):
+    """The 2F1 point sum at exponents a, b, c and element index xi.
+
+    With int arguments, a loop over u and one reduction give a `CycInt`.
+    If any argument is an int64 column, the others stand for every row
+    and the result is the (S, n) int64 array of zeta-power counts of
+    each row, unreduced (`_point_counts`).
+    """
+    if any(isinstance(v, np.ndarray) for v in (a, b, c, xi)):
+        return _point_counts(ft, (b, c, a), (xi,))
     n = ft.n
     if xi == 0:
         return cyc_zero(n)
@@ -90,9 +104,10 @@ def f21_point_idx(ft: FieldTable, a: int, b: int, c: int, xi: int) -> CycInt:
     return CycInt.from_powers(n, counts)
 
 
-def f1_point_idx(
-    ft: FieldTable, a: int, b: int, bp: int, c: int, xi: int, yi: int
-) -> CycInt:
+def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
+    """The Appell F1 point sum; ints or int64 columns as `f21_point_idx`."""
+    if any(isinstance(v, np.ndarray) for v in (a, b, bp, c, xi, yi)):
+        return _point_counts(ft, (a, c, b, bp), (xi, yi))
     n = ft.n
     if xi == 0 or yi == 0:
         return cyc_zero(n)
@@ -159,13 +174,51 @@ def point_logs(ft: FieldTable, *xis: int) -> np.ndarray:
     L0 = log(-1) + log u - log(1-u), L1 = log(-1) + log(1-u) and
     L2, L3 = -log(1-ux), -log(1-uy). No u contributes when some x is 0.
     """
-    if 0 in xis:
-        return np.zeros((2 + len(xis), 0), dtype=np.int64)
+    L, ok = point_rows(ft, *xis)
+    return np.vstack(L)[:, ok.ravel()]
+
+
+def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
+    """The rows of `point_logs` by lu = log u, before the u that do not
+    contribute are dropped, and the mask of those that do.
+
+    Each x is an int or an int64 column; its row -log(1 - ux) and the
+    mask have one row per binding (one row for an int).
+    """
     n = ft.n
     base, neg = _point_table(ft)
-    ls = [neg[xi - 1:xi - 1 + n] for xi in xis]  # -log(1 - g^lu x) by lu
-    ok = np.maximum.reduce([neg[:n], *ls]) <= 0
-    return np.vstack((base, *ls))[:, ok]
+    ar = np.arange(n)
+    ls = [neg[(_col(xi) - 1) % n + ar] for xi in xis]
+    ok = neg[:n] <= 0
+    for xi, row in zip(xis, ls):
+        ok = ok & (row <= 0) & (_col(xi) != 0)
+    return [base[0], base[1], *ls], ok
+
+
+def _point_counts(ft: FieldTable, coeffs, xis) -> np.ndarray:
+    """(S, n) zeta-power counts of the point sums whose exponent at u is
+    coeffs . L (L = `point_rows`), one `np.bincount` for every row.
+
+    Coefficients are reduced mod n first, so |exponent| < 2 n^2 len(L)."""
+    n = ft.n
+    L, ok = point_rows(ft, *xis)
+    e = sum(_col(c) % n * row for c, row in zip(coeffs, L))
+    return _row_counts(n, e, ok)
+
+
+def _col(v) -> np.ndarray:
+    """An int column (S,) as (S, 1), or an int as (1, 1), to broadcast
+    against a row of length m."""
+    return np.asarray(v, dtype=np.int64).reshape(-1, 1)
+
+
+def _row_counts(n: int, e: np.ndarray, keep=True) -> np.ndarray:
+    """(S, n) counts of the exponents e (S, m) mod n in each row, over the
+    entries where `keep`, with one `np.bincount`."""
+    e, keep = np.broadcast_arrays(e, keep)
+    rows = e.shape[0]
+    e = e % n + n * np.arange(rows)[:, None]
+    return np.bincount(e[keep], minlength=rows * n).reshape(rows, n)
 
 
 def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:

@@ -38,14 +38,16 @@ from .characters import _binom_logs, binom_counts, binomial_table
 from .cyclotomic import CycInt, all_roots, cyc_zero
 from .fields import FieldTable
 from .hypergeometric import (
+    _col,
     _join,
-    _point_table,
     _power_sum,
+    _row_counts,
     f1_charsum_idx,
     f1_point_idx,
     f21_charsum_idx,
     f21_point_idx,
     point_logs,
+    point_rows,
 )
 
 
@@ -211,21 +213,6 @@ def _convolve(u: Counts, v: Counts) -> Counts:
     return Counts(out, u.mass * v.mass)
 
 
-def _row_counts(n: int, e: np.ndarray, keep=True) -> np.ndarray:
-    """(S, n) counts of the exponents e (S, m) mod n in each row, over the
-    entries where `keep`, with one `np.bincount`."""
-    e, keep = np.broadcast_arrays(e, keep)
-    rows = e.shape[0]
-    e = e % n + n * np.arange(rows)[:, None]
-    return np.bincount(e[keep], minlength=rows * n).reshape(rows, n)
-
-
-def _col(v) -> np.ndarray:
-    """An int column (S,) as (S, 1), or an int as (1, 1), to broadcast
-    against a row of length m."""
-    return np.asarray(v, dtype=np.int64).reshape(-1, 1)
-
-
 class BatchContext:
     """`EvalContext`'s helpers over columns of bindings.
 
@@ -233,7 +220,9 @@ class BatchContext:
     that stands for every row, and each value is `Counts`, so a compiled
     side evaluates a whole chunk of bindings in one call. The exponents are
     those of the scalar evaluators, counted per row with `np.bincount`
-    instead of reduced one binding at a time.
+    instead of reduced one binding at a time. The point sums are the
+    column form of `f21_point_idx` / `f1_point_idx` itself, wrapped in
+    `Counts`; `table` calls the same kernel.
 
     The character sums gather through `_inv_slope`: the slope of a binomial
     pair, l1 + l2 = log(u / (u - 1)), is injective on u outside {0, 1}, so
@@ -287,22 +276,6 @@ class BatchContext:
         """zeta^t in each row where `keep`, else 0."""
         return Counts(_row_counts(self.n, _col(t), _col(keep).astype(bool)), 1)
 
-    def _points(self, *xis) -> tuple[list, np.ndarray]:
-        """The rows of `hypergeometric.point_logs` by lu = log u, one row per
-        binding for each x in `xis`, and the mask of the u that contribute."""
-        base, neg = _point_table(self.ft)
-        ar = np.arange(self.n)
-        ls = [neg[(_col(xi) - 1) % self.n + ar] for xi in xis]
-        ok = neg[:self.n] <= 0
-        for xi, row in zip(xis, ls):
-            ok = ok & (row <= 0) & (_col(xi) != 0)
-        return [base[0], base[1], *ls], ok
-
-    def _point_sum(self, coeffs, xis) -> Counts:
-        L, ok = self._points(*xis)
-        e = sum(_col(c) * row for c, row in zip(coeffs, L))
-        return Counts(_row_counts(self.n, e, ok), self.n)
-
     def sub(self, i, j):
         """x_i - x_j by coefficient vectors, O(r) per binding."""
         coeffs, place, index = self._vectors
@@ -338,10 +311,10 @@ class BatchContext:
         return Counts(a.reshape(-1, self.n), self.q - 2)
 
     def f21(self, a, b, c, x):
-        return self._point_sum((b, c, a), (x,))
+        return Counts(f21_point_idx(self.ft, a, b, c, _col(x)), self.n)
 
     def f1(self, a, b, bp, c, x, y):
-        return self._point_sum((a, c, b, bp), (x, y))
+        return Counts(f1_point_idx(self.ft, a, b, bp, c, x, _col(y)), self.n)
 
     def f21_sum(self, a, b, c, x):
         """As `f21_charsum_idx`: the pair j whose slope cancels that of pair
@@ -383,7 +356,7 @@ class BatchContext:
         """As `EvalContext.theta`: for each point u, the binomial pair whose
         slope cancels L[k] at u plus log t."""
         n = self.n
-        L, ok = self._points(*xis)
+        L, ok = point_rows(self.ft, *xis)
         t = _col(t)
         i = self._inv_slope[-(L[k] + t - 1) % n]
         e = _col(X) * self._pair_logs[0][i] + sum(

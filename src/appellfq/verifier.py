@@ -156,6 +156,20 @@ _CHUNK_CELLS = 1 << 14
 _ROWS_BYTES = 1 << 27
 
 
+def _admit_rows(ft: FieldTable) -> np.ndarray:
+    """`_ring(n).np_rows`, or a ValueError naming q if the rows would pass
+    `_ROWS_BYTES` (checked before they are built) or int64."""
+    ring = _ring(ft.n)
+    need = 8 * ft.n * ring.phi
+    try:
+        if need > _ROWS_BYTES:
+            raise ValueError(f"the (n, phi) reduction rows need {need} bytes, "
+                             f"over the budget of {_ROWS_BYTES}")
+        return ring.np_rows
+    except ValueError as exc:
+        raise ValueError(f"q = {ft.q}: {exc}") from None
+
+
 def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
     """The first `cap` counterexample records over the bindings
     start .. stop - 1, which `columns(lo, hi)` gives a chunk at a time as a
@@ -174,13 +188,10 @@ def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
     batch = BatchContext(ft)
     ring = _ring(n)
     try:
-        if 8 * n * ring.phi > _ROWS_BYTES:  # checked before the rows exist
-            raise ValueError(f"the (n, phi) reduction rows need {8 * n * ring.phi}"
-                             f" bytes, over the budget of {_ROWS_BYTES}")
-        rows = ring.np_rows
+        rows = _admit_rows(ft)
     except ValueError as exc:
         if refuse is not None:
-            raise ValueError(f"q = {q}: {exc}; {refuse}") from None
+            raise ValueError(f"{exc}; {refuse}") from None
         rows = None
     divisor = (q - 1) ** entry.div_power if entry.div_power else None
     cex: list[dict] = []

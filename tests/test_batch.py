@@ -19,6 +19,7 @@ import appellfq.verifier as V
 from appellfq import build_field, get_identity, registry, verify
 from appellfq.cyclotomic import _ring
 from appellfq.fields import prime_power_decompose
+from appellfq.hypergeometric import f1_point_idx, f21_point_idx
 from appellfq.identities import BatchContext, EvalContext
 from appellfq.verifier import (
     _columns,
@@ -69,6 +70,40 @@ def test_batch_values_equal_scalar_values(q):
             for row, binding in zip(got.tolist(), bindings):
                 want = fn(ctx, binding).coeffs
                 assert tuple(row) == want, (entry.id, side, binding)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16, 25, 27, 101])
+@pytest.mark.parametrize("kernel,chars,elems", [(f21_point_idx, 3, 1),
+                                                (f1_point_idx, 4, 2)])
+def test_point_columns_equal_int_loop(q, kernel, chars, elems):
+    """The column form of a point sum (the kernel of `BatchContext` and
+    `table`) against its int loop, row by row: every binding at q <= 7,
+    and at larger q random columns, exponents outside 0 .. n-1 included,
+    with the rows x = 0, x = 1, y = 0 and x = y, also with some arguments
+    given as ints."""
+    ft = _field(q)
+    rows = _ring(ft.n).np_rows
+    shape = (ft.n,) * chars + (ft.q,) * elems
+    if q <= 7:
+        cols = list(np.unravel_index(np.arange(np.prod(shape)), shape))
+    else:
+        rng = np.random.default_rng(q)
+        # exponents in [-2n, 2n), as a side's sums and negations give them
+        cols = [rng.integers(-2 * ft.n, 2 * ft.n, 300) for _ in range(chars)]
+        cols += [rng.integers(0, ft.q, 300) for _ in range(elems)]
+        x = cols[chars]
+        x[:2] = 0, 1
+        if elems == 2:
+            y = cols[chars + 1]
+            y[2], y[3] = 0, x[3]
+    ints = [(), (0, len(cols) - 1), tuple(range(1, len(cols)))]
+    for at in ints if q > 7 else ints[:1]:
+        args = [int(col[0]) if i in at else col for i, col in enumerate(cols)]
+        got = kernel(ft, *args) @ rows
+        assert got.shape == (len(cols[0]), rows.shape[1])
+        for r, row in enumerate(got.tolist()):
+            binding = [a if i in at else int(a[r]) for i, a in enumerate(args)]
+            assert tuple(row) == kernel(ft, *binding).coeffs, (at, binding)
 
 
 def _mutant(identity_id):

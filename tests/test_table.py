@@ -2,13 +2,20 @@
 
 The digests were recorded from the row-at-a-time writer; any change to the
 evaluation or the formatting of `table` must leave every byte in place.
+An f21/f1 table is written a chunk of lines at a time, so the bytes must
+not depend on where the chunks end, and a table past its bounds must be
+refused before its first line.
 """
 
 import hashlib
 
 import pytest
 
+import appellfq.cli as cli
+import appellfq.verifier as V
+from appellfq import build_field
 from appellfq.cli import main
+from appellfq.cyclotomic import _ring
 
 GOLDEN = {
     ("f21", 3): "f63048c165a2ddedacf7ecb13c42aad8b462062bd9d95685634737da29b14529",
@@ -35,3 +42,36 @@ def table_digest(tmp_path, kind, q):
 @pytest.mark.parametrize("kind,q", list(GOLDEN))
 def test_table_bytes_are_golden(tmp_path, kind, q):
     assert table_digest(tmp_path, kind, q) == GOLDEN[kind, q]
+
+
+@pytest.mark.parametrize("kind,q", [("f1", 4), ("f21", 5)])
+def test_chunk_edges_inside_blocks_keep_the_bytes(tmp_path, monkeypatch, kind, q):
+    # 7 lines a chunk: chunk edges fall inside every block of x and y
+    monkeypatch.setattr(cli, "_TABLE_CHUNK", 7)
+    assert table_digest(tmp_path, kind, q) == GOLDEN[kind, q]
+
+
+def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monkeypatch):
+    ft = build_field(5, 1)
+    ring = _ring(ft.n)
+    path = tmp_path / "f21.jsonl"
+
+    def refused(*argv):
+        capsys.readouterr()
+        assert main(["table", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "q = 5" in err
+        assert not path.exists()
+        return err
+
+    # the reduction rows over the budget, by one byte
+    monkeypatch.setattr(V, "_ROWS_BYTES", 8 * ft.n * ring.phi - 1)
+    assert "budget" in refused("f1", "-q", "5")
+    assert "budget" in refused("f21", "-q", "5", "--out", str(path))
+    assert main(["table", "jacobi", "-q", "5"]) == 0  # needs no rows
+    monkeypatch.undo()
+    # values that could pass int64: (q - 2) max|row| >= 2^63
+    monkeypatch.setattr(ring, "row_max", 2**63 // 3 + 1)
+    assert "2^63" in refused("f21", "-q", "5", "--out", str(path))
+    monkeypatch.setattr(ring, "row_max", 2**63 // 3)
+    assert main(["table", "f21", "-q", "5", "--out", str(path)]) == 0
