@@ -6,9 +6,9 @@ arguments: the field, the table cap, an element, a missing flag, a
 --samples, --jobs or --max-counterexamples below 1), 3 an evaluation
 failed: an evaluator raised, or refused the request (the exhaustive thm1.3
 batch past its int64 bound or memory budget, an exhaustive comparison
-past its int64 bound, or an f21/f1 table whose reduction rows pass their
-memory budget or whose values could pass int64, refused before any row
-is written).
+past its int64 bound, or an f21/f1 table whose line count could pass
+int64, whose reduction rows pass their memory budget or whose values
+could pass int64, refused before any row is written).
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -337,7 +337,7 @@ _POINT_TABLES = {
 def _cmd_table(args) -> int:
     ft = _field_from_args(args)
     if args.kind in _POINT_TABLES:
-        chunks = _point_sum_chunks(args.kind, ft, _admit_table(ft))
+        chunks = _point_sum_chunks(args.kind, ft, *_admit_table(args.kind, ft))
     else:
         chunks = _pair_lines(args.kind, ft)
     with _output(args.out) as out:
@@ -357,29 +357,35 @@ def _pair_lines(kind: str, ft: FieldTable):
                               "integer": as_int}) + "\n"
 
 
-def _admit_table(ft: FieldTable):
-    """The (n, phi) rows that reduce the counts of an f21/f1 table.
+def _admit_table(kind: str, ft: FieldTable):
+    """The shape of an f21/f1 table's domain and the (n, phi) rows that
+    reduce its counts.
 
     Refused with a ValueError naming q, before any line is written, if the
-    rows would pass `verifier._ROWS_BYTES` or int64, or if a value could:
-    a point sum counts at most q - 2 points u, so every reduced
-    coefficient is at most (q - 2) max|row| in size.
+    number of lines would pass int64 (as for f1 at q = 1451), if the rows
+    would pass `verifier._ROWS_BYTES` or int64, or if a value could: a
+    point sum counts at most q - 2 points u, so every reduced coefficient
+    is at most (q - 2) max|row| in size.
     """
+    names, chars = _POINT_TABLES[kind]
+    shape = (ft.n,) * chars + (ft.q,) * (len(names) - chars)
+    if math.prod(shape) >= 2**63:
+        raise ValueError(f"q = {ft.q}: the {kind} table has {math.prod(shape)} "
+                         f"lines, past the int64 limit 2^63 - 1")
     rows = _admit_rows(ft)
     bound = (ft.q - 2) * _ring(ft.n).row_max
     if bound >= 2**63:
         raise ValueError(f"q = {ft.q}: table values can reach {bound}, past "
                          f"the int64 limit 2^63 - 1")
-    return rows
+    return shape, rows
 
 
-def _point_sum_chunks(kind: str, ft: FieldTable, rows):
+def _point_sum_chunks(kind: str, ft: FieldTable, shape, rows):
     """The text of an f21/f1 table, `_TABLE_CHUNK` lines at a time, in
-    lexicographic order of the parameters: one point-sum kernel call per
-    chunk over the decoded columns, reduced by `rows`."""
-    names, chars = _POINT_TABLES[kind]
+    lexicographic order of the parameters over `shape`: one point-sum
+    kernel call per chunk over the decoded columns, reduced by `rows`."""
+    names, _ = _POINT_TABLES[kind]
     kernel = getattr(hypergeometric, f"{kind}_point_idx")
-    shape = (ft.n,) * chars + (ft.q,) * (len(names) - chars)
     total = math.prod(shape)
     templates = _line_templates(names, ft.n, rows.shape[1])
     for lo in range(0, total, _TABLE_CHUNK):

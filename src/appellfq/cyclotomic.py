@@ -107,11 +107,6 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# nonzero lower terms of Phi_n past which `_Ring.reduce` divides in int64:
-# one numpy slice add per degree costs about as much as 50 Python products
-_WIDE_TAIL = 64
-
-
 class _Ring:
     """Per-n context: Phi_n and the reduction modulo it."""
 
@@ -127,18 +122,12 @@ class _Ring:
 
         Folds with z^n = 1, then divides by Phi_n from the top degree down,
         touching only its nonzero terms: (min(len, n) - phi) * len(tail)
-        products at most. Past `_WIDE_TAIL` terms the division is one int64
-        slice add per degree (`_divide_int64`) where that stays exact.
+        products at most.
         """
         n, phi, tail = self.n, self.phi, self.tail
         for k in range(n, len(vec)):
             vec[k % n] += vec[k]
-        top = min(len(vec), n)
-        if top > phi and len(tail) > _WIDE_TAIL:
-            out = self._divide_int64(vec[:top])
-            if out is not None:
-                return out
-        for k in range(top - 1, phi - 1, -1):
+        for k in range(min(len(vec), n) - 1, phi - 1, -1):
             c = vec[k]
             if c:
                 base = k - phi
@@ -147,36 +136,6 @@ class _Ring:
         if len(vec) < phi:
             vec += [0] * (phi - len(vec))
         return tuple(vec[:phi])
-
-    def _divide_int64(self, vec: list[int]) -> tuple[int, ...] | None:
-        """The division of `reduce` on a folded vec in int64, or None if a
-        term could pass 2^63. Each of the len - phi steps adds at most
-        |c| max|tail| to an entry, so every entry stays below 2^63 while each
-        quotient term |c| is at most `limit`; a larger one stops the
-        division before it is used."""
-        phi = self.phi
-        lo, tail = self._dense_tail
-        steps = len(vec) - phi
-        limit = (2**63 - 1 - max(map(abs, vec))) // (steps * int(np.abs(tail).max()))
-        if limit < 1:
-            return None
-        v = np.array(vec, dtype=np.int64)
-        for k in range(len(v) - 1, phi - 1, -1):
-            c = int(v[k])
-            if c:
-                if abs(c) > limit:
-                    return None
-                v[k - phi + lo:k] += c * tail
-        return tuple(v[:phi].tolist())
-
-    @functools.cached_property
-    def _dense_tail(self) -> tuple[int, np.ndarray]:
-        """(lo, t): the tail as one int64 run from its lowest degree lo."""
-        lo = self.tail[0][0]
-        t = np.zeros(self.phi - lo, dtype=np.int64)
-        for i, c in self.tail:
-            t[i - lo] = c
-        return lo, t
 
     @functools.cached_property
     def np_rows(self) -> np.ndarray:

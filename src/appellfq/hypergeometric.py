@@ -197,12 +197,10 @@ def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
 
 def _point_counts(ft: FieldTable, coeffs, xis) -> np.ndarray:
     """(S, n) zeta-power counts of the point sums whose exponent at u is
-    coeffs . L (L = `point_rows`), one `np.bincount` for every row.
-
-    Coefficients are reduced mod n first, so |exponent| < 2 n^2 len(L)."""
+    coeffs . L (L = `point_rows`), one `np.bincount` for every row."""
     n = ft.n
     L, ok = point_rows(ft, *xis)
-    e = sum(_col(c) % n * row for c, row in zip(coeffs, L))
+    e = sum(_col(c) * row for c, row in zip(coeffs, L))
     return _row_counts(n, e, ok)
 
 

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import appellfq.cyclotomic as cyc
 from appellfq import (
     CycInt,
     InexactDivisionError,
@@ -256,26 +255,3 @@ def test_np_rows_refuse_to_pass_int64():
     ring.tail = tuple((i, t * 2**61) for i, t in ring.tail)
     with pytest.raises(ValueError, match=r"n = 30: reducing z\^9 .*2\^63"):
         ring.np_rows
-
-
-# Phi_n with more than `_WIDE_TAIL` lower terms, where `reduce` divides in
-# int64: 72 terms at n = 1020 and 342 at 1155 and 2310
-@pytest.mark.parametrize("n", [1020, 1155, 2310])
-def test_int64_division_equals_python_division(n, monkeypatch):
-    ring = _ring(n)
-    assert len(ring.tail) > cyc._WIDE_TAIL
-    rng = random.Random(n)
-    small = [rng.randint(-9, 9) for _ in range(n)]
-    cases = [
-        small,
-        [rng.randint(-9, 9) for _ in range(2 * n + 3)],  # folded first
-        [0] * (n - 1) + [1],  # one root of unity
-        small[:-1] + [2**60],  # the first quotient term is past the limit
-        [rng.randint(-10**30, 10**30) for _ in range(n)],  # past int64 at once
-    ]
-    assert ring._divide_int64(list(small)) is not None
-    assert ring._divide_int64(cases[3]) is None
-    assert ring._divide_int64(cases[4]) is None
-    fast = [ring.reduce(list(v)) for v in cases]
-    monkeypatch.setattr(cyc, "_WIDE_TAIL", 10**9)  # the Python division only
-    assert fast == [ring.reduce(list(v)) for v in cases]

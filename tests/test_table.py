@@ -60,7 +60,7 @@ def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monke
         capsys.readouterr()
         assert main(["table", *argv]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "q = 5" in err
+        assert out == "" and f"q = {argv[2]}" in err
         assert not path.exists()
         return err
 
@@ -75,3 +75,8 @@ def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monke
     assert "2^63" in refused("f21", "-q", "5", "--out", str(path))
     monkeypatch.setattr(ring, "row_max", 2**63 // 3)
     assert main(["table", "f21", "-q", "5", "--out", str(path)]) == 0
+    path.unlink()
+    monkeypatch.undo()
+    # more lines than int64 can count: f1 at q = 1451 has 1450^4 1451^2,
+    # while its reduction rows are within the budget
+    assert "lines" in refused("f1", "-q", "1451", "--out", str(path))
