@@ -144,6 +144,23 @@ def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
     return logs
 
 
+def _slope_index(ft: FieldTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inv, m1, m2): inv[v] is the binomial pair whose slope l1 + l2 is
+    v mod n, or -1, and m1, m2 are `_binom_logs` with a 0 appended for
+    that -1 to read (callers mask those entries out); cached.
+
+    The slope l1 + l2 = log(-u / (1 - u)) is injective on u outside
+    {0, 1}, so a slope class holds at most one pair, and slope 0 none.
+    """
+    tab = ft._caches.get("slope_index")
+    if tab is None:
+        l1, l2 = _binom_logs(ft)
+        inv = np.full(ft.n, -1, dtype=np.int64)
+        inv[(l1 + l2) % ft.n] = np.arange(len(l1))
+        tab = ft._caches["slope_index"] = (inv, np.append(l1, 0), np.append(l2, 0))
+    return tab
+
+
 def binom_counts(ft: FieldTable, a, b) -> np.ndarray:
     """Unreduced zeta-power weights of binom(chi_a, chi_b).
 

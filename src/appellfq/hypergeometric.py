@@ -22,11 +22,15 @@ where [.|.] is the scaled binomial coefficient from `characters.binom`.
 Both divisions are exact; a remaining remainder raises and signals a bug
 or a convention mismatch.
 
-At a binomial pair (or a point) each factor of a character sum has an
-exponent intercept + k slope, linear in the summed character chi_k, and
-sum_k zeta^(kD) = n [D = 0 mod n]. So every character sum here is n (or
-n^2) times one `np.bincount` of summed intercepts over the entries whose
-slopes cancel (`_join`): O(q) time and memory, with no int64 bound.
+At a binomial pair each factor of a character sum has an exponent
+intercept + k slope, linear in the summed character chi_k, and
+sum_k zeta^(kD) = n [D = 0 mod n]. A pair's slope is injective, so for
+each pair of one factor the sum over k keeps at most one pair of the
+other, the one whose slope cancels it (`characters._slope_index`). Each
+character sum is thus one gather and one `np.bincount` of the summed
+intercepts, O(q) per binding, in one body for ints and for columns; an
+int result is reduced and then scaled by n (or n^2) in Python ints, so
+the scalar routes have no int64 bound.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, _binom_logs
+from .characters import Character, _binom_logs, _slope_index
 from .cyclotomic import CycInt, cyc_zero
 from .fields import FieldElement, FieldTable
 
@@ -135,55 +139,17 @@ def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     return CycInt.from_powers(n, counts)
 
 
-# ----------------------------------------------------------------------
-# Character-sum evaluators (uncleared: without the 1/(q-1)^k factor).
-# ----------------------------------------------------------------------
-
-def _join(n: int, s1: np.ndarray, e1: np.ndarray, s2: np.ndarray, e2: np.ndarray):
-    """(s1[i], e1[i] + e2[j]) over every pair i, j with s1[i] + s2[j] = 0 mod n.
-
-    A row entry (s, e) stands for zeta^(e + k s) in a sum over k = 0 .. n-1,
-    and sum_k zeta^(k (s1 + s2)) = n [s1 + s2 = 0 mod n], so these pairs are
-    the only terms of the product of two rows that survive the sum over k.
-    The second row is sorted by slope class, and each entry of the first is
-    repeated over its class, so a class may hold any number of entries.
-    """
-    key = s2 % n
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    want = -s1 % n
-    lo = np.searchsorted(key, want)
-    reps = np.searchsorted(key, want, side="right") - lo
-    i = np.repeat(np.arange(len(s1)), reps)
-    # a match's place in `key`: its entry's `lo` plus its rank in the class
-    at = np.arange(len(i)) + np.repeat(lo + reps - np.cumsum(reps), reps)
-    return s1[i], e1[i] + e2[order[at]]
-
-
-def _power_sum(n: int, e: np.ndarray) -> CycInt:
-    """sum_i zeta_n^e[i], exact."""
-    return CycInt.from_powers(n, np.bincount(e % n, minlength=n).tolist())
-
-
-def point_logs(ft: FieldTable, *xis: int) -> np.ndarray:
-    """Rows L of the point-sum exponents, which are linear in the characters.
+def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
+    """Rows L of the point-sum exponents by lu = log u, which are linear
+    in the characters, and the mask of the u that contribute.
 
     Over the u where none of u, 1 - u, 1 - ux (x in `xis`) is zero, the
     point sum of 2F1[A,B;C;x] has exponent B L0 + C L1 + A L2 at u, and
     that of F1(A;B,B';C;x,y) has A L0 + C L1 + B L2 + B' L3, with
     L0 = log(-1) + log u - log(1-u), L1 = log(-1) + log(1-u) and
     L2, L3 = -log(1-ux), -log(1-uy). No u contributes when some x is 0.
-    """
-    L, ok = point_rows(ft, *xis)
-    return np.vstack(L)[:, ok.ravel()]
-
-
-def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
-    """The rows of `point_logs` by lu = log u, before the u that do not
-    contribute are dropped, and the mask of those that do.
-
-    Each x is an int or an int64 column; its row -log(1 - ux) and the
-    mask have one row per binding (one row for an int).
+    Each x is an int or an int64 column; its row and the mask have one
+    row per binding (one row for an int).
     """
     n = ft.n
     base, neg = _point_table(ft)
@@ -232,44 +198,65 @@ def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
     return tab
 
 
-def f21_charsum_idx(ft: FieldTable, a: int, b: int, c: int, xi: int) -> CycInt:
+# ----------------------------------------------------------------------
+# Character-sum evaluators (uncleared: without the 1/(q-1)^k factor), on
+# raw indices as ints or as int64 columns, as the point sums.
+# ----------------------------------------------------------------------
+
+def f21_charsum_idx(ft: FieldTable, a, b, c, xi):
     """sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
 
     At binomial pairs (l1, l2), with chi = chi_k and s = l1 + l2, the two
-    rows have exponents a l1 + k (s + log x) and b l1 + c l2 + k s, so the
-    sum over k is n times one `_join` of the rows on their slopes.
+    factors have exponents a l1 + k (s + log x) and b l1 + c l2 + k s, so
+    the sum over k keeps, for each pair i of the first, the pair j (if
+    any) whose slope cancels that of i (`_slope_index`), n times. With int
+    arguments the result is a `CycInt`; if any is an int64 column, the
+    (S, n) int64 counts of each row before the factor n.
     """
     n = ft.n
-    if xi == 0:
-        return cyc_zero(n)
+    inv, m1, m2 = _slope_index(ft)
     l1, l2 = _binom_logs(ft)
-    s = l1 + l2
-    _, e = _join(n, s + (xi - 1), a * l1, s, b * l1 + c * l2)
-    return _power_sum(n, e) * n
+    x = _col(xi)
+    j = inv[-(l1 + l2 + x - 1) % n]
+    e = _col(a) * l1 + _col(b) * m1[j] + _col(c) * m2[j]
+    counts = _row_counts(n, e, (j >= 0) & (x != 0))
+    if any(isinstance(v, np.ndarray) for v in (a, b, c, xi)):
+        return counts
+    return _reduced(n, counts, n)
 
 
-def f1_charsum_idx(
-    ft: FieldTable, a: int, b: int, bp: int, c: int, xi: int, yi: int
-) -> CycInt:
+def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     """sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam] chi(x) lam(y).
 
     At binomial pairs (l1, l2), with chi = chi_k, lam = chi_l and
-    s = l1 + l2, the three rows have exponents b l1 + k (s + log x),
-    b' l1 + l (s + log y) and a l1 + c l2 + (k + l) s. The sums over k and
-    l each keep only the terms whose slopes cancel, so the whole sum is
-    n^2 times two `_join`s around the [A chi lam|C chi lam] row: O(q) work.
-    The (q-1)^2 division is thus exact by construction; the thm1.3 batch,
-    which enumerates (chi, lam), still checks it. Only binomial pairs are
-    read, never the point-sum tables.
+    s = l1 + l2, the three factors have exponents b l1 + k (s + log x),
+    b' l1 + l (s + log y) and a l1 + c l2 + (k + l) s. For pair i of the
+    chi(x) factor, of slope t, the sum over k keeps the pair j of the
+    [A chi lam|C chi lam] factor of slope -t, and the sum over l then the
+    pair of the lam(y) factor whose slope cancels that of j: n^2 times at
+    most one term per i, O(q) work. So the (q-1)^2 division is exact by
+    construction; the thm1.3 batch, which enumerates (chi, lam), still
+    checks it. Ints or int64 columns as `f21_charsum_idx`, with counts
+    before the factor n^2.
     """
     n = ft.n
-    if xi == 0 or yi == 0:
-        return cyc_zero(n)
+    inv, m1, m2 = _slope_index(ft)
     l1, l2 = _binom_logs(ft)
-    s = l1 + l2
-    t, e = _join(n, s + (xi - 1), b * l1, s, a * l1 + c * l2)  # k
-    _, e = _join(n, -t, e, s + (yi - 1), bp * l1)  # l: the slope t again
-    return _power_sum(n, e) * (n * n)
+    x, y = _col(xi), _col(yi)
+    t = l1 + l2 + x - 1
+    j = inv[-t % n]
+    k = inv[(t - y + 1) % n]
+    e = _col(b) * l1 + _col(a) * m1[j] + _col(c) * m2[j] + _col(bp) * m1[k]
+    counts = _row_counts(n, e, (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
+    if any(isinstance(v, np.ndarray) for v in (a, b, bp, c, xi, yi)):
+        return counts
+    return _reduced(n, counts, n * n)
+
+
+def _reduced(n: int, counts: np.ndarray, scale: int) -> CycInt:
+    """Row 0 of `counts` as a `CycInt`, times `scale` in Python ints, so
+    that no int64 bound applies to the scale."""
+    return CycInt.from_powers(n, counts[0].tolist()) * scale
 
 
 # ----------------------------------------------------------------------

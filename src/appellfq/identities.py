@@ -34,21 +34,62 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import _binom_logs, binom_counts, binomial_table
+from .characters import _slope_index, binom_counts, binomial_table
 from .cyclotomic import CycInt, all_roots, cyc_zero
 from .fields import FieldTable
 from .hypergeometric import (
     _col,
-    _join,
-    _power_sum,
+    _reduced,
     _row_counts,
     f1_charsum_idx,
     f1_point_idx,
     f21_charsum_idx,
     f21_point_idx,
-    point_logs,
     point_rows,
 )
+
+
+# ----------------------------------------------------------------------
+# The sums over characters of Sections 2 and 4 other than f21/f1, as
+# (S, n) zeta-power counts of int64 columns (an int stands for every
+# row), by the gather of `hypergeometric.f21_charsum_idx`.
+# ----------------------------------------------------------------------
+
+def power_sum_counts(ft: FieldTable, step) -> np.ndarray:
+    """sum over k = 0 .. n-1 of zeta^(k step)."""
+    return _row_counts(ft.n, _col(step) * np.arange(ft.n))
+
+
+def binthm_counts(ft: FieldTable, A, x) -> np.ndarray:
+    """sum over chi of [A chi|chi] chi(x), before a factor n.
+
+    chi_k has exponent A l1 + k (l1 + l2 + log x) at the binomial pair
+    (l1, l2), so only the one pair of slope -log x survives, n times.
+    """
+    n = ft.n
+    inv, m1, _ = _slope_index(ft)
+    x = _col(x)
+    i = inv[-(x - 1) % n]
+    return _row_counts(n, _col(A) * m1[i], (i >= 0) & (x != 0))
+
+
+def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis) -> np.ndarray:
+    """sum over theta of [X theta|theta] theta(t) S(theta), before a factor n.
+
+    S(theta) is the point sum at `xis` whose exponent at u is
+    coeffs . L + theta L[k], L = `point_rows`(xis): the sum's parameter
+    in position k shifted by theta. [X theta|theta] theta(t) has exponent
+    X l1 + theta (l1 + l2 + log t) at the binomial pair (l1, l2), so at
+    each u the sum over theta keeps the pair whose slope cancels
+    L[k] + log t, n times.
+    """
+    n = ft.n
+    L, ok = point_rows(ft, *xis)
+    inv, m1, _ = _slope_index(ft)
+    t = _col(t)
+    i = inv[-(L[k] + t - 1) % n]
+    e = _col(X) * m1[i] + sum(_col(c) * row for c, row in zip(coeffs, L))
+    return _row_counts(n, e, ok & (i >= 0) & (t != 0))
 
 
 class EvalContext:
@@ -121,36 +162,13 @@ class EvalContext:
         return f1_charsum_idx(self.ft, a, b, bp, c, x, y)
 
     def power_sum(self, step):
-        """sum over k = 0 .. n-1 of zeta^(k step)."""
-        return _power_sum(self.n, np.arange(self.n) * step)
+        return CycInt.from_powers(self.n, power_sum_counts(self.ft, step)[0].tolist())
 
     def binthm(self, A, x):
-        """sum over chi of [A chi|chi] chi(x), exact and uncleared.
-
-        chi_k has exponent A l1 + k (l1 + l2 + log x) at the binomial pairs
-        (l1, l2), so only slope 0 survives, n times.
-        """
-        if x == 0:
-            return self.zero
-        l1, l2 = _binom_logs(self.ft)
-        return _power_sum(self.n, A * l1[(l1 + l2 + (x - 1)) % self.n == 0]) * self.n
+        return _reduced(self.n, binthm_counts(self.ft, A, x), self.n)
 
     def theta(self, t, X, coeffs, k, *xis):
-        """sum over theta of [X theta|theta] theta(t) S(theta), uncleared.
-
-        S(theta) is the point sum at `xis` whose exponent at its terms is
-        coeffs . L + theta L[k], L = point_logs(xis): the sum's parameter
-        in position k shifted by theta. [X theta|theta] theta(t) has
-        exponent X l1 + theta (l1 + l2 + log t) at its binomial pairs
-        (l1, l2), so the sum is n times one `_join` of the binomial row
-        with the point-sum row on their slopes.
-        """
-        L = point_logs(self.ft, *xis)
-        if t == 0 or not L.shape[1]:
-            return self.zero
-        l1, l2 = _binom_logs(self.ft)
-        _, e = _join(self.n, l1 + l2 + (t - 1), X * l1, L[k], np.dot(coeffs, L))
-        return _power_sum(self.n, e) * self.n
+        return _reduced(self.n, theta_counts(self.ft, t, X, coeffs, k, *xis), self.n)
 
 
 class Counts:
@@ -220,14 +238,10 @@ class BatchContext:
     that stands for every row, and each value is `Counts`, so a compiled
     side evaluates a whole chunk of bindings in one call. The exponents are
     those of the scalar evaluators, counted per row with `np.bincount`
-    instead of reduced one binding at a time. The point sums are the
-    column form of `f21_point_idx` / `f1_point_idx` itself, wrapped in
-    `Counts`; `table` calls the same kernel.
-
-    The character sums gather through `_inv_slope`: the slope of a binomial
-    pair, l1 + l2 = log(u / (u - 1)), is injective on u outside {0, 1}, so
-    a slope class holds at most one pair, and the pair that cancels a given
-    slope is one table lookup. Each sum is then O(q) per binding.
+    instead of reduced one binding at a time. The point sums and the five
+    sums over characters (f21, f1, theta, binthm, power_sum) are the
+    column forms of the kernels `EvalContext` reduces, wrapped in `Counts`
+    with a bound on their mass; `table` calls the same point-sum kernel.
     """
 
     def __init__(self, ft: FieldTable):
@@ -256,21 +270,6 @@ class BatchContext:
         index = np.empty(ft.q, dtype=np.int64)
         index[coeffs @ place] = np.arange(ft.q)
         return coeffs, place, index
-
-    @functools.cached_property
-    def _inv_slope(self) -> np.ndarray:
-        """inv[v] is the binomial pair whose slope is v mod n, or -1 (v = 0,
-        the slope of u / (u - 1) = 1, has none)."""
-        l1, l2 = _binom_logs(self.ft)
-        inv = np.full(self.n, -1, dtype=np.int64)
-        inv[(l1 + l2) % self.n] = np.arange(len(l1))
-        return inv
-
-    @functools.cached_property
-    def _pair_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """`_binom_logs` with a 0 appended, for the -1 of `_inv_slope` to
-        read where no pair matches (those entries are masked out)."""
-        return tuple(np.append(v, 0) for v in _binom_logs(self.ft))
 
     def _onehot(self, t, keep=True) -> Counts:
         """zeta^t in each row where `keep`, else 0."""
@@ -317,52 +316,20 @@ class BatchContext:
         return Counts(f1_point_idx(self.ft, a, b, bp, c, x, _col(y)), self.n)
 
     def f21_sum(self, a, b, c, x):
-        """As `f21_charsum_idx`: the pair j whose slope cancels that of pair
-        i of the chi(x) row, for every i."""
-        n = self.n
-        l1, l2 = _binom_logs(self.ft)
-        m1, m2 = self._pair_logs
-        x = _col(x)
-        j = self._inv_slope[-(l1 + l2 + x - 1) % n]
-        e = _col(a) * l1 + _col(b) * m1[j] + _col(c) * m2[j]
-        keep = (j >= 0) & (x != 0)
-        return Counts(_row_counts(n, e, keep) * n, n * (self.q - 2))
+        return Counts(f21_charsum_idx(self.ft, a, b, c, _col(x)), self.q - 2) * self.n
 
     def f1_sum(self, a, b, bp, c, x, y):
-        """As `f1_charsum_idx`: for pair i of the chi(x) row, pair j of the
-        [A chi lam|C chi lam] row cancels its slope t, and pair k of the
-        lam(y) row cancels -t."""
-        n = self.n
-        l1, l2 = _binom_logs(self.ft)
-        m1, m2 = self._pair_logs
-        x, y = _col(x), _col(y)
-        t = l1 + l2 + x - 1
-        j = self._inv_slope[-t % n]
-        k = self._inv_slope[(t - y + 1) % n]
-        e = _col(b) * l1 + _col(a) * m1[j] + _col(c) * m2[j] + _col(bp) * m1[k]
-        keep = (j >= 0) & (k >= 0) & (x != 0) & (y != 0)
-        return Counts(_row_counts(n, e, keep) * (n * n), n * n * (self.q - 2))
+        counts = f1_charsum_idx(self.ft, a, b, bp, c, x, _col(y))
+        return Counts(counts, self.q - 2) * (self.n * self.n)
 
     def power_sum(self, step):
-        return Counts(_row_counts(self.n, _col(step) * np.arange(self.n)), self.n)
+        return Counts(power_sum_counts(self.ft, step), self.n)
 
     def binthm(self, A, x):
-        """As `EvalContext.binthm`: the one pair of slope -log x, n times."""
-        i = self._inv_slope[-(_col(x) - 1) % self.n]
-        e = _col(A) * self._pair_logs[0][i]
-        return self._onehot(e, (i >= 0) & (_col(x) != 0)) * self.n
+        return Counts(binthm_counts(self.ft, A, x), 1) * self.n
 
     def theta(self, t, X, coeffs, k, *xis):
-        """As `EvalContext.theta`: for each point u, the binomial pair whose
-        slope cancels L[k] at u plus log t."""
-        n = self.n
-        L, ok = point_rows(self.ft, *xis)
-        t = _col(t)
-        i = self._inv_slope[-(L[k] + t - 1) % n]
-        e = _col(X) * self._pair_logs[0][i] + sum(
-            _col(c) * row for c, row in zip(coeffs, L))
-        keep = ok & (i >= 0) & (t != 0)
-        return Counts(_row_counts(n, e, keep) * n, n * n)
+        return Counts(theta_counts(self.ft, t, X, coeffs, k, *xis), self.n) * self.n
 
 
 @dataclass(frozen=True)
@@ -653,7 +620,7 @@ _REGISTRY: list[IdentityCase] = [
         ("flip the sign of the [A|C] d(x) term",
          "- c.binom(A, C)", "+ c.binom(A, C)"),
     ),
-    # thm4.*: the point sum's parameter k in (A, C, B, B') of point_logs
+    # thm4.*: the point sum's parameter k in (A, C, B, B') of point_rows
     # is shifted by theta (k = 0 for A, 2 for B)
     _entry(
         "thm4.1",

@@ -111,6 +111,7 @@ class VerifyReport:
                 }
                 for ce in self.counterexamples
             ],
+            **({"error": self.error} if self.error is not None else {}),
             "ms": None,
         }
 
@@ -477,7 +478,7 @@ def verify_all(
                     identity_id=entry.id,
                     q=field.q,
                     mode=mode,
-                    seed=seed if mode == "sampled" else None,
+                    seed=(seed or 0) if mode == "sampled" else None,
                     cases=0,
                     error=f"{type(exc).__name__}: {exc}",
                 )

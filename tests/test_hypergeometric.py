@@ -1,11 +1,14 @@
 """Point-sum vs character-sum routes for the 2F1 and F1 analogues."""
 
+import functools
 import itertools
 import random
 import time
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from appellfq import (
@@ -22,6 +25,7 @@ from appellfq import (
     f21_point_sum,
 )
 from appellfq.cyclotomic import _ring, all_roots
+from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import (
     f1_charsum_idx,
     f1_point_idx,
@@ -273,6 +277,60 @@ def test_f21_charsum_vs_reference(fields):
             xi = rng.randrange(ft.q)
             assert f21_charsum_idx(ft, a, b, c, xi) == \
                 _f21_charsum_reference(ft, a, b, c, xi)
+
+
+def _charsum_columns(ft, chars, elems, count, rng):
+    """Every binding as int64 columns at q <= 4, else `count` random ones:
+    exponents in [-2n, 2n), as a side's sums and negations give them, and
+    after row 0 the rows x = 0, x = 1, y = 0 and x = y."""
+    shape = (ft.n,) * chars + (ft.q,) * elems
+    if ft.q <= 4:
+        return list(np.unravel_index(np.arange(np.prod(shape)), shape))
+    cols = [rng.integers(-2 * ft.n, 2 * ft.n, count) for _ in range(chars)]
+    cols += [rng.integers(0, ft.q, count) for _ in range(elems)]
+    x = cols[chars]
+    x[1], x[2] = 0, 1
+    if elems == 2:
+        y = cols[chars + 1]
+        y[3], y[4] = 0, x[4]
+    return cols
+
+
+CHARSUMS = {  # kernel, its reference, characters, elements, random rows
+    "f21": (f21_charsum_idx, _f21_charsum_reference, 3, 1, 30),
+    "f1": (f1_charsum_idx, _f1_charsum_reference, 4, 2, 12),
+}
+
+
+# the F1 reference takes about 3 s a binding at q = 101
+@pytest.mark.parametrize("name,q", [
+    pytest.param(name, q, marks=pytest.mark.slow) if (name, q) == ("f1", 101)
+    else (name, q) for name in CHARSUMS for q in (2, 3, 4, 16, 25, 27, 101)
+])
+def test_charsum_columns_vs_reference(name, q):
+    """A character sum's column form, the kernel of `BatchContext`, times n
+    (n^2 for F1) and reduced, against the independent loop over characters
+    row by row; at q > 4 also with some arguments given as ints, which
+    stand for every row, except for F1 at q = 101, which is checked on
+    row 0 and the four boundary rows only."""
+    kernel, reference, chars, elems, count = CHARSUMS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # q = 2 warns
+        ft = build_field(*prime_power_decompose(q))
+    rows = _ring(ft.n).np_rows
+    few = (name, q) == ("f1", 101)
+    if few:
+        count = 5
+    cols = _charsum_columns(ft, chars, elems, count, np.random.default_rng(q))
+    want = functools.cache(lambda *b: reference(ft, *b).coeffs)
+    ints = [(), (0, len(cols) - 1), tuple(range(1, len(cols)))]
+    for at in ints[:1] if q <= 4 or few else ints:
+        args = [int(col[0]) if i in at else col for i, col in enumerate(cols)]
+        got = kernel(ft, *args) @ rows * ft.n ** (chars - 2)
+        assert got.shape == (len(cols[0]), rows.shape[1])
+        for r, row in enumerate(got.tolist()):
+            binding = [a if i in at else int(a[r]) for i, a in enumerate(args)]
+            assert tuple(row) == want(*binding), (at, binding)
 
 
 def _char_routes_match_point_routes(ft):

@@ -219,6 +219,28 @@ def test_verify_all_collects_errors(ft5):
     assert reports[1].passed
 
 
+def test_error_report_keeps_its_error_and_the_sampled_seed(ft5, monkeypatch):
+    import appellfq.verifier as V
+
+    bad = dataclasses.replace(
+        get_identity("thm1.2"), id="explodes",
+        rhs=lambda c, b: (_ for _ in ()).throw(RuntimeError("boom")),
+    )
+    orig = V.get_identity
+    monkeypatch.setattr(V, "get_identity",
+                        lambda i: bad if i == "explodes" else orig(i))
+    # seed=None: the error report records the seed 0 that verify uses
+    reports = verify_all(ft5, ids=["explodes", "thm1.2"], mode="sampled",
+                         sample_count=5)
+    assert reports[0].to_json() == {
+        "id": "explodes", "q": 5, "mode": "sampled", "seed": 0, "cases": 0,
+        "counterexamples": [], "error": "RuntimeError: boom", "ms": None,
+    }
+    assert reports[1].seed == 0 and "error" not in reports[1].to_json()
+    [report] = verify_all(ft5, ids=["explodes"])
+    assert report.seed is None and report.to_json()["error"] == "RuntimeError: boom"
+
+
 def test_report_json_schema(ft5):
     rep = verify("prop2.3-a", ft5)
     doc = rep.to_json()

@@ -1,10 +1,13 @@
-"""Generating-function left sides (thm4.*) and the slope join.
+"""Generating-function left sides (thm4.*) against the plain theta loop.
 
-Each left side is one `_join` of the binomial row with the point-sum row
-on their slopes; here they are checked against the plain theta loop over
-scalar point sums, and `_join` against enumeration of all pairs.
+Each left side is `identities.theta_counts`: at each point u of the
+point sum, the sum over theta keeps only the binomial pair whose slope
+cancels theta's coefficient at u, found by one gather. Here its scalar
+value and its column form on `BatchContext` are checked against the sum
+over theta of scalar binomials times scalar point sums.
 """
 
+import functools
 import itertools
 import random
 import warnings
@@ -13,10 +16,10 @@ import numpy as np
 import pytest
 
 from appellfq import build_field, get_identity
-from appellfq.cyclotomic import cyc_zero, root_of_unity
+from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
-from appellfq.hypergeometric import _join, f1_point_idx, f21_point_idx
-from appellfq.identities import EvalContext
+from appellfq.hypergeometric import f1_point_idx, f21_point_idx
+from appellfq.identities import BatchContext, EvalContext
 
 
 def _field(q):
@@ -61,7 +64,8 @@ def _reference(c, identity_id, binding):
 
 def _bindings(entry, ft, limit, rng):
     """Every binding over all elements (t = 1 included) when there are at
-    most `limit`, else `limit` random ones plus each with an element 0."""
+    most `limit`, else `limit` random ones: first each with an element 0,
+    then x = 1 and x = y (y the second element)."""
     k, m = len(entry.chars), len(entry.elems)
     if ft.n**k * ft.q**m <= limit:
         return [a + e for a in itertools.product(range(ft.n), repeat=k)
@@ -74,44 +78,52 @@ def _bindings(entry, ft, limit, rng):
             elems[i % m] = 0
             if i >= m:
                 elems[(i + 1) % m] = 0
+        elif i == 3 * m:
+            elems[0] = 1
+        elif i == 3 * m + 1:
+            elems[1] = elems[0]
         out.append(chars + tuple(elems))
     return out
+
+
+def _check(entry, ft, bindings, rng):
+    """The lhs at each binding against `_reference`: scalar, and in the
+    column form of `BatchContext`, reduced row by row, with the exponents
+    moved into [-2n, 2n) as a side's sums and negations give them, once
+    as columns and once with the characters of the first binding as ints.
+    """
+    c = EvalContext(ft)
+    ref = functools.cache(lambda b: _reference(c, entry.id, b))
+    for b in bindings:
+        assert entry.lhs(c, b) == ref(b), b
+    k, n = len(entry.chars), ft.n
+    cols = [np.array([v + n * rng.randrange(-2, 2) for v in col]) if i < k
+            else np.array(col) for i, col in enumerate(zip(*bindings))]
+    rows = _ring(n).np_rows
+    for at in ((), range(k)):
+        args = tuple(int(col[0]) if i in at else col for i, col in enumerate(cols))
+        got = entry.lhs(BatchContext(ft), args).a @ rows
+        for r, row in enumerate(got.tolist()):
+            b = tuple(bindings[0 if i in at else r][i] for i in range(len(cols)))
+            assert tuple(row) == ref(b).coeffs, (list(at), b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 @pytest.mark.parametrize("identity_id", sorted(SHIFTS))
 def test_theta_sum_matches_theta_loop_small_q(identity_id, q):
     ft = _field(q)
-    c = EvalContext(ft)
     entry = get_identity(identity_id)
-    bindings = _bindings(entry, ft, 2000, random.Random(q))
+    rng = random.Random(q)
+    # every binding at q <= 4 (5184 for thm4.1 at q = 4)
+    bindings = _bindings(entry, ft, 6000 if q <= 4 else 2000, rng)
     assert any(0 in b[len(entry.chars):] for b in bindings)
-    for b in bindings:
-        assert entry.lhs(c, b) == _reference(c, identity_id, b), b
+    _check(entry, ft, bindings, rng)
 
 
-@pytest.mark.parametrize("q,count", [(16, 60), (25, 60), (101, 8)])
+@pytest.mark.parametrize("q,count", [(16, 60), (25, 60), (27, 60), (101, 12)])
 @pytest.mark.parametrize("identity_id", sorted(SHIFTS))
 def test_theta_sum_matches_theta_loop_sampled(identity_id, q, count):
     ft = _field(q)
-    c = EvalContext(ft)
     entry = get_identity(identity_id)
-    for b in _bindings(entry, ft, count, random.Random(1000 + q)):
-        assert entry.lhs(c, b) == _reference(c, identity_id, b), b
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 25, 101])  # n = 1, 2, 4, 24, 100
-def test_join_matches_pair_enumeration(q):
-    n = _field(q).n
-    rng = np.random.default_rng(q)
-    # sizes 0 give empty rows; slopes drawn from a few values past n give
-    # slope classes of several entries on both sides, negative ones included
-    for m1, m2 in ((0, 0), (0, 5), (5, 0), (1, 1), (7, 30), (40, 3), (n, n)):
-        s1, s2 = (rng.integers(-3 * n, 3 * n, size=m, endpoint=True)
-                  for m in (m1, m2))
-        e1, e2 = (rng.integers(-50, 50, size=m) for m in (m1, m2))
-        got = sorted(zip(*(v.tolist() for v in _join(n, s1, e1, s2, e2))))
-        want = sorted((int(s1[i]), int(e1[i] + e2[j]))
-                      for i in range(m1) for j in range(m2)
-                      if (s1[i] + s2[j]) % n == 0)
-        assert got == want
+    rng = random.Random(1000 + q)
+    _check(entry, ft, _bindings(entry, ft, count, rng), rng)
