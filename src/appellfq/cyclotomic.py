@@ -5,10 +5,9 @@ reduced modulo the n-th cyclotomic polynomial, with unbounded Python ints
 as coefficients, so equality is plain vector equality and no precision is
 ever lost. Character sums accumulate root-of-unity counts in a length-n
 vector and reduce once at the end. Reduction folds with z^n = 1 and then
-divides by Phi_n over its nonzero terms only, or, where Phi_n has many
-terms, by the sparse product of binomials it divides, and multiplication
-skips the zero coefficients of its sparser operand, so the cost follows
-the number of nonzero terms rather than phi(n).
+divides by Phi_n over its nonzero terms only, and multiplication skips the
+zero coefficients of its sparser operand, so the cost follows the number
+of nonzero terms rather than phi(n).
 """
 
 from __future__ import annotations
@@ -108,25 +107,6 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _tail(poly: list[int]) -> tuple[tuple[int, int], ...]:
-    """(i, -c) over the nonzero lower terms c x^i of a monic poly."""
-    return tuple((i, -c) for i, c in enumerate(poly[:-1]) if c)
-
-
-def _rem(vec: list[int], deg: int, tail) -> tuple[int, ...]:
-    """vec mod the monic x^deg - sum t x^i over `tail`, as deg
-    coefficients; consumes vec."""
-    for k in range(len(vec) - 1, deg - 1, -1):
-        c = vec[k]
-        if c:
-            base = k - deg
-            for i, t in tail:
-                vec[base + i] += c * t
-    if len(vec) < deg:
-        vec += [0] * (deg - len(vec))
-    return tuple(vec[:deg])
-
-
 class _Ring:
     """Per-n context: Phi_n and the reduction modulo it."""
 
@@ -135,42 +115,37 @@ class _Ring:
         self.n = n
         self.phi = len(poly) - 1
         # z^phi = sum t * z^i over the nonzero lower terms of the monic Phi_n
-        self.tail = _tail(poly)
-        # Phi_n = N / D, N and D the products of x^(n/d) - 1 over the
-        # divisors d of n with mobius(d) = 1 and -1. From f = Q Phi_n + R
-        # follows f D = Q N + R D with deg R D < deg N, so R is f D mod N
-        # divided by D: a few passes over f and a division by the sparse N,
-        # taken when Phi_n has too many terms to divide by directly.
-        divs = [(n // d, _mobius(d)) for d in _divisors(n)]
-        self.den = [m for m, mu in divs if mu == -1]
-        num = [1]
-        for m in (m for m, mu in divs if mu == 1):
-            num = _mul_binomial(num, m)
-        self.num_deg, self.num_tail = len(num) - 1, _tail(num)
-        width = n + sum(self.den)
-        self.via_binomials = (
-            2 * len(self.den) * width + (width - self.num_deg) * len(self.num_tail)
-            < (n - self.phi) * len(self.tail))
+        self.tail = tuple((i, -c) for i, c in enumerate(poly[:-1]) if c)
+        # split by t = 1, t = -1 and the rest, so that the division needs a
+        # product only for the rare |t| > 1 (none below n = 105)
+        self.plus = tuple(i for i, t in self.tail if t == 1)
+        self.minus = tuple(i for i, t in self.tail if t == -1)
+        self.other = tuple((i, t) for i, t in self.tail if abs(t) > 1)
 
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
         """Reduce sum vec[k] * z^k to the power basis; consumes vec.
 
         Folds with z^n = 1, then divides by Phi_n from the top degree down,
         touching only its nonzero terms: (min(len, n) - phi) * len(tail)
-        products at most; or, where that costs more, goes through N and D.
+        additions at most.
         """
-        n = self.n
+        n, phi, plus, minus, other = (self.n, self.phi, self.plus,
+                                      self.minus, self.other)
         for k in range(n, len(vec)):
             vec[k % n] += vec[k]
-        del vec[n:]
-        if not self.via_binomials:
-            return _rem(vec, self.phi, self.tail)
-        for m in self.den:
-            vec = _mul_binomial(vec, m)
-        vec = list(_rem(vec, self.num_deg, self.num_tail))
-        for m in self.den:
-            vec = _div_binomial(vec, m)
-        return tuple(vec)
+        for k in range(min(len(vec), n) - 1, phi - 1, -1):
+            c = vec[k]
+            if c:
+                base = k - phi
+                for i in plus:
+                    vec[base + i] += c
+                for i in minus:
+                    vec[base + i] -= c
+                for i, t in other:
+                    vec[base + i] += c * t
+        if len(vec) < phi:
+            vec += [0] * (phi - len(vec))
+        return tuple(vec[:phi])
 
     @functools.cached_property
     def np_rows(self) -> np.ndarray:

@@ -237,23 +237,6 @@ def test_kernel_matches_sympy_oracle(n):
         assert CycInt(n, a).galois(g).coeffs == _sympy_rem(sympy, n, poly(image))
 
 
-# Phi_7918 (7918 = 2*37*107) has 1457 terms and N = (x^7918 - 1)(x^107 - 1)
-# (x^37 - 1)(x^2 - 1) 16, so its reduction goes through N and D; Phi_2310
-# has 343 and N 2365, so it divides by Phi_n directly
-@pytest.mark.parametrize("n,via", [(34, True), (60, False), (1155, True),
-                                   (2310, False), (7918, True)])
-def test_reduction_routes_agree(n, via):
-    ring = _Ring(n)
-    assert ring.via_binomials is via
-    rng = random.Random(n)
-    for size in (1, n // 3, 2 * ring.phi - 1, n, 2 * n + 3):
-        vec = [rng.randint(-10**30, 10**30) for _ in range(size)]
-        got = []
-        for ring.via_binomials in (True, False):
-            got.append(ring.reduce(list(vec)))
-        assert got[0] == got[1] and len(got[0]) == ring.phi, size
-
-
 # the recurrence against one exact reduction per row; n = 1155 = 3*5*7*11
 # has max |row| = 9, and 252 and 1020 have repeated prime factors
 @pytest.mark.parametrize("n", list(range(1, 201)) + [252, 1020, 1155])
