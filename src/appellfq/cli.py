@@ -4,11 +4,12 @@ and the identity verification suite, with machine-readable JSON output.
 Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
 arguments: the field, the table cap, an element, a missing flag, a
 --samples, --jobs or --max-counterexamples below 1), 3 an evaluation
-failed: an evaluator raised, or refused the request (the exhaustive thm1.3
-batch past its int64 bound or memory budget, an exhaustive comparison
-past its int64 bound, or an f21/f1 table whose line count could pass
-int64, whose reduction rows pass their memory budget or whose values
-could pass int64, refused before any row is written).
+failed: an evaluator raised, or refused the request (an exhaustive
+comparison whose reduction rows pass their memory budget or whose counts
+could pass int64, or an f21/f1 table whose line count could pass int64,
+whose reduction rows pass their memory budget or whose values could pass
+int64, refused before any row is written). `verify --jobs` is deprecated
+and has no effect beyond a warning on stderr.
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -38,7 +39,7 @@ from .hypergeometric import (
     f21_point_sum,
 )
 from .identities import registry
-from .verifier import _admit_rows, verify
+from .verifier import VerifyReport, _admit_rows, verify
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -102,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sampled", action="store_true")
     p_ver.add_argument("--samples", type=int, default=10000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1, help="accepted (>= 1); "
-                       "one process runs, and output is the same at every value")
+    p_ver.add_argument("--jobs", type=int, default=None, help="deprecated, "
+                       "no effect: accepted (>= 1), and one process runs")
     p_ver.add_argument("--max-counterexamples", type=int, default=10)
 
     p_tab = sub.add_parser("table", help="dump a full value table (JSON lines)")
@@ -272,8 +273,10 @@ def _cmd_verify(args) -> int:
     mode = "sampled" if args.sampled else "exhaustive"
     if mode == "sampled" and args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
+    if args.jobs is not None:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
+        print("warning: --jobs is deprecated and has no effect", file=sys.stderr)
     if args.max_counterexamples < 1:
         raise UsageError("--max-counterexamples must be >= 1")
 
@@ -289,21 +292,12 @@ def _cmd_verify(args) -> int:
                     mode=mode,
                     sample_count=args.samples if mode == "sampled" else None,
                     seed=args.seed if mode == "sampled" else None,
-                    jobs=args.jobs,
                     max_counterexamples=args.max_counterexamples,
                 )
             except Exception as exc:
                 any_error = True
-                lines.append(
-                    json.dumps(
-                        {
-                            "id": ident,
-                            "q": ft.q,
-                            "mode": mode,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                )
+                rep = VerifyReport.from_error(ident, ft.q, mode, args.seed, exc)
+                lines.append(json.dumps(rep.to_json()))
                 continue
             if rep.counterexamples:
                 any_cex = True

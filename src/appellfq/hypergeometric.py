@@ -235,9 +235,9 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     [A chi lam|C chi lam] factor of slope -t, and the sum over l then the
     pair of the lam(y) factor whose slope cancels that of j: n^2 times at
     most one term per i, O(q) work. So the (q-1)^2 division is exact by
-    construction; the thm1.3 batch, which enumerates (chi, lam), still
-    checks it. Ints or int64 columns as `f21_charsum_idx`, with counts
-    before the factor n^2.
+    construction; the tests' `_f1_charsum_reference`, which enumerates
+    (chi, lam), checks it. Ints or int64 columns as `f21_charsum_idx`,
+    with counts before the factor n^2.
     """
     n = ft.n
     inv, m1, m2 = _slope_index(ft)

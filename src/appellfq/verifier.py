@@ -25,14 +25,11 @@ as a counterexample marked "divisibility".
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import binom_counts
 from .cyclotomic import _ring
 from .fields import FieldTable
 from .identities import (
@@ -88,6 +85,15 @@ class VerifyReport:
     counterexamples: list[dict] = field(default_factory=list)
     wall_ms: float = 0.0
     error: str | None = None
+
+    @classmethod
+    def from_error(cls, identity_id: str, q: int, mode: str, seed: int | None,
+                   exc: Exception) -> VerifyReport:
+        """The report of a verify that raised `exc`: no cases, and the
+        exception's type and message as its error."""
+        return cls(identity_id=identity_id, q=q, mode=mode,
+                   seed=(seed or 0) if mode == "sampled" else None, cases=0,
+                   error=f"{type(exc).__name__}: {exc}")
 
     @property
     def passed(self) -> bool:
@@ -243,6 +249,12 @@ def _scan_range(entry, ctx, domains, start, stop, cap):
                  refuse="sampled verification (--sampled) has no such limit")
 
 
+# The registered thm1.3 is scanned under this name only so that the
+# benchmark's span wrappers (perfbench/spans.py, ROADMAP item 5) can time
+# it on their own; it is `_scan_range` itself, not a second algorithm.
+_thm13_exhaustive_batch = _scan_range
+
+
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
     stream = _CounterStream(seed, i)
     return tuple(dom[stream.below(len(dom))] for dom in domains)
@@ -283,119 +295,6 @@ def _scan_samples(entry, ctx, domains, seed, start, stop, cap):
 
 
 # ----------------------------------------------------------------------
-# Batched exhaustive path for the double character sum (thm1.3), where a
-# per-binding loop would dominate the whole suite. Exact int64 tensor
-# algebra; mismatches are re-evaluated on the scalar path for reporting.
-# ----------------------------------------------------------------------
-
-def _reduction_rows(ft: FieldTable) -> np.ndarray:
-    """The (n, phi) rows that reduce zeta-power counts, once the batch is
-    known to fit. Binomial counts have mass q - 2, so its int64 counts
-    reach at most n^2 (q-2)^3 on the character side and (q-2)(q-1)^2 on the
-    point side, times max |rows| once reduced; its arrays (three
-    (n, n, q - 2) temporaries for the n^2 binomial rows, two n^5 and two n^4
-    for the rotation gather) must fit in half of physical memory. Past
-    either, this raises ValueError before any array, or the rows, is built.
-    """
-    n, q = ft.n, ft.q
-
-    def within_int64(bound):
-        if bound >= 2**63:
-            raise ValueError(
-                f"q = {q}: exact character sums here can reach {bound}, past "
-                f"the int64 limit 2^63 - 1; sampled verification (--sampled) "
-                f"has no such limit"
-            )
-
-    bound = max(n * n * (q - 2) ** 3, (q - 2) * (q - 1) ** 2)
-    within_int64(bound)
-    need = 8 * (3 * n * n * (q - 2) + 2 * n**5 + 2 * n**4)
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-    if need > budget:
-        raise ValueError(
-            f"q = {q}: this exact sum needs about {need} bytes of int64 "
-            f"arrays, over the budget of {budget} bytes (half of physical "
-            f"memory); sampled verification (--sampled) needs O(q) per "
-            f"binding"
-        )
-    ring = _ring(n)
-    within_int64(bound * ring.row_max)
-    return ring.np_rows
-
-
-def _thm13_exhaustive_batch(entry, ctx, cap):
-    ft = ctx.ft
-    n, q = ft.n, ft.q
-    qm1sq = (q - 1) ** 2
-    rows = _reduction_rows(ft)
-    ar = np.arange(n)
-    idx = (ar[:, None] - ar[None, :]) % n  # idx[m, i] = (m - i) mod n
-    bc = binom_counts(ft, ar[:, None], ar[None, :])  # (n, n, n)
-    om = ft.one_minus_idx
-
-    # point-sum tables shared by all character tuples
-    L2 = np.array([om[lu + 1] - 1 for lu in range(n)], dtype=np.int64)
-    L3 = np.array(
-        [[om[(lu + lx) % n + 1] - 1 for lx in range(n)] for lu in range(n)],
-        dtype=np.int64,
-    )
-    valid = (L2[:, None, None] >= 0) & (L3[:, :, None] >= 0) & (L3[:, None, :] >= 0)
-    LU = np.broadcast_to(ar[:, None, None], (n, n, n))
-    LXI = np.broadcast_to(ar[None, :, None], (n, n, n))
-    LYI = np.broadcast_to(ar[None, None, :], (n, n, n))
-    l3x = L3[:, :, None]
-    l3y = L3[:, None, :]
-
-    # rotation gather for the character-sum side
-    SH = (ar[:, None] * ar[None, :]) % n  # SH[l, k] = k*l mod n
-    IND = (
-        ar[None, None, None, None, :]
-        - SH[:, None, :, None, None]
-        - SH[None, :, None, :, None]
-    ) % n  # [lx, ly, k, l, m]
-    KK = ar[None, None, :, None, None]
-    LL = ar[None, None, None, :, None]
-
-    cex: list[dict] = []
-    divisor = qm1sq if entry.div_power else None
-
-    for a, b, bp, cc in itertools.product(range(n), repeat=4):
-        # point side for all nonzero x, y
-        pref = ((a + cc) * ft.log_minus_one) % n
-        E = (
-            pref
-            + a * LU
-            + ((cc - a) % n) * L2[:, None, None]
-            + ((-b) % n) * l3x
-            + ((-bp) % n) * l3y
-        ) % n
-        P = np.zeros((n, n, n), dtype=np.int64)
-        np.add.at(P, (LXI[valid], LYI[valid], E[valid]), 1)
-        P_red = P.reshape(n * n, n) @ rows
-
-        # character-sum side for all nonzero x, y
-        U0 = bc[(b + ar) % n, ar]
-        V0 = bc[(bp + ar) % n, ar]
-        W = bc[(a + ar) % n, (cc + ar) % n]
-        P2 = np.einsum("ki,lmi->klm", U0, V0[:, idx])
-        Wkl = W[(ar[:, None] + ar[None, :]) % n]
-        T = np.einsum("kli,klmi->klm", P2, Wkl[:, :, idx])
-        S = T[KK, LL, IND].sum(axis=(2, 3))  # [lx, ly, m]
-        S_red = S.reshape(n * n, n) @ rows
-
-        bad = np.nonzero((S_red != P_red * qm1sq).any(axis=1))[0]
-        if divisor is not None:
-            bad_div = np.nonzero((S_red % divisor != 0).any(axis=1))[0]
-            bad = np.union1d(bad, bad_div)
-        for flat in bad:
-            lx, ly = divmod(int(flat), n)
-            binding = (a, b, bp, cc, lx + 1, ly + 1)
-            found = _check_binding(entry, ctx, binding, divisor)
-            cex.extend(found[: cap - len(cex)])
-    return cex
-
-
-# ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
 
@@ -410,8 +309,9 @@ def verify(
 ) -> VerifyReport:
     """Check one identity over one field and report exactly.
 
-    Both modes run batched in one process; `jobs` is validated and otherwise
-    unused, so every report is the same at every `jobs`.
+    Both modes run batched in one process. `jobs` is deprecated and
+    ignored once validated (>= 1), so every report is the same at every
+    `jobs`.
     """
     entry = get_identity(identity) if isinstance(identity, str) else identity
     if mode not in ("exhaustive", "sampled"):
@@ -435,10 +335,9 @@ def verify(
 
     if mode == "exhaustive":
         cases, seed = entry.domain_size(field), None
-        if entry.id == "thm1.3" and entry is get_identity("thm1.3"):
-            cex = _thm13_exhaustive_batch(entry, ctx, cap)
-        else:
-            cex = _scan_range(entry, ctx, domains, 0, cases, cap)
+        scan = (_thm13_exhaustive_batch if entry is get_identity("thm1.3")
+                else _scan_range)
+        cex = scan(entry, ctx, domains, 0, cases, cap)
     else:
         cases, seed = sample_count, seed or 0
         cex = _scan_samples(entry, ctx, domains, seed, 0, cases, cap)
@@ -464,7 +363,8 @@ def verify_all(
     max_counterexamples: int = 10,
 ) -> list[VerifyReport]:
     """Run every registry entry (or the given ids); per-entry errors are
-    captured in the report instead of aborting the batch."""
+    captured in the report instead of aborting the batch. `jobs` is
+    deprecated and ignored, as in `verify`."""
     entries = registry() if ids is None else [get_identity(i) for i in ids]
     kw = dict(mode=mode, sample_count=sample_count, seed=seed, jobs=jobs,
               max_counterexamples=max_counterexamples)
@@ -474,15 +374,7 @@ def verify_all(
             reports.append(verify(entry, field, **kw))
         except Exception as exc:  # keep the batch going
             reports.append(
-                VerifyReport(
-                    identity_id=entry.id,
-                    q=field.q,
-                    mode=mode,
-                    seed=(seed or 0) if mode == "sampled" else None,
-                    cases=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+                VerifyReport.from_error(entry.id, field.q, mode, seed, exc))
     return reports
 
 

@@ -17,7 +17,8 @@ import pytest
 
 import appellfq.verifier as V
 from appellfq import build_field, get_identity, registry, verify
-from appellfq.cyclotomic import _ring
+from appellfq.characters import Character, binom
+from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import f1_point_idx, f21_point_idx
 from appellfq.identities import BatchContext, EvalContext
@@ -104,6 +105,54 @@ def test_point_columns_equal_int_loop(q, kernel, chars, elems):
         for r, row in enumerate(got.tolist()):
             binding = [a if i in at else int(a[r]) for i, a in enumerate(args)]
             assert tuple(row) == kernel(ft, *binding).coeffs, (at, binding)
+
+
+def _binthm_oracle(ft, a, x):
+    """sum over k of binom(chi_(a+k), chi_k) chi_k(x), term by term through
+    `Character` and `characters.binom` (the `_jacobi_counts` loop)."""
+    total = cyc_zero(ft.n)
+    for k in range(ft.n):
+        chi = Character(ft, k)
+        total = total + binom(Character(ft, a) * chi, chi) * chi(ft.elements[x])
+    return total
+
+
+def _power_sum_oracle(ft, step):
+    """sum over k of zeta^(k step), one root of unity at a time."""
+    total = cyc_zero(ft.n)
+    for k in range(ft.n):
+        total = total + root_of_unity(ft.n, k * step)
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_sums_over_characters_equal_oracle(q):
+    """`binthm` and `power_sum`, in the int form of `EvalContext` and the
+    column form of `BatchContext`, against term-by-term sums over the
+    characters: every binding at q <= 9, and at larger q random ones,
+    exponents outside 0 .. n-1 and the rows x = 0 and x = 1 included."""
+    ft = _field(q)
+    n = ft.n
+    ctx, batch = EvalContext(ft), BatchContext(ft)
+    rows = _ring(n).np_rows
+    if q <= 9:
+        a, x = (col.ravel() for col in np.mgrid[-n:2 * n, 0:q])
+        step = np.arange(-2 * n, 2 * n)
+    else:
+        rng = np.random.default_rng(q)
+        a, x = rng.integers(-2 * n, 2 * n, 200), rng.integers(0, q, 200)
+        x[:2] = 0, 1
+        step = rng.integers(-2 * n, 2 * n, 50)
+    got = np.broadcast_to(batch.binthm(a, x).a, (len(a), n)) @ rows
+    for row, ai, xi in zip(got.tolist(), a.tolist(), x.tolist()):
+        want = _binthm_oracle(ft, ai, xi)
+        assert ctx.binthm(ai, xi) == want, (ai, xi)
+        assert tuple(row) == want.coeffs, (ai, xi)
+    got = np.broadcast_to(batch.power_sum(step).a, (len(step), n)) @ rows
+    for row, k in zip(got.tolist(), step.tolist()):
+        want = _power_sum_oracle(ft, k)
+        assert ctx.power_sum(k) == want, k
+        assert tuple(row) == want.coeffs, k
 
 
 def _mutant(identity_id):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from appellfq import build_field
 from appellfq.cli import main
 
 
@@ -195,6 +196,16 @@ def test_verify_counts_below_one_are_usage_errors(capsys):
         assert rc == 2 and out == "" and flag in err
 
 
+def test_verify_jobs_is_deprecated(capsys):
+    args = ["verify", "thm3.7", "-q", "5", "--sampled", "--samples", "50"]
+    rc, out, err = run(capsys, *args)
+    assert rc == 0 and err == ""
+    for jobs in ("1", "2"):
+        rcj, outj, errj = run(capsys, *args, "--jobs", jobs)
+        assert rcj == 0 and outj == out
+        assert errj == "warning: --jobs is deprecated and has no effect\n"
+
+
 def test_verify_human_format(capsys):
     rc, out, _ = run(capsys, "verify", "prop2.3-a", "-q", "5",
                      "--exhaustive", "--format", "human")
@@ -258,14 +269,24 @@ def test_module_invocation_end_to_end():
 
 
 def test_evaluator_refusal_exits_3_from_every_command(capsys, monkeypatch):
-    # q = 101 is a valid field; the exhaustive thm1.3 batch refuses it over
-    # the memory budget (2 n^5 int64 cells), which is no usage error
-    rc, out, _ = run(capsys, "verify", "thm1.3", "-q", "101", "--exhaustive")
+    # q = 5 is a valid field; with a budget of one byte, an exhaustive check
+    # refuses to build its reduction rows, which is no usage error
+    import appellfq.cli as cli
+    import appellfq.verifier as verifier
+
+    monkeypatch.setattr(verifier, "_ROWS_BYTES", 1)
+    rc, out, _ = run(capsys, "verify", "thm1.1", "-q", "5", "--exhaustive")
     assert rc == 3
-    assert "bytes of int64 arrays, over the budget" in json.loads(out)["error"]
+    doc = json.loads(out)
+    # the error line has the keys of every other report, as verify_all's does
+    assert list(doc) == ["id", "q", "mode", "seed", "cases", "counterexamples",
+                         "error", "ms"]
+    assert doc["cases"] == 0 and doc["seed"] is None
+    assert "over the budget" in doc["error"]
+    [rep] = verifier.verify_all(build_field(5, 1), ids=["thm1.1"])
+    assert json.dumps(rep.to_json()) == out.strip()
     # the character routes refuse no field, so `eval` reaches exit 3 only
     # through an evaluator that raises
-    import appellfq.cli as cli
 
     def refuse(params):
         raise ValueError("refused")
