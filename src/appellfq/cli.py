@@ -377,34 +377,34 @@ def _admit_table(kind: str, ft: FieldTable):
 def _point_sum_chunks(kind: str, ft: FieldTable, shape, rows):
     """The text of an f21/f1 table, `_TABLE_CHUNK` lines at a time, in
     lexicographic order of the parameters over `shape`: one point-sum
-    kernel call per chunk over the decoded columns, reduced by `rows`."""
+    kernel call per chunk over the decoded columns, reduced by `rows`,
+    and each line gathered from `_line_tokens`. Their radius doubles when
+    a chunk holds a larger |field|, so it follows the values written."""
     names, _ = _POINT_TABLES[kind]
     kernel = getattr(hypergeometric, f"{kind}_point_idx")
-    total = math.prod(shape)
-    templates = _line_templates(names, ft.n, rows.shape[1])
+    total, radius = math.prod(shape), 0
     for lo in range(0, total, _TABLE_CHUNK):
         cols = np.unravel_index(np.arange(lo, min(lo + _TABLE_CHUNK, total)), shape)
         values = kernel(ft, *cols) @ rows
-        integer = ~values[:, 1:].any(axis=1)
-        # each line's fields in order, and its coefficient 0 again as the
-        # "integer" of an integer value
+        # each line's fields in order, and its coefficient 0 again
         fields = np.column_stack((*cols, values, values[:, 0]))
-        mask = np.ones(fields.shape, dtype=bool)
-        mask[:, -1] = integer
-        text = "".join([templates[i] for i in integer.tolist()])
-        yield text % tuple(fields[mask].tolist())
+        if (need := int(np.abs(fields).max()) + 1) > radius:
+            radius = max(need, 2 * radius)
+            tokens, offsets = _line_tokens(names, ft.n, rows.shape[1], radius)
+        fields[values[:, 1:].any(axis=1), -1] = -radius  # "integer": null
+        yield "".join(tokens.take((fields + offsets).ravel()).tolist())
 
 
-def _line_templates(names, n: int, phi: int) -> tuple[str, str]:
-    """%-templates of a table line as `json.dumps` writes its dict, fed its
-    parameters and then its phi reduced coefficients: one for a value that
-    is not an integer, and one, fed coefficient 0 once more, for a value
-    that is."""
-    params = "".join('"%s": %%d, ' % name for name in names)
-    coeffs = ", ".join(['"%d"'] * phi)
-    head = ("{" + params + '"value": {"n": ' + str(n) + ', "coeffs": ['
-            + coeffs + ']}, "integer": ')
-    return head + "null}\n", head + '"%d"}\n'
+def _line_tokens(names, n: int, phi: int, radius: int):
+    """Each field's text as `json.dumps` writes a table line, for the
+    values -R..R, and its offset into them; slot -R of the close is null."""
+    vals = range(-radius, radius + 1)
+    blocks = ['{"%s": %%d' % names[0]] + [', "%s": %%d' % s for s in names[1:]] + [
+        ', "value": {"n": %d, "coeffs": ["%%d"' % n, ', "%d"', ']}, "integer": "%d"}\n']
+    tokens = [block % v for block in blocks for v in vals]
+    tokens[-len(vals)] = ']}, "integer": null}\n'
+    offsets = np.repeat(np.arange(len(blocks)), [1] * (len(names) + 1) + [phi - 1, 1])
+    return np.array(tokens, dtype=object), offsets * len(vals) + radius
 
 
 def main(argv: list[str] | None = None) -> int:

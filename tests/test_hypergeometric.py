@@ -340,7 +340,7 @@ def _char_routes_match_point_routes(ft):
             f1_point_idx(ft, a, b, bp, c, xi, yi) * (ft.q - 1) ** 2
 
 
-def test_int64_bound_checked_before_allocating():
+def test_char_routes_match_point_routes_in_time_at_q7919():
     ft = build_field(7919, 1)
     # the character routes count in O(q) and scale by n in Python ints, so
     # no int64 bound applies to them
@@ -354,7 +354,7 @@ def test_int64_bound_checked_before_allocating():
         appell_f1_point_sum(AppellF1Params(*args))
 
 
-def test_memory_budget_checked_before_allocating():
+def test_char_routes_match_point_routes_in_time_at_q6199():
     ft = build_field(6199, 1)
     # the character routes need O(q) memory and never build reduction rows
     t0 = time.perf_counter()

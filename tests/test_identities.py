@@ -1,6 +1,7 @@
 """Registry structure and verifier behavior (determinism, domains, caps)."""
 
 import dataclasses
+import itertools
 import json
 import time
 
@@ -179,15 +180,39 @@ def test_jobs_parallel_respects_table_cap(monkeypatch):
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
 
 
+def _scalar_exhaustive(entry, ft):
+    """(cases, every counterexample) of an exhaustive verify, from a plain
+    loop over the domain that evaluates both sides on `EvalContext`, one
+    binding at a time."""
+    ctx = EvalContext(ft)
+    names = (*entry.chars, *entry.elems)
+    bindings = list(itertools.product(*_entry_domains(entry, ft)))
+    cex = []
+    for binding in bindings:
+        lhs, rhs = entry.lhs(ctx, binding), entry.rhs(ctx, binding)
+        record = {"binding": dict(zip(names, binding)), "lhs": lhs, "rhs": rhs}
+        if lhs != rhs:
+            cex.append(record)
+        if entry.div_power and any(c % (ft.q - 1) ** entry.div_power
+                                   for c in lhs.coeffs):
+            cex.append({**record, "note": "divisibility"})
+    return len(bindings), cex
+
+
 def test_thm13_batch_path_matches_generic(ft4, ft5):
+    # the batched scan of the registered thm1.3 and of its mutant against
+    # the scalar loop, with a cap that keeps every counterexample; the
+    # mutant has some at both q
+    base = get_identity("thm1.3")
+    broken = dataclasses.replace(base, id="thm1.3-mutant",
+                                 rhs=mutated_case(base)[1])
     for ft in (ft4, ft5):
-        base = get_identity("thm1.3")
-        generic = dataclasses.replace(base, id="thm1.3-generic")
-        r_batch = verify(base, ft)
-        r_generic = verify(generic, ft)
-        assert r_batch.cases == r_generic.cases
-        assert r_batch.counterexamples == r_generic.counterexamples
-        assert r_batch.passed and r_generic.passed
+        cap = 2 * base.domain_size(ft)
+        reports = [verify(entry, ft, max_counterexamples=cap)
+                   for entry in (base, broken)]
+        for entry, rep in zip((base, broken), reports):
+            assert (rep.cases, rep.counterexamples) == _scalar_exhaustive(entry, ft)
+        assert reports[0].passed and not reports[1].passed
 
 
 def test_batch_path_reports_mutations(ft5):
