@@ -378,8 +378,8 @@ def _point_sum_chunks(kind: str, ft: FieldTable, shape, rows):
     """The text of an f21/f1 table, `_TABLE_CHUNK` lines at a time, in
     lexicographic order of the parameters over `shape`: one point-sum
     kernel call per chunk over the decoded columns, reduced by `rows`,
-    and each line gathered from `_line_tokens`. Their radius doubles when
-    a chunk holds a larger |field|, so it follows the values written."""
+    and each line gathered from `_line_tokens`, built again at twice the
+    radius when a chunk holds a larger |field|: sized by what is written."""
     names, _ = _POINT_TABLES[kind]
     kernel = getattr(hypergeometric, f"{kind}_point_idx")
     total, radius = math.prod(shape), 0
