@@ -2,11 +2,12 @@
 
 The digests were recorded from the row-at-a-time writer; any change to the
 evaluation or the formatting of `table` must leave every byte in place.
-An f21/f1 table is written a chunk of lines at a time, so the bytes must
-not depend on where the chunks end, and a table past its bounds must be
-refused before its first line. Each f21/f1 line is also checked against
-`json.dumps` of the scalar point sum, which names the first line that
-differs where a digest says only that a byte moved.
+Every table is written a chunk of lines at a time, so the bytes must not
+depend on where the chunks end, and a table past its bounds must be
+refused before its first line. Each line is also checked against
+`json.dumps` of the scalar value (a Jacobi sum, a binomial or a point
+sum), which names the first line that differs where a digest says only
+that a byte moved.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import pytest
 import appellfq.cli as cli
 import appellfq.verifier as V
 from appellfq import build_field
+from appellfq.characters import Character, binom, jacobi_sum
 from appellfq.cli import main
 from appellfq.cyclotomic import _ring
 from appellfq.fields import prime_power_decompose
@@ -34,13 +36,32 @@ GOLDEN = {
     ("f1", 4): "ae234aa774128c7a1c34be250fe0180585b51a81f66f2f0cd1bf340521a6b68e",
     ("f1", 5): "fa42bc0407bc497a063ae8f7c0973cd274282393c8ffe529209754a9d67f7567",
     ("f1", 8): "0039c28fe8c90c8173abd5178b8799fb65919878ed03fbe0d5766f3902157bab",
+    ("jacobi", 3): "e14ea0da08d79c8630c76051a23902e07cf4c66d8783de643138c76bbdc58efc",
+    ("jacobi", 4): "efffe207cb91d96054615e878b14f70f098c15bbeac7578540a99c1f2bc03cef",
+    ("jacobi", 5): "b77569980b77a5cfc8591f707a258855ef22e74c851f5a5d08d8b164e3e91c10",
+    ("jacobi", 8): "8e3b01f10bdc0b7801d42cb74e9feb046376ce50eafed449a6c06490f42963b3",
     ("jacobi", 9): "a0f4535c0030a2feb6b51f2ee7a597b45ba7ff581908f16130604996eeca0d9f",
+    ("jacobi", 16): "27c917323d73fc563f5b846f9f689591ea131d7edb19cec109d9ae10f76a434b",
+    ("jacobi", 25): "b9f224b638eef847aa6d625784f7afc085e80cb98e92a0da248eb9755d0cb6c8",
+    ("binom", 3): "78bcd7192f339a5ae4c2de3d121641bd62ebe3ae102d8f3f7648d6f2637011ad",
+    ("binom", 4): "77ed8d3b09edaf67600024e96b51dc9f7701712785bbb110a802b47eac3c254d",
+    ("binom", 5): "a2cfb64c82a18c2fc77f788cf05a8295fd7be4aaf2bae003efd57da937437c42",
+    ("binom", 8): "7d484c401743ee57240080d2195e3ca3c4c47e396da3c6c738dac7b860c0fe8b",
     ("binom", 9): "b72272b947d7fbf1552edc7e5ca308064e31c3e9e852d077a74ac34eef857cf0",
+    ("binom", 16): "acc50b6aa2e50ba644a08daf47b4c65867ebe38fd054450a061cfe7a8473bcd4",
+    ("binom", 25): "1ec5aebf72c20f7c9e45127347664836d0b7f257b85e0b1669e461522cfd57da",
 }
 
 
-# the point sum of each table and its parameters: characters, then elements
+def pair_sum(fn):
+    """`fn` of two characters, as a function of the field and two exponents."""
+    return lambda ft, a, b: fn(Character(ft, a), Character(ft, b))
+
+
+# the scalar value of each table and its parameters: characters, then elements
 REFERENCE = {
+    "jacobi": (pair_sum(jacobi_sum), ("A", "B"), ()),
+    "binom": (pair_sum(binom), ("A", "B"), ()),
     "f21": (f21_point_idx, ("A", "B", "C"), ("x",)),
     "f1": (f1_point_idx, ("A", "B", "Bp", "C"), ("x", "y")),
 }
@@ -48,7 +69,7 @@ REFERENCE = {
 
 def reference_lines(kind, q):
     """The lines of a table as the row-at-a-time writer wrote them: the
-    dict of each parameter tuple and its scalar point sum, by `json.dumps`."""
+    dict of each parameter tuple and its scalar value, by `json.dumps`."""
     ft = build_field(*prime_power_decompose(q))
     point_idx, chars, elems = REFERENCE[kind]
     domain = [range(ft.n)] * len(chars) + [range(ft.q)] * len(elems)
@@ -83,7 +104,7 @@ def test_table_bytes_are_golden(tmp_path, kind, q):
     assert table_digest(tmp_path, kind, q) == GOLDEN[kind, q]
 
 
-@pytest.mark.parametrize("kind,q", [("f1", 4), ("f21", 5)])
+@pytest.mark.parametrize("kind,q", [("f1", 4), ("f21", 5), ("binom", 8)])
 def test_chunk_edges_inside_blocks_keep_the_bytes(tmp_path, monkeypatch, kind, q):
     # 7 lines a chunk: chunk edges fall inside every block of x and y
     monkeypatch.setattr(cli, "_TABLE_CHUNK", 7)
@@ -92,7 +113,8 @@ def test_chunk_edges_inside_blocks_keep_the_bytes(tmp_path, monkeypatch, kind, q
 
 @pytest.mark.parametrize("chunk", [512, 1])
 @pytest.mark.parametrize(
-    "kind,q", [("f21", q) for q in (3, 4, 5, 8, 9)] + [("f1", q) for q in (3, 4, 5)])
+    "kind,q", [(k, q) for k in ("jacobi", "binom") for q in (3, 4, 5, 8, 16, 25)]
+    + [("f21", q) for q in (3, 4, 5, 8, 9)] + [("f1", q) for q in (3, 4, 5)])
 def test_table_lines_equal_the_scalar_reference(tmp_path, monkeypatch, kind, q, chunk):
     monkeypatch.setattr(cli, "_TABLE_CHUNK", chunk)
     sizes = token_table_sizes(monkeypatch)
@@ -103,7 +125,8 @@ def test_table_lines_equal_the_scalar_reference(tmp_path, monkeypatch, kind, q, 
     assert len(lines) == len(want)
     for i, (got, line) in enumerate(zip(lines, want)):
         assert got == line, f"line {i} of {kind} at q = {q}"
-    if chunk == 1:  # the parameters alone outgrow the first line's table
+    if chunk == 1 and REFERENCE[kind][2]:
+        # the elements alone outgrow the first line's table
         assert len(sizes) > 1
 
 
@@ -124,7 +147,9 @@ def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monke
     monkeypatch.setattr(V, "_ROWS_BYTES", 8 * ft.n * ring.phi - 1)
     assert "budget" in refused("f1", "-q", "5")
     assert "budget" in refused("f21", "-q", "5", "--out", str(path))
-    assert main(["table", "jacobi", "-q", "5"]) == 0  # needs no rows
+    # every kind reduces its values by the same rows
+    assert "budget" in refused("jacobi", "-q", "5", "--out", str(path))
+    assert "budget" in refused("binom", "-q", "5")
     monkeypatch.undo()
     # values that could pass int64: (q - 2) max|row| >= 2^63
     monkeypatch.setattr(ring, "row_max", 2**63 // 3 + 1)
