@@ -6,10 +6,10 @@ arguments: the field, the table cap, an element, a missing flag, a
 --samples, --jobs or --max-counterexamples below 1), 3 an evaluation
 failed: an evaluator raised, or refused the request (an exhaustive
 comparison whose reduction rows pass their memory budget or whose counts
-could pass int64, or an f21/f1 table whose line count could pass int64,
-whose reduction rows pass their memory budget or whose values could pass
-int64, refused before any row is written). `verify --jobs` is deprecated
-and has no effect beyond a warning on stderr.
+could pass int64, or a table of any kind whose line count could pass
+int64, whose reduction rows pass their memory budget or whose values
+could pass int64, refused before any row is written). `verify --jobs` is
+deprecated and has no effect beyond a warning on stderr.
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -26,9 +26,8 @@ import sys
 
 import numpy as np
 
-from . import hypergeometric
 from .characters import Character, binom, jacobi_sum
-from .cyclotomic import CycInt, _ring
+from .cyclotomic import CycInt
 from .fields import FieldTable, build_field, prime_power_decompose
 from .hypergeometric import (
     AppellF1Params,
@@ -38,13 +37,24 @@ from .hypergeometric import (
     f21_char_sum,
     f21_point_sum,
 )
-from .identities import registry
-from .verifier import VerifyReport, _admit_rows, verify
+from .identities import BatchContext, registry
+from .verifier import VerifyReport, _admit_rows, _reduce, verify
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+
+# each kind of `eval` and `table`: its parameters, how many of them are
+# characters (the rest are elements), and its value over a `BatchContext`
+# c; J(A, B) = B(-1) [A|B~] is the definition of binom read backwards
+_KINDS = {
+    "jacobi": (("A", "B"), 2, lambda c, A, B: c.sign(B) * c.binom(A, -B)),
+    "binom": (("A", "B"), 2, BatchContext.binom),
+    "f21": (("A", "B", "C", "x"), 3, BatchContext.f21),
+    "f1": (("A", "B", "Bp", "C", "x", "y"), 4, BatchContext.f1),
+}
 
 
 class UsageError(Exception):
@@ -58,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_field_args(p, q_list=False):
+    def add_field_args(p, q_list=False, fmt=True):
         p.add_argument("-p", type=int, help="field characteristic (prime)")
         p.add_argument("-r", type=int, default=1, help="extension degree")
         if q_list:
@@ -70,16 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--table-cap", type=int, default=None, help="override the q cap"
         )
-        p.add_argument(
-            "--format", choices=("json", "human"), default="json", dest="fmt"
-        )
+        if fmt:
+            p.add_argument("--format", choices=("json", "human"), default="json",
+                           dest="fmt")
         p.add_argument("--out", type=str, default=None, help="write output to file")
 
     p_info = sub.add_parser("field-info", help="describe a field")
     add_field_args(p_info)
 
     p_eval = sub.add_parser("eval", help="evaluate one sum exactly")
-    p_eval.add_argument("kind", choices=("jacobi", "binom", "f21", "f1"))
+    p_eval.add_argument("kind", choices=tuple(_KINDS))
     add_field_args(p_eval)
     p_eval.add_argument("-A", type=int, help="character exponent A")
     p_eval.add_argument("-B", type=int, help="character exponent B")
@@ -108,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-counterexamples", type=int, default=10)
 
     p_tab = sub.add_parser("table", help="dump a full value table (JSON lines)")
-    p_tab.add_argument("kind", choices=("jacobi", "binom", "f21", "f1"))
-    add_field_args(p_tab)
+    p_tab.add_argument("kind", choices=tuple(_KINDS))
+    add_field_args(p_tab, fmt=False)  # a table is JSON lines only
 
     return ap
 
@@ -202,13 +212,8 @@ def _cmd_field_info(args) -> int:
 
 def _eval_value(args, ft: FieldTable) -> tuple[dict, CycInt]:
     kind = args.kind
-    need = {
-        "jacobi": ("A", "B"),
-        "binom": ("A", "B"),
-        "f21": ("A", "B", "C"),
-        "f1": ("A", "B", "Bp", "C"),
-    }[kind]
-    exps = {name: _require_exponent(args, name) for name in need}
+    names, nchars, _ = _KINDS[kind]
+    exps = {name: _require_exponent(args, name) for name in names[:nchars]}
     chars = {name: Character(ft, e) for name, e in exps.items()}
     params: dict = dict(exps)
     if kind == "jacobi":
@@ -295,21 +300,18 @@ def _cmd_verify(args) -> int:
                     max_counterexamples=args.max_counterexamples,
                 )
             except Exception as exc:
-                any_error = True
                 rep = VerifyReport.from_error(ident, ft.q, mode, args.seed, exc)
-                lines.append(json.dumps(rep.to_json()))
-                continue
-            if rep.counterexamples:
-                any_cex = True
+            any_error |= rep.error is not None
+            any_cex |= bool(rep.counterexamples)
             if args.fmt == "json":
                 lines.append(json.dumps(rep.to_json()))
             else:
-                status = "PASS" if rep.passed else "FAIL"
+                status = "ERROR" if rep.error else "PASS" if rep.passed else "FAIL"
+                note = rep.error or f"{rep.wall_ms:.1f} ms"
                 lines.append(
                     f"{rep.identity_id} q={rep.q} {rep.mode} "
                     f"cases={rep.cases} counterexamples="
-                    f"{len(rep.counterexamples)} {status} "
-                    f"({rep.wall_ms:.1f} ms)"
+                    f"{len(rep.counterexamples)} {status} ({note})"
                 )
     _emit_once("\n".join(lines) + "\n", args.out)
     if any_error:
@@ -317,75 +319,45 @@ def _cmd_verify(args) -> int:
     return EXIT_COUNTEREXAMPLE if any_cex else EXIT_PASS
 
 
-# rows per kernel call of an f21/f1 table, whose (rows, n) int64
+# lines per chunk of a table, whose (lines, n) and (lines, q) int64
 # temporaries stay small next to the process (64 KB each at q = 17)
 _TABLE_CHUNK = 512
-
-# the parameters of an f21/f1 table row, and how many are characters
-_POINT_TABLES = {
-    "f21": (("A", "B", "C", "x"), 3),
-    "f1": (("A", "B", "Bp", "C", "x", "y"), 4),
-}
 
 
 def _cmd_table(args) -> int:
     ft = _field_from_args(args)
-    if args.kind in _POINT_TABLES:
-        chunks = _point_sum_chunks(args.kind, ft, *_admit_table(args.kind, ft))
-    else:
-        chunks = _pair_lines(args.kind, ft)
+    chunks = _table_chunks(args.kind, ft)
+    first = next(chunks)  # a refusal raises here, before --out is opened
     with _output(args.out) as out:
+        _emit(first, out)
         for text in chunks:
             _emit(text, out)
     return EXIT_PASS
 
 
-def _pair_lines(kind: str, ft: FieldTable):
-    """The lines of a jacobi or binom table, one at a time."""
-    fn = jacobi_sum if kind == "jacobi" else binom
-    for a in range(ft.n):
-        for b in range(ft.n):
-            value = fn(Character(ft, a), Character(ft, b))
-            value_json, as_int = _value_payload(value)
-            yield json.dumps({"A": a, "B": b, "value": value_json,
-                              "integer": as_int}) + "\n"
+def _table_chunks(kind: str, ft: FieldTable):
+    """The text of a table, `_TABLE_CHUNK` lines at a time, in
+    lexicographic order of its parameters: each chunk's columns decoded
+    from its line numbers, its values evaluated once on a `BatchContext`
+    and reduced by the (n, phi) rows, and each line gathered from
+    `_line_tokens`, built again at twice the radius when a chunk holds a
+    larger |field|: sized by what is written.
 
-
-def _admit_table(kind: str, ft: FieldTable):
-    """The shape of an f21/f1 table's domain and the (n, phi) rows that
-    reduce its counts.
-
-    Refused with a ValueError naming q, before any line is written, if the
+    Refused with a ValueError naming q, before the first chunk, if the
     number of lines would pass int64 (as for f1 at q = 1451), if the rows
-    would pass `verifier._ROWS_BYTES` or int64, or if a value could: a
-    point sum counts at most q - 2 points u, so every reduced coefficient
-    is at most (q - 2) max|row| in size.
+    would pass `verifier._ROWS_BYTES` or int64, or if `verifier._reduce`
+    refuses the values (every chunk of a kind has the same mass).
     """
-    names, chars = _POINT_TABLES[kind]
+    names, chars, value = _KINDS[kind]
     shape = (ft.n,) * chars + (ft.q,) * (len(names) - chars)
-    if math.prod(shape) >= 2**63:
-        raise ValueError(f"q = {ft.q}: the {kind} table has {math.prod(shape)} "
-                         f"lines, past the int64 limit 2^63 - 1")
-    rows = _admit_rows(ft)
-    bound = (ft.q - 2) * _ring(ft.n).row_max
-    if bound >= 2**63:
-        raise ValueError(f"q = {ft.q}: table values can reach {bound}, past "
-                         f"the int64 limit 2^63 - 1")
-    return shape, rows
-
-
-def _point_sum_chunks(kind: str, ft: FieldTable, shape, rows):
-    """The text of an f21/f1 table, `_TABLE_CHUNK` lines at a time, in
-    lexicographic order of the parameters over `shape`: one point-sum
-    kernel call per chunk over the decoded columns, reduced by `rows`,
-    and each line gathered from `_line_tokens`, built again at twice the
-    radius when a chunk holds a larger |field|: sized by what is written."""
-    names, _ = _POINT_TABLES[kind]
-    kernel = getattr(hypergeometric, f"{kind}_point_idx")
-    total, radius = math.prod(shape), 0
+    total = math.prod(shape)
+    if total >= 2**63:
+        raise ValueError(f"q = {ft.q}: the {kind} table has {total} lines, "
+                         f"past the int64 limit 2^63 - 1")
+    rows, c, radius = _admit_rows(ft), BatchContext(ft), 0
     for lo in range(0, total, _TABLE_CHUNK):
         cols = np.unravel_index(np.arange(lo, min(lo + _TABLE_CHUNK, total)), shape)
-        values = kernel(ft, *cols) @ rows
+        values = _reduce(value(c, *cols), rows, ft)
         # each line's fields in order, and its coefficient 0 again
         fields = np.column_stack((*cols, values, values[:, 0]))
         if (need := int(np.abs(fields).max()) + 1) > radius:

@@ -241,7 +241,8 @@ class BatchContext:
     instead of reduced one binding at a time. The point sums and the five
     sums over characters (f21, f1, theta, binthm, power_sum) are the
     column forms of the kernels `EvalContext` reduces, wrapped in `Counts`
-    with a bound on their mass; `table` calls the same point-sum kernel.
+    with a bound on their mass (a point sum counts the q - 2 u outside
+    {0, 1}); `table` writes every kind of value through these helpers.
     """
 
     def __init__(self, ft: FieldTable):
@@ -310,10 +311,10 @@ class BatchContext:
         return Counts(a.reshape(-1, self.n), self.q - 2)
 
     def f21(self, a, b, c, x):
-        return Counts(f21_point_idx(self.ft, a, b, c, _col(x)), self.n)
+        return Counts(f21_point_idx(self.ft, a, b, c, _col(x)), self.q - 2)
 
     def f1(self, a, b, bp, c, x, y):
-        return Counts(f1_point_idx(self.ft, a, b, bp, c, x, _col(y)), self.n)
+        return Counts(f1_point_idx(self.ft, a, b, bp, c, x, _col(y)), self.q - 2)
 
     def f21_sum(self, a, b, c, x):
         return Counts(f21_charsum_idx(self.ft, a, b, c, _col(x)), self.q - 2) * self.n

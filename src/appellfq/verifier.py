@@ -34,6 +34,7 @@ from .cyclotomic import _ring
 from .fields import FieldTable
 from .identities import (
     BatchContext,
+    Counts,
     EvalContext,
     IdentityCase,
     get_identity,
@@ -177,6 +178,17 @@ def _admit_rows(ft: FieldTable) -> np.ndarray:
         raise ValueError(f"q = {ft.q}: {exc}") from None
 
 
+def _reduce(value: Counts, rows: np.ndarray, ft: FieldTable) -> np.ndarray:
+    """The coefficients of `value` reduced by the (n, phi) `rows`, one row
+    per row of `value`: exact iff mass * max|row| < 2^63, which is checked
+    first, else a ValueError naming q."""
+    bound = value.mass * _ring(ft.n).row_max
+    if bound >= 2**63:
+        raise ValueError(f"q = {ft.q}: reduced values can reach {bound}, past "
+                         f"the int64 limit 2^63 - 1")
+    return value.a @ rows
+
+
 def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
     """The first `cap` counterexample records over the bindings
     start .. stop - 1, which `columns(lo, hi)` gives a chunk at a time as a
@@ -185,15 +197,14 @@ def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
     A binding fails where lhs - rhs reduces to nonzero (by the (n, phi)
     rows that reduce z^j), or where the reduced lhs leaves a remainder mod
     (q-1)^div_power. Each failing binding, up to `cap` records, is checked
-    again on `ctx`, so the report holds the scalar sides' values. Reduced
-    values are exact while mass * max |row| < 2^63. A chunk past that, or
-    every chunk if the rows pass `_ROWS_BYTES` or int64, is checked binding
-    by binding, or raises ValueError if `refuse` names a way out.
+    again on `ctx`, so the report holds the scalar sides' values. A chunk
+    that `_reduce` refuses, or every chunk if the rows pass `_ROWS_BYTES`
+    or int64, is checked binding by binding, or raises ValueError if
+    `refuse` names a way out.
     """
     ft = ctx.ft
-    n, q = ft.n, ft.q
+    q = ft.q
     batch = BatchContext(ft)
-    ring = _ring(n)
     try:
         rows = _admit_rows(ft)
     except ValueError as exc:
@@ -205,26 +216,27 @@ def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
     step = max(1, _CHUNK_CELLS // q)
     for lo in range(start, stop, step):
         cols = columns(lo, min(lo + step, stop))
+        unequal = None
         if rows is not None:
-            lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
-            diff = lhs - rhs
-            bound = diff.mass * ring.row_max
-            if bound >= 2**63 and refuse is not None:
-                raise ValueError(
-                    f"q = {q}: exact batched comparison can reach {bound}, "
-                    f"past the int64 limit 2^63 - 1; {refuse}"
-                )
-        if rows is None or bound >= 2**63:
+            lhs = entry.lhs(batch, cols)
+            diff = lhs - entry.rhs(batch, cols)
+            try:
+                unequal = _reduce(diff, rows, ft).any(axis=1)
+            except ValueError as exc:
+                if refuse is not None:
+                    raise ValueError(f"{exc}; {refuse}") from None
+        if unequal is None:
             for binding in zip(*(col.tolist() for col in cols)):
                 found = _check_binding(entry, ctx, binding, divisor)
                 cex.extend(found[: cap - len(cex)])
             continue
-        size = (len(cols[0]), n)
-        unequal = (np.broadcast_to(diff.a, size) @ rows).any(axis=1)
-        undivided = np.zeros(size[0], dtype=bool)
+        size = len(cols[0])
+        unequal = np.broadcast_to(unequal, size)
+        undivided = np.zeros(size, dtype=bool)
         if divisor is not None:
-            undivided = (np.broadcast_to(lhs.a, size) @ rows
-                         % divisor).any(axis=1)
+            # lhs has at most the mass of lhs - rhs
+            undivided = np.broadcast_to(
+                (_reduce(lhs, rows, ft) % divisor).any(axis=1), size)
         for r in np.flatnonzero(unequal | undivided):
             if len(cex) >= cap:
                 break

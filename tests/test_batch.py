@@ -201,7 +201,7 @@ def test_find_counterexample_is_the_first_failing_binding():
 def test_int64_bound_is_checked_and_names_q():
     ft = _field(5)
     base = get_identity("thm1.1")
-    # 2^62 times lhs - rhs, of mass 28, is past 2^63; the scalar path has
+    # 2^62 times lhs - rhs, of mass 24, is past 2^63; the scalar path has
     # no such bound, so sampled verification still passes
     huge = dataclasses.replace(
         base, id="huge",
@@ -211,7 +211,7 @@ def test_int64_bound_is_checked_and_names_q():
     with pytest.raises(ValueError, match=r"q = 5: .*int64"):
         verify(huge, ft)
     assert verify(huge, ft, mode="sampled", sample_count=20).passed
-    # lhs - rhs has mass n (q - 2) + n (q - 1) = 28, and 28 * 2^58 < 2^63
+    # lhs - rhs has mass n (q - 2) + (q - 2)(q - 1) = 24, and 24 * 2^58 < 2^63
     fits = dataclasses.replace(
         base, id="fits",
         lhs=lambda c, b: base.lhs(c, b) * 2**58,

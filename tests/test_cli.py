@@ -213,6 +213,28 @@ def test_verify_human_format(capsys):
     assert "PASS" in out and "prop2.3-a" in out
 
 
+def test_verify_human_format_reports_an_error_as_a_line(capsys, monkeypatch):
+    # with a budget of one byte the exhaustive check refuses its rows
+    import appellfq.verifier as verifier
+
+    monkeypatch.setattr(verifier, "_ROWS_BYTES", 1)
+    args = ["verify", "thm1.1", "-q", "5", "--exhaustive"]
+    rc, out, _ = run(capsys, *args, "--format", "human")
+    assert rc == 3
+    head, error = out.rstrip("\n").split(" ERROR (")
+    assert head == "thm1.1 q=5 exhaustive cases=0 counterexamples=0"
+    assert error.startswith("ValueError: q = 5: ") and error.endswith(")")
+    # the JSON report carries the same error
+    rcj, outj, _ = run(capsys, *args)
+    assert rcj == 3 and json.loads(outj)["error"] == error[:-1]
+
+
+def test_table_has_no_format_flag(capsys):
+    # a table is JSON lines only, so --format is an unknown argument
+    rc, out, err = run(capsys, "table", "binom", "-q", "3", "--format", "human")
+    assert rc == 2 and out == "" and "--format" in err
+
+
 def test_table_jacobi_rows(capsys):
     rc, out, _ = run(capsys, "table", "jacobi", "-p", "3")
     assert rc == 0
