@@ -104,9 +104,10 @@ def test_table_bytes_are_golden(tmp_path, kind, q):
     assert table_digest(tmp_path, kind, q) == GOLDEN[kind, q]
 
 
-@pytest.mark.parametrize("kind,q", [("f1", 4), ("f21", 5), ("binom", 8)])
+@pytest.mark.parametrize("kind,q", [("f1", 4), ("f21", 5), ("binom", 9)])
 def test_chunk_edges_inside_blocks_keep_the_bytes(tmp_path, monkeypatch, kind, q):
-    # 7 lines a chunk: chunk edges fall inside every block of x and y
+    # 7 lines a chunk: chunk edges fall inside every block of x and y, and
+    # of B (8 lines at q = 9)
     monkeypatch.setattr(cli, "_TABLE_CHUNK", 7)
     assert table_digest(tmp_path, kind, q) == GOLDEN[kind, q]
 
@@ -154,6 +155,7 @@ def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monke
     # values that could pass int64: (q - 2) max|row| >= 2^63
     monkeypatch.setattr(ring, "row_max", 2**63 // 3 + 1)
     assert "2^63" in refused("f21", "-q", "5", "--out", str(path))
+    assert "2^63" in refused("jacobi", "-q", "5")
     monkeypatch.setattr(ring, "row_max", 2**63 // 3)
     sizes = token_table_sizes(monkeypatch)
     assert main(["table", "f21", "-q", "5", "--out", str(path)]) == 0
