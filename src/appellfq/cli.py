@@ -8,8 +8,11 @@ failed: an evaluator raised, or refused the request (an exhaustive
 comparison whose reduction rows pass their memory budget or whose counts
 could pass int64, or a table of any kind whose line count could pass
 int64, whose reduction rows pass their memory budget or whose values
-could pass int64, refused before any row is written). `verify --jobs` is
-deprecated and has no effect beyond a warning on stderr.
+could pass int64, refused before any row is written). A missing parameter
+flag of `eval` is reported as "eval <kind> requires -<flag>". A closed
+stdout (a reader such as `head` that went away) ends the output silently,
+and the command exits as it would have. `verify --jobs` is deprecated and
+has no effect beyond a warning on stderr.
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -22,6 +25,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -38,7 +42,7 @@ from .hypergeometric import (
     f21_point_sum,
 )
 from .identities import BatchContext, registry
-from .verifier import VerifyReport, _admit_rows, _reduce, verify
+from .verifier import _admit_rows, _reduce, verify_all
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -47,13 +51,20 @@ EXIT_INTERNAL = 3
 
 
 # each kind of `eval` and `table`: its parameters, how many of them are
-# characters (the rest are elements), and its value over a `BatchContext`
-# c; J(A, B) = B(-1) [A|B~] is the definition of binom read backwards
+# characters (the rest are elements), its value over a `BatchContext` c
+# (J(A, B) = B(-1) [A|B~] is the definition of binom read backwards), and
+# its exact value from `Character`s and `FieldElement`s by the point route
+# and by the character route; the lambdas look the sums up when called
 _KINDS = {
-    "jacobi": (("A", "B"), 2, lambda c, A, B: c.sign(B) * c.binom(A, -B)),
-    "binom": (("A", "B"), 2, BatchContext.binom),
-    "f21": (("A", "B", "C", "x"), 3, BatchContext.f21),
-    "f1": (("A", "B", "Bp", "C", "x", "y"), 4, BatchContext.f1),
+    "jacobi": (("A", "B"), 2, lambda c, A, B: c.sign(B) * c.binom(A, -B),
+               jacobi_sum, jacobi_sum),
+    "binom": (("A", "B"), 2, BatchContext.binom, binom, binom),
+    "f21": (("A", "B", "C", "x"), 3, BatchContext.f21,
+            lambda *a: f21_point_sum(Hyp2F1Params(*a)),
+            lambda *a: f21_char_sum(Hyp2F1Params(*a))),
+    "f1": (("A", "B", "Bp", "C", "x", "y"), 4, BatchContext.f1,
+           lambda *a: appell_f1_point_sum(AppellF1Params(*a)),
+           lambda *a: appell_f1_char_sum(AppellF1Params(*a))),
 }
 
 
@@ -86,25 +97,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="write output to file")
 
     p_info = sub.add_parser("field-info", help="describe a field")
+    p_info.set_defaults(run=_cmd_field_info)
     add_field_args(p_info)
 
     p_eval = sub.add_parser("eval", help="evaluate one sum exactly")
+    p_eval.set_defaults(run=_cmd_eval)
     p_eval.add_argument("kind", choices=tuple(_KINDS))
     add_field_args(p_eval)
-    p_eval.add_argument("-A", type=int, help="character exponent A")
-    p_eval.add_argument("-B", type=int, help="character exponent B")
-    p_eval.add_argument("-Bp", type=int, help="character exponent B'")
-    p_eval.add_argument("-C", type=int, help="character exponent C")
-    p_eval.add_argument("-x", type=str, help="element (index or v:coeffs)")
-    p_eval.add_argument("-y", type=str, help="element (index or v:coeffs)")
-    p_eval.add_argument(
-        "--route",
-        choices=("point", "char"),
-        default="point",
-        help="evaluator route for f21/f1",
-    )
+    names, chars = _KINDS["f1"][:2]  # every parameter of every kind
+    for name in names[:chars]:
+        p_eval.add_argument(f"-{name}", type=int, help="character exponent")
+    for name in names[chars:]:
+        p_eval.add_argument(f"-{name}", type=str, help="element (index or v:coeffs)")
+    p_eval.add_argument("--route", choices=("point", "char"), default="point",
+                        help="evaluator route for f21/f1")
 
     p_ver = sub.add_parser("verify", help="verify registered identities")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("ids", nargs="*", help="identity ids (or use --all)")
     p_ver.add_argument("--all", action="store_true", dest="all_ids")
     add_field_args(p_ver, q_list=True)
@@ -118,6 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-counterexamples", type=int, default=10)
 
     p_tab = sub.add_parser("table", help="dump a full value table (JSON lines)")
+    p_tab.set_defaults(run=_cmd_table)
     p_tab.add_argument("kind", choices=tuple(_KINDS))
     add_field_args(p_tab, fmt=False)  # a table is JSON lines only
 
@@ -134,27 +144,18 @@ def _field(args, q=None) -> FieldTable:
         raise UsageError(str(exc)) from exc
 
 
-def _field_from_args(args) -> FieldTable:
+def _fields(args) -> list[FieldTable]:
+    """The fields of -q (a comma-separated list for `verify`), or of -p/-r."""
     if args.q is not None:
         if args.p is not None:
             raise UsageError("give either -q or -p/-r, not both")
-        return _field(args, args.q)
-    if args.p is not None:
-        return _field(args)
-    raise UsageError("a field is required: -p P [-r R] or -q Q")
-
-
-def _fields_from_qlist(args) -> list[FieldTable]:
-    if args.q is not None:
-        if args.p is not None:
-            raise UsageError("give either -q or -p/-r, not both")
-        fields = [_field(args, part) for part in args.q.split(",") if part.strip()]
+        fields = [_field(args, part) for part in str(args.q).split(",") if part.strip()]
         if not fields:
             raise UsageError("-q list is empty")
         return fields
     if args.p is not None:
         return [_field(args)]
-    raise UsageError("a field is required: -p P [-r R] or -q Q,...")
+    raise UsageError("a field is required: -p P [-r R] or -q Q")
 
 
 def _parse_element(ft: FieldTable, text: str, flag: str):
@@ -171,18 +172,21 @@ def _parse_element(ft: FieldTable, text: str, flag: str):
     return ft.elements[i]
 
 
-def _require_exponent(args, name: str) -> int:
-    v = getattr(args, name)
-    if v is None:
-        raise UsageError(f"eval requires -{name}")
-    return v
-
-
+@contextlib.contextmanager
 def _output(out_path: str | None):
-    """The --out file, opened for writing, or stdout."""
+    """The --out file, opened for writing, or stdout, flushed at the end; a
+    reader that closed stdout (as `| head` does) ends the output silently,
+    and the command exits as it would have."""
     if out_path:
-        return open(out_path, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+        with open(out_path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more can be written, so the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit(text: str, out) -> None:
@@ -200,7 +204,7 @@ def _value_payload(value: CycInt) -> tuple[dict, str | None]:
 
 
 def _cmd_field_info(args) -> int:
-    ft = _field_from_args(args)
+    [ft] = _fields(args)
     doc = ft.describe()
     if args.fmt == "json":
         text = json.dumps(doc)
@@ -211,42 +215,23 @@ def _cmd_field_info(args) -> int:
 
 
 def _eval_value(args, ft: FieldTable) -> tuple[dict, CycInt]:
-    kind = args.kind
-    names, nchars, _ = _KINDS[kind]
-    exps = {name: _require_exponent(args, name) for name in names[:nchars]}
-    chars = {name: Character(ft, e) for name, e in exps.items()}
-    params: dict = dict(exps)
-    if kind == "jacobi":
-        value = jacobi_sum(chars["A"], chars["B"])
-    elif kind == "binom":
-        value = binom(chars["A"], chars["B"])
-    elif kind == "f21":
-        if args.x is None:
-            raise UsageError("f21 requires -x")
-        x = _parse_element(ft, args.x, "x")
-        params["x"] = x.index
-        hp = Hyp2F1Params(chars["A"], chars["B"], chars["C"], x)
-        value = f21_point_sum(hp) if args.route == "point" else f21_char_sum(hp)
-    else:
-        if args.x is None or args.y is None:
-            raise UsageError("f1 requires -x and -y")
-        x = _parse_element(ft, args.x, "x")
-        y = _parse_element(ft, args.y, "y")
-        params["x"] = x.index
-        params["y"] = y.index
-        fp = AppellF1Params(
-            chars["A"], chars["B"], chars["Bp"], chars["C"], x, y
-        )
-        value = (
-            appell_f1_point_sum(fp)
-            if args.route == "point"
-            else appell_f1_char_sum(fp)
-        )
-    return params, value
+    names, chars, _, *routes = _KINDS[args.kind]
+    params, values = {}, []
+    for i, name in enumerate(names):
+        raw = getattr(args, name)
+        if raw is None:
+            raise UsageError(f"eval {args.kind} requires -{name}")
+        if i < chars:
+            params[name], value = raw, Character(ft, raw)
+        else:
+            value = _parse_element(ft, raw, name)
+            params[name] = value.index
+        values.append(value)
+    return params, routes[args.route == "char"](*values)
 
 
 def _cmd_eval(args) -> int:
-    ft = _field_from_args(args)
+    [ft] = _fields(args)
     params, value = _eval_value(args, ft)
     value_json, as_int = _value_payload(value)
     if args.fmt == "json":
@@ -274,7 +259,7 @@ def _cmd_verify(args) -> int:
         if bad:
             raise UsageError(f"unknown identity ids: {', '.join(bad)}")
         ids = list(args.ids)
-    fields = _fields_from_qlist(args)
+    fields = _fields(args)
     mode = "sampled" if args.sampled else "exhaustive"
     if mode == "sampled" and args.samples < 1:
         raise UsageError("--samples must be >= 1")
@@ -290,17 +275,9 @@ def _cmd_verify(args) -> int:
     any_error = False
     for ident in ids:
         for ft in fields:
-            try:
-                rep = verify(
-                    ident,
-                    ft,
-                    mode=mode,
-                    sample_count=args.samples if mode == "sampled" else None,
-                    seed=args.seed if mode == "sampled" else None,
-                    max_counterexamples=args.max_counterexamples,
-                )
-            except Exception as exc:
-                rep = VerifyReport.from_error(ident, ft.q, mode, args.seed, exc)
+            [rep] = verify_all(ft, [ident], mode=mode, sample_count=args.samples,
+                               seed=args.seed,
+                               max_counterexamples=args.max_counterexamples)
             any_error |= rep.error is not None
             any_cex |= bool(rep.counterexamples)
             if args.fmt == "json":
@@ -325,7 +302,7 @@ _TABLE_CHUNK = 512
 
 
 def _cmd_table(args) -> int:
-    ft = _field_from_args(args)
+    [ft] = _fields(args)
     chunks = _table_chunks(args.kind, ft)
     first = next(chunks)  # a refusal raises here, before --out is opened
     with _output(args.out) as out:
@@ -348,7 +325,7 @@ def _table_chunks(kind: str, ft: FieldTable):
     would pass `verifier._ROWS_BYTES` or int64, or if `verifier._reduce`
     refuses the values (every chunk of a kind has the same mass).
     """
-    names, chars, value = _KINDS[kind]
+    names, chars, value, *_ = _KINDS[kind]
     shape = (ft.n,) * chars + (ft.q,) * (len(names) - chars)
     total = math.prod(shape)
     if total >= 2**63:
@@ -387,15 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed a usage message
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        if args.command == "field-info":
-            return _cmd_field_info(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -189,33 +189,32 @@ def _reduce(value: Counts, rows: np.ndarray, ft: FieldTable) -> np.ndarray:
     return value.a @ rows
 
 
-def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
+def _scan(entry, ft, columns, cases, cap, refuse=None):
     """The first `cap` counterexample records over the bindings
-    start .. stop - 1, which `columns(lo, hi)` gives a chunk at a time as a
+    0 .. cases - 1, which `columns(lo, hi)` gives a chunk at a time as a
     tuple of int64 columns, one entry per binding.
 
     A binding fails where lhs - rhs reduces to nonzero (by the (n, phi)
     rows that reduce z^j), or where the reduced lhs leaves a remainder mod
     (q-1)^div_power. Each failing binding, up to `cap` records, is checked
-    again on `ctx`, so the report holds the scalar sides' values. A chunk
-    that `_reduce` refuses, or every chunk if the rows pass `_ROWS_BYTES`
-    or int64, is checked binding by binding, or raises ValueError if
-    `refuse` names a way out.
+    again on an `EvalContext`, so the report holds the scalar sides'
+    values. A chunk that `_reduce` refuses, or every chunk if the rows pass
+    `_ROWS_BYTES` or int64, is checked binding by binding, or raises
+    ValueError if `refuse` names a way out.
     """
-    ft = ctx.ft
     q = ft.q
-    batch = BatchContext(ft)
     try:
         rows = _admit_rows(ft)
     except ValueError as exc:
         if refuse is not None:
             raise ValueError(f"{exc}; {refuse}") from None
         rows = None
+    ctx, batch = EvalContext(ft), BatchContext(ft)
     divisor = (q - 1) ** entry.div_power if entry.div_power else None
     cex: list[dict] = []
     step = max(1, _CHUNK_CELLS // q)
-    for lo in range(start, stop, step):
-        cols = columns(lo, min(lo + step, stop))
+    for lo in range(0, cases, step):
+        cols = columns(lo, min(lo + step, cases))
         unequal = None
         if rows is not None:
             lhs = entry.lhs(batch, cols)
@@ -252,12 +251,12 @@ def _scan(entry, ctx, columns, start, stop, cap, refuse=None):
     return cex
 
 
-def _scan_range(entry, ctx, domains, start, stop, cap):
-    """`_scan` over the bindings start .. stop - 1 in domain order."""
+def _scan_range(entry, ft, domains, cases, cap):
+    """`_scan` over the first `cases` bindings in domain order."""
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
     shape = [len(d) for d in doms]
-    return _scan(entry, ctx, lambda lo, hi: _columns(doms, shape, lo, hi),
-                 start, stop, cap,
+    return _scan(entry, ft, lambda lo, hi: _columns(doms, shape, lo, hi),
+                 cases, cap,
                  refuse="sampled verification (--sampled) has no such limit")
 
 
@@ -299,11 +298,11 @@ def _sample_columns(entry, domains, seed, start, stop):
     return cols
 
 
-def _scan_samples(entry, ctx, domains, seed, start, stop, cap):
-    """`_scan` over the samples start .. stop - 1."""
+def _scan_samples(entry, ft, domains, seed, cases, cap):
+    """`_scan` over the samples 0 .. cases - 1."""
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    return _scan(entry, ctx, lambda lo, hi: _sample_columns(entry, doms, seed, lo, hi),
-                 start, stop, cap)
+    return _scan(entry, ft, lambda lo, hi: _sample_columns(entry, doms, seed, lo, hi),
+                 cases, cap)
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +336,6 @@ def verify(
     if mode == "sampled" and (not sample_count or sample_count < 1):
         raise ValueError("sampled mode requires sample_count >= 1")
     cap = max_counterexamples
-    ctx = EvalContext(field)
     domains = _entry_domains(entry, field)
     if mode == "sampled" and any(not d for d in domains):
         raise ValueError(
@@ -349,10 +347,10 @@ def verify(
         cases, seed = entry.domain_size(field), None
         scan = (_thm13_exhaustive_batch if entry is get_identity("thm1.3")
                 else _scan_range)
-        cex = scan(entry, ctx, domains, 0, cases, cap)
+        cex = scan(entry, field, domains, cases, cap)
     else:
         cases, seed = sample_count, seed or 0
-        cex = _scan_samples(entry, ctx, domains, seed, 0, cases, cap)
+        cex = _scan_samples(entry, field, domains, seed, cases, cap)
 
     return VerifyReport(
         identity_id=entry.id,
@@ -404,8 +402,7 @@ def find_counterexample(
     probe = dataclasses.replace(
         entry, lhs=lhs or entry.lhs, rhs=rhs or entry.rhs, div_power=0)
     domains = _entry_domains(entry, field)
-    cex = _scan_range(probe, EvalContext(field), domains, 0,
-                      entry.domain_size(field), 1)
+    cex = _scan_range(probe, field, domains, entry.domain_size(field), 1)
     return tuple(cex[0]["binding"].values()) if cex else None
 
 

@@ -1,7 +1,10 @@
 """Command-line contract: output shapes, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from appellfq import build_field
@@ -107,6 +110,44 @@ def test_eval_usage_errors(capsys):
     rc, _, err = run(capsys, "eval", "f21", "-p", "5",
                      "-A", "0", "-B", "0", "-C", "0", "-x", "w")
     assert rc == 2
+    rc, out, err = run(capsys, "eval", "f21", "-q", "5", "-A", "0", "-B", "0",
+                       "-C", "0")
+    assert rc == 2 and out == "" and "-x" in err
+    rc, out, err = run(capsys, "eval", "f1", "-q", "5", "-A", "0", "-B", "0",
+                       "-Bp", "0", "-C", "0", "-x", "1")
+    assert rc == 2 and out == "" and "-y" in err
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_eval_equals_the_table_line(capsys, q):
+    # eval and table read one description of each kind; the table is in
+    # lexicographic order of the parameters, so a binding's line number is
+    # its index in that order
+    n = q - 1
+    cases = {
+        "jacobi": [(0, 0), (1, 2), (n - 1, 3)],
+        "binom": [(0, 1), (2, 2), (3, n - 1)],
+        "f21": [(0, 0, 0, 0), (1, 2, 3, 1), (n - 1, 1, 2, q - 1)],
+        "f1": [(0, 0, 0, 0, 0, 0), (1, 2, 3, 1, 2, 3), (3, 1, n - 1, 2, q - 1, 1)],
+    }
+    for kind, bindings in cases.items():
+        rc, out, _ = run(capsys, "table", kind, "-q", str(q))
+        assert rc == 0
+        lines = out.splitlines()
+        names = list(json.loads(lines[0]))[:-2]  # the characters come first
+        chars = sum(name[0].isupper() for name in names)
+        shape = [n] * chars + [q] * (len(names) - chars)
+        for binding in bindings:
+            line = json.loads(lines[int(np.ravel_multi_index(binding, shape))])
+            assert [line[k] for k in names] == list(binding)
+            flags = [f"-{k}={v}" for k, v in zip(names, binding)]
+            for route in ("point", "char"):
+                rc, out, _ = run(capsys, "eval", kind, "-q", str(q), *flags,
+                                 "--route", route)
+                doc = json.loads(out)
+                assert rc == 0 and doc["params"] == dict(zip(names, binding))
+                assert (doc["value"], doc["integer"]) == (line["value"],
+                                                          line["integer"])
 
 
 def test_verify_single_identity(capsys):
@@ -171,18 +212,19 @@ def test_verify_sampled_all_at_q4099(capsys):
 
 
 def test_verify_exit_code_on_counterexample(capsys, monkeypatch):
-    import appellfq.cli as cli
+    import appellfq.verifier as verifier
     from appellfq import cyc_one
     from appellfq.verifier import VerifyReport
 
-    def fake_verify(ident, ft, **kw):
+    def fake_verify(entry, ft, **kw):
         one = cyc_one(ft.n)
         return VerifyReport(
-            identity_id=ident, q=ft.q, mode="exhaustive", seed=None, cases=1,
+            identity_id=entry.id, q=ft.q, mode="exhaustive", seed=None, cases=1,
             counterexamples=[{"binding": {"A": 0}, "lhs": one, "rhs": -one}],
         )
 
-    monkeypatch.setattr(cli, "verify", fake_verify)
+    # the cli reaches verify through verify_all
+    monkeypatch.setattr(verifier, "verify", fake_verify)
     rc, out, _ = run(capsys, "verify", "thm1.1", "-q", "3")
     assert rc == 1
     doc = json.loads(out)
@@ -288,6 +330,19 @@ def test_module_invocation_end_to_end():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["integer"] == "3"
+
+
+def test_closed_stdout_ends_a_table_with_exit_0():
+    # the reader goes away after 100 bytes, as `| head -c 100` does: the
+    # table stops and exits 0, and no error is printed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "appellfq.cli", "table", "f21", "-q", "17"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0 and err == b""
 
 
 def test_evaluator_refusal_exits_3_from_every_command(capsys, monkeypatch):

@@ -199,20 +199,33 @@ def _scalar_exhaustive(entry, ft):
     return len(bindings), cex
 
 
+def _plus_one(side):
+    return lambda c, b: side(c, b) + c.intv(1)
+
+
 def test_thm13_batch_path_matches_generic(ft4, ft5):
     # the batched scan of the registered thm1.3 and of its mutant against
     # the scalar loop, with a cap that keeps every counterexample; the
-    # mutant has some at both q
+    # mutant has some at both q. Both shifted by 1 on each side, the lhs is
+    # never divisible by (q-1)^2: the shifted entry fails divisibility only,
+    # and the shifted mutant has bindings with both records
     base = get_identity("thm1.3")
     broken = dataclasses.replace(base, id="thm1.3-mutant",
                                  rhs=mutated_case(base)[1])
-    for ft in (ft4, ft5):
+    entries = [base, broken] + [
+        dataclasses.replace(e, id=e.id + "+1", lhs=_plus_one(e.lhs),
+                            rhs=_plus_one(e.rhs)) for e in (base, broken)]
+    for ft, undivided, unequal in ((ft4, 1296, 216), (ft5, 6400, 2080)):
         cap = 2 * base.domain_size(ft)
-        reports = [verify(entry, ft, max_counterexamples=cap)
-                   for entry in (base, broken)]
-        for entry, rep in zip((base, broken), reports):
+        reports = [verify(entry, ft, max_counterexamples=cap) for entry in entries]
+        for entry, rep in zip(entries, reports):
             assert (rep.cases, rep.counterexamples) == _scalar_exhaustive(entry, ft)
         assert reports[0].passed and not reports[1].passed
+        notes = [[ce.get("note") for ce in rep.counterexamples]
+                 for rep in reports[2:]]
+        assert notes[0] == ["divisibility"] * undivided
+        assert notes[1].count("divisibility") == undivided
+        assert notes[1].count(None) == unequal
 
 
 def test_batch_path_reports_mutations(ft5):
