@@ -4,12 +4,13 @@ and the identity verification suite, with machine-readable JSON output.
 Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
 arguments: the field, the table cap, an element, a missing flag, a
 --samples, --jobs or --max-counterexamples below 1), 3 an evaluation
-failed: an evaluator raised, or refused the request (an exhaustive
-comparison whose reduction rows pass their memory budget or whose counts
-could pass int64, or a table of any kind whose line count could pass
-int64, whose reduction rows pass their memory budget or whose values
-could pass int64, refused before any row is written). A missing parameter
-flag of `eval` is reported as "eval <kind> requires -<flag>". A closed
+failed: an evaluator raised, or refused the request (an exhaustive check
+of more than 2^34 bindings, refused before any work; a check whose
+counts could pass int64; or a table of any kind whose line count could
+pass int64, whose reduction rows pass their memory budget or whose
+values could pass int64, refused before any row is written). A missing
+parameter flag of `eval` is reported as "eval <kind> requires -<flag>",
+and a warning of the field (q = 2) as one "warning:" line. A closed
 stdout (a reader such as `head` that went away) ends the output silently,
 and the command exits as it would have. `verify --jobs` is deprecated and
 has no effect beyond a warning on stderr.
@@ -27,11 +28,12 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from .characters import Character, binom, jacobi_sum
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _ring
 from .fields import FieldTable, build_field, prime_power_decompose
 from .hypergeometric import (
     AppellF1Params,
@@ -42,7 +44,7 @@ from .hypergeometric import (
     f21_point_sum,
 )
 from .identities import BatchContext, registry
-from .verifier import _admit_rows, _reduce, verify_all
+from .verifier import verify_all
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -136,12 +138,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _field(args, q=None) -> FieldTable:
     """The field of q, or of -p/-r; a bad q, p or r, or a q over the table
-    cap, is a usage error."""
+    cap, is a usage error. A warning of the field (q = 2 is degenerate) is
+    printed as one line on stderr."""
     try:
         p, r = (args.p, args.r) if q is None else prime_power_decompose(int(q))
-        return build_field(p, r, max_q=args.table_cap)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ft = build_field(p, r, max_q=args.table_cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return ft
 
 
 def _fields(args) -> list[FieldTable]:
@@ -300,6 +308,24 @@ def _cmd_verify(args) -> int:
 # temporaries stay small next to the process (64 KB each at q = 17)
 _TABLE_CHUNK = 512
 
+# bytes of the (n, phi) rows a table may build, which stay cached with
+# `_ring(n)`: 44.7 MB at q = 4099, 113 MB at 8191, 17.2 GB at 65536
+_ROWS_BYTES = 1 << 27
+
+
+def _admit_rows(ft: FieldTable) -> np.ndarray:
+    """`_ring(n).np_rows`, or a ValueError naming q if the rows would pass
+    `_ROWS_BYTES` (checked before they are built) or int64."""
+    ring = _ring(ft.n)
+    need = 8 * ft.n * ring.phi
+    try:
+        if need > _ROWS_BYTES:
+            raise ValueError(f"the (n, phi) reduction rows need {need} bytes, "
+                             f"over the budget of {_ROWS_BYTES}")
+        return ring.np_rows
+    except ValueError as exc:
+        raise ValueError(f"q = {ft.q}: {exc}") from None
+
 
 def _cmd_table(args) -> int:
     [ft] = _fields(args)
@@ -322,8 +348,8 @@ def _table_chunks(kind: str, ft: FieldTable):
 
     Refused with a ValueError naming q, before the first chunk, if the
     number of lines would pass int64 (as for f1 at q = 1451), if the rows
-    would pass `verifier._ROWS_BYTES` or int64, or if `verifier._reduce`
-    refuses the values (every chunk of a kind has the same mass).
+    would pass `_ROWS_BYTES` or int64, or if a reduced value could pass
+    int64 (every chunk of a kind has the same mass, q - 2).
     """
     names, chars, value, *_ = _KINDS[kind]
     shape = (ft.n,) * chars + (ft.q,) * (len(names) - chars)
@@ -334,7 +360,12 @@ def _table_chunks(kind: str, ft: FieldTable):
     rows, c, radius = _admit_rows(ft), BatchContext(ft), 0
     for lo in range(0, total, _TABLE_CHUNK):
         cols = np.unravel_index(np.arange(lo, min(lo + _TABLE_CHUNK, total)), shape)
-        values = _reduce(value(c, *cols), rows, ft)
+        counts = value(c, *cols)
+        # the reduced values are exact iff mass * max|row| < 2^63
+        if (bound := counts.mass * _ring(ft.n).row_max) >= 2**63:
+            raise ValueError(f"q = {ft.q}: reduced values can reach {bound}, "
+                             f"past the int64 limit 2^63 - 1")
+        values = counts.a @ rows
         # each line's fields in order, and its coefficient 0 again
         fields = np.column_stack((*cols, values, values[:, 0]))
         if (need := int(np.abs(fields).max()) + 1) > radius:

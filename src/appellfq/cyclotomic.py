@@ -17,19 +17,13 @@ import math
 
 import numpy as np
 
+from .fields import factorize
+
 
 def euler_phi(n: int) -> int:
     out = n
-    f = 2
-    m = n
-    while f * f <= m:
-        if m % f == 0:
-            out -= out // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out -= out // m
+    for p in factorize(n):
+        out -= out // p
     return out
 
 
@@ -46,18 +40,8 @@ def _divisors(n: int) -> list[int]:
 
 
 def _mobius(n: int) -> int:
-    out = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            out = -out
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out = -out
-    return out
+    fac = factorize(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
 
 def _mul_binomial(poly: list[int], m: int) -> list[int]:
@@ -121,6 +105,24 @@ class _Ring:
         self.plus = tuple(i for i, t in self.tail if t == 1)
         self.minus = tuple(i for i, t in self.tail if t == -1)
         self.other = tuple((i, t) for i, t in self.tail if abs(t) > 1)
+        # n / p for each prime p | n: the shifts of `vanishes`
+        self.shifts = tuple(n // p for p in factorize(n))
+
+    def vanishes(self, a: np.ndarray) -> np.ndarray:
+        """Which rows of an (S, n) int64 array of zeta-power counts are 0.
+
+        x^n - 1 is squarefree and every proper divisor of n divides some
+        n / p, so Phi_n divides c iff c * prod over p | n of (x^(n/p) - 1)
+        is 0 mod x^n - 1 (Moree, J. Number Theory 129, 2009): one pass of
+        shift by n / p and subtract per prime, which at most doubles the
+        sum of |count| of a row. So the test is exact while that sum
+        times 2^len(shifts) stays below 2^63; the caller checks this.
+        """
+        for m in self.shifts:
+            a = np.concatenate((a[:, -m:], a[:, :-m]), axis=1) - a
+        # `any` along each row as a bool matvec: numpy reduces a short
+        # axis row by row, 3-4 times slower at n <= 12
+        return ~((a != 0) @ np.ones(self.n, dtype=bool))
 
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
         """Reduce sum vec[k] * z^k to the power basis; consumes vec.

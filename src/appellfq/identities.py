@@ -23,6 +23,8 @@ enumeration indices, in the order of `chars` + `elems`. The same compiled
 side also takes a `BatchContext` and a tuple of int64 columns, one entry
 per binding, and then returns the values of a whole chunk of bindings as
 `Counts`; so a side is written without Python branches on its bindings.
+The verifier runs the sides on `BatchContext` only; `EvalContext` is the
+scalar form, which the tests and the benchmark use as a reference.
 """
 
 from __future__ import annotations
@@ -177,8 +179,10 @@ class Counts:
 
     `mass` is a Python-int bound on sum |count| in any row, carried through
     every operation. int64 arithmetic is exact modulo 2^64 and these are
-    ring operations, so a result whose reduced coefficients are known, from
-    `mass`, to stay below 2^63 is exact even if an intermediate wrapped.
+    ring operations, so a result known from `mass` to stay below 2^63 is
+    exact even if an intermediate wrapped: the counts themselves while
+    mass < 2^63, the verifier's zero test while mass * 2^omega(n) is, and
+    a `table`'s reduced coefficients while mass * max|row| is.
     """
 
     __slots__ = ("a", "mass")
@@ -232,7 +236,8 @@ def _convolve(u: Counts, v: Counts) -> Counts:
 
 
 class BatchContext:
-    """`EvalContext`'s helpers over columns of bindings.
+    """`EvalContext`'s helpers over columns of bindings: the one evaluator
+    of the verifier and of `table`.
 
     Each argument is an int64 column with one entry per binding, or an int
     that stands for every row, and each value is `Counts`, so a compiled
@@ -242,7 +247,9 @@ class BatchContext:
     sums over characters (f21, f1, theta, binthm, power_sum) are the
     column forms of the kernels `EvalContext` reduces, wrapped in `Counts`
     with a bound on their mass (a point sum counts the q - 2 u outside
-    {0, 1}); `table` writes every kind of value through these helpers.
+    {0, 1}). The verifier tests the counts for zero without reducing
+    them, and reduces only a failing binding's row, in Python ints;
+    `table` reduces every row by the (n, phi) int64 rows.
     """
 
     def __init__(self, ft: FieldTable):

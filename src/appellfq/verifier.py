@@ -10,11 +10,14 @@ Both modes run in one process and feed one loop int64 columns, a chunk
 of bindings at a time: exhaustive mode decodes a range of its domain,
 and sampled mode draws with the stream vectorized in numpy uint64. The
 loop calls each compiled side once per chunk on an
-`identities.BatchContext`, whose values are unreduced zeta-power counts;
-only failing bindings are evaluated again, one at a time on the
-`EvalContext`, to build the report. A sampled chunk whose counts could
-pass the int64 bound, or whose (n, phi) reduction rows would pass
-`_ROWS_BYTES`, is checked binding by binding instead.
+`identities.BatchContext`, whose values are unreduced zeta-power counts,
+and decides every binding on those counts with a zero test that needs
+no reduction (`cyclotomic._Ring.vanishes`). A failing binding's report
+values are its counts reduced exactly in Python ints, so nothing is
+evaluated twice. A chunk whose counts could pass the int64 bound of that
+test is refused with a ValueError naming q, in both modes, and an
+exhaustive check of more than `_EXHAUSTIVE_CASES` bindings is refused
+before any work.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing. Entries
 registered with a div_power additionally assert that every coefficient of
@@ -30,16 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import _ring
+from .cyclotomic import CycInt, _ring
 from .fields import FieldTable
-from .identities import (
-    BatchContext,
-    Counts,
-    EvalContext,
-    IdentityCase,
-    get_identity,
-    registry,
-)
+from .identities import BatchContext, IdentityCase, get_identity, registry
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -141,114 +137,61 @@ def _entry_domains(entry: IdentityCase, ft: FieldTable) -> list[list[int]]:
     return doms
 
 
-def _binding_dict(entry: IdentityCase, binding: tuple[int, ...]) -> dict:
-    return dict(zip((*entry.chars, *entry.elems), binding))
-
-
-def _check_binding(entry, ctx, binding, divisor):
-    """Returns a list of counterexample records for one binding."""
-    lhs, rhs = entry.lhs(ctx, binding), entry.rhs(ctx, binding)
-    record = {"binding": _binding_dict(entry, binding), "lhs": lhs, "rhs": rhs}
-    out = [record] if lhs != rhs else []
-    if divisor is not None and any(c % divisor for c in lhs.coeffs):
-        out.append({**record, "note": "divisibility"})
-    return out
-
-
 # int64 cells of a chunk's widest temporaries, which are (bindings, q):
 # 128 KB each; a whole verify peaks at 1.1-1.4 MB (tracemalloc, q <= 25)
 _CHUNK_CELLS = 1 << 14
 
-# bytes of the (n, phi) rows a batched scan may build, which stay cached
-# with `_ring(n)`: 44.7 MB at q = 4099, 113 MB at 8191, 17.2 GB at 65536
-_ROWS_BYTES = 1 << 27
+# the most bindings an exhaustive check is admitted with: thm4.* at
+# q = 25 has 5.0e9, thm1.3 at q = 101 about 1e12 (weeks of work)
+_EXHAUSTIVE_CASES = 2**34
 
 
-def _admit_rows(ft: FieldTable) -> np.ndarray:
-    """`_ring(n).np_rows`, or a ValueError naming q if the rows would pass
-    `_ROWS_BYTES` (checked before they are built) or int64."""
-    ring = _ring(ft.n)
-    need = 8 * ft.n * ring.phi
-    try:
-        if need > _ROWS_BYTES:
-            raise ValueError(f"the (n, phi) reduction rows need {need} bytes, "
-                             f"over the budget of {_ROWS_BYTES}")
-        return ring.np_rows
-    except ValueError as exc:
-        raise ValueError(f"q = {ft.q}: {exc}") from None
-
-
-def _reduce(value: Counts, rows: np.ndarray, ft: FieldTable) -> np.ndarray:
-    """The coefficients of `value` reduced by the (n, phi) `rows`, one row
-    per row of `value`: exact iff mass * max|row| < 2^63, which is checked
-    first, else a ValueError naming q."""
-    bound = value.mass * _ring(ft.n).row_max
-    if bound >= 2**63:
-        raise ValueError(f"q = {ft.q}: reduced values can reach {bound}, past "
-                         f"the int64 limit 2^63 - 1")
-    return value.a @ rows
-
-
-def _scan(entry, ft, columns, cases, cap, refuse=None):
+def _scan(entry, ft, columns, cases, cap):
     """The first `cap` counterexample records over the bindings
     0 .. cases - 1, which `columns(lo, hi)` gives a chunk at a time as a
     tuple of int64 columns, one entry per binding.
 
-    A binding fails where lhs - rhs reduces to nonzero (by the (n, phi)
-    rows that reduce z^j), or where the reduced lhs leaves a remainder mod
-    (q-1)^div_power. Each failing binding, up to `cap` records, is checked
-    again on an `EvalContext`, so the report holds the scalar sides'
-    values. A chunk that `_reduce` refuses, or every chunk if the rows pass
-    `_ROWS_BYTES` or int64, is checked binding by binding, or raises
-    ValueError if `refuse` names a way out.
+    A binding fails where the counts of lhs - rhs are not zero in
+    Z[zeta_n] (`_Ring.vanishes`), or where the lhs leaves a remainder mod
+    (q-1)^div_power: its counts are tested entrywise, and a row that
+    fails that test is reduced exactly before it is recorded. The
+    records hold the sides' counts reduced by `CycInt.from_powers`. A
+    chunk where the mass of lhs - rhs times 2^omega(n) could reach 2^63
+    raises ValueError naming q.
     """
-    q = ft.q
-    try:
-        rows = _admit_rows(ft)
-    except ValueError as exc:
-        if refuse is not None:
-            raise ValueError(f"{exc}; {refuse}") from None
-        rows = None
-    ctx, batch = EvalContext(ft), BatchContext(ft)
+    q, n, names = ft.q, ft.n, (*entry.chars, *entry.elems)
+    ring, batch = _ring(n), BatchContext(ft)
     divisor = (q - 1) ** entry.div_power if entry.div_power else None
     cex: list[dict] = []
     step = max(1, _CHUNK_CELLS // q)
     for lo in range(0, cases, step):
         cols = columns(lo, min(lo + step, cases))
-        unequal = None
-        if rows is not None:
-            lhs = entry.lhs(batch, cols)
-            diff = lhs - entry.rhs(batch, cols)
-            try:
-                unequal = _reduce(diff, rows, ft).any(axis=1)
-            except ValueError as exc:
-                if refuse is not None:
-                    raise ValueError(f"{exc}; {refuse}") from None
-        if unequal is None:
-            for binding in zip(*(col.tolist() for col in cols)):
-                found = _check_binding(entry, ctx, binding, divisor)
-                cex.extend(found[: cap - len(cex)])
-            continue
         size = len(cols[0])
-        unequal = np.broadcast_to(unequal, size)
+        lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
+        diff = lhs - rhs
+        bound = diff.mass << len(ring.shifts)
+        if bound >= 2**63:
+            raise ValueError(f"q = {q}: the zero test can reach {bound}, past "
+                             f"the int64 limit 2^63 - 1")
+        unequal = np.broadcast_to(~ring.vanishes(diff.a), size)
         undivided = np.zeros(size, dtype=bool)
         if divisor is not None:
-            # lhs has at most the mass of lhs - rhs
-            undivided = np.broadcast_to(
-                (_reduce(lhs, rows, ft) % divisor).any(axis=1), size)
+            undivided = np.broadcast_to((lhs.a % divisor).any(axis=1), size)
         for r in np.flatnonzero(unequal | undivided):
             if len(cex) >= cap:
                 break
-            binding = tuple(int(col[r]) for col in cols)
-            found = _check_binding(entry, ctx, binding, divisor)
-            notes = [False] * int(unequal[r]) + [True] * int(undivided[r])
-            if ["note" in ce for ce in found] != notes:
-                raise RuntimeError(
-                    f"{entry.id}: batched and scalar evaluation disagree at "
-                    f"{_binding_dict(entry, binding)}"
-                )
-            cex.extend(found[: cap - len(cex)])
-    return cex
+            record = {"binding": dict(zip(names, (int(c[r]) for c in cols))),
+                      "lhs": _value(lhs.a, r, n), "rhs": _value(rhs.a, r, n)}
+            if unequal[r]:
+                cex.append(record)
+            if undivided[r] and any(c % divisor for c in record["lhs"].coeffs):
+                cex.append({**record, "note": "divisibility"})
+    return cex[:cap]
+
+
+def _value(a: np.ndarray, r: int, n: int) -> CycInt:
+    """Row r of counts `a` (a single row stands for every row), reduced."""
+    return CycInt.from_powers(n, a[min(r, len(a) - 1)].tolist())
 
 
 def _scan_range(entry, ft, domains, cases, cap):
@@ -256,8 +199,7 @@ def _scan_range(entry, ft, domains, cases, cap):
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
     shape = [len(d) for d in doms]
     return _scan(entry, ft, lambda lo, hi: _columns(doms, shape, lo, hi),
-                 cases, cap,
-                 refuse="sampled verification (--sampled) has no such limit")
+                 cases, cap)
 
 
 # The registered thm1.3 is scanned under this name only so that the
@@ -345,6 +287,10 @@ def verify(
 
     if mode == "exhaustive":
         cases, seed = entry.domain_size(field), None
+        if cases > _EXHAUSTIVE_CASES:
+            raise ValueError(
+                f"q = {field.q}: {cases} bindings, over the exhaustive limit "
+                f"of {_EXHAUSTIVE_CASES}; check this field with --sampled")
         scan = (_thm13_exhaustive_batch if entry is get_identity("thm1.3")
                 else _scan_range)
         cex = scan(entry, field, domains, cases, cap)

@@ -1,11 +1,11 @@
 """Batched evaluation (`identities.BatchContext`) against the scalar sides.
 
-The exhaustive verifier compares sides on chunks of bindings as unreduced
-zeta-power counts and re-evaluates only failing bindings on `EvalContext`.
-A wrong batch value at a passing binding would never reach a report, so
-these tests compare values, not only pass or fail: every row of every
-side of every entry (lhs, rhs and the documented mutant), reduced, must
-equal the scalar `CycInt`.
+The verifier decides every binding on chunks of unreduced zeta-power
+counts, and reports a failing binding's counts reduced, so no value in a
+report comes from `EvalContext`. A wrong batch value would reach a
+report, or hide a counterexample, unseen, so these tests compare values,
+not only pass or fail: every row of every side of every entry (lhs, rhs
+and the documented mutant), reduced, must equal the scalar `CycInt`.
 """
 
 import dataclasses
@@ -198,60 +198,97 @@ def test_find_counterexample_is_the_first_failing_binding():
         assert find_counterexample(entry, ft, lhs=lhs, rhs=rhs) == first, entry.id
 
 
+def _scaled(base, rhs, k, id):
+    return dataclasses.replace(base, id=id, lhs=lambda c, b: base.lhs(c, b) * k,
+                               rhs=lambda c, b: rhs(c, b) * k)
+
+
 def test_int64_bound_is_checked_and_names_q():
     ft = _field(5)
     base = get_identity("thm1.1")
-    # 2^62 times lhs - rhs, of mass 24, is past 2^63; the scalar path has
-    # no such bound, so sampled verification still passes
-    huge = dataclasses.replace(
-        base, id="huge",
-        lhs=lambda c, b: base.lhs(c, b) * 2**62,
-        rhs=lambda c, b: base.rhs(c, b) * 2**62,
-    )
+    # lhs - rhs has mass n (q - 2) + (q - 2)(q - 1) = 24, and the zero test
+    # at n = 4 (one prime) doubles it: 48 * 2^58 is past 2^63, in both modes
+    huge = _scaled(base, base.rhs, 2**58, "huge")
     with pytest.raises(ValueError, match=r"q = 5: .*int64"):
         verify(huge, ft)
-    assert verify(huge, ft, mode="sampled", sample_count=20).passed
-    # lhs - rhs has mass n (q - 2) + (q - 2)(q - 1) = 24, and 24 * 2^58 < 2^63
-    fits = dataclasses.replace(
-        base, id="fits",
-        lhs=lambda c, b: base.lhs(c, b) * 2**58,
-        rhs=lambda c, b: base.rhs(c, b) * 2**58,
-    )
-    assert verify(fits, ft).passed
-    # a sampled chunk past the bound is checked binding by binding, and
-    # reports the same bindings as the batched check of the same mutant
-    mutant = dataclasses.replace(base, rhs=base.mutation.fn)
-    huge_mutant = dataclasses.replace(
-        base, id="huge-mutant",
-        lhs=lambda c, b: base.lhs(c, b) * 2**62,
-        rhs=lambda c, b: base.mutation.fn(c, b) * 2**62,
-    )
+    with pytest.raises(ValueError, match=r"q = 5: .*int64"):
+        verify(huge, ft, mode="sampled", sample_count=20)
+    # and 48 * 2^57 < 2^63
+    assert verify(_scaled(base, base.rhs, 2**57, "fits"), ft).passed
+    # inside the bound a mutant fails at the same bindings, with its
+    # reported values scaled exactly
     kw = dict(mode="sampled", sample_count=300, seed=4, max_counterexamples=10**6)
-    want = [ce["binding"] for ce in verify(mutant, ft, **kw).counterexamples]
-    got = [ce["binding"] for ce in verify(huge_mutant, ft, **kw).counterexamples]
-    assert want and got == want
+    want = verify(_scaled(base, base.mutation.fn, 1, "mutant"), ft, **kw)
+    got = verify(_scaled(base, base.mutation.fn, 2**57, "mutant"), ft, **kw)
+    assert want.counterexamples
+    assert [ce["binding"] for ce in got.counterexamples] == [
+        ce["binding"] for ce in want.counterexamples]
+    for g, w in zip(got.counterexamples, want.counterexamples):
+        assert (g["lhs"], g["rhs"]) == (w["lhs"] * 2**57, w["rhs"] * 2**57)
 
 
-def test_rows_over_budget_are_never_built(monkeypatch):
+def test_divisibility_is_decided_on_reduced_values():
+    # sum_k zeta^k is 0 for n > 1, but its counts are all 1: every lhs row
+    # fails the entrywise test and must pass once reduced
+    base = get_identity("thm1.1")
+    zero = dataclasses.replace(
+        base, lhs=lambda c, b: base.lhs(c, b) + c.power_sum(1),
+        rhs=lambda c, b: base.rhs(c, b) + c.power_sum(1))
+    one = dataclasses.replace(base, lhs=lambda c, b: base.lhs(c, b) + c.intv(1))
+    for q in (4, 5, 9):
+        ft = _field(q)
+        assert verify(zero, ft).passed
+        rep = verify(one, ft, max_counterexamples=10**6)
+        notes = [ce.get("note") for ce in rep.counterexamples]
+        # lhs + 1 differs from rhs and leaves 1 mod q - 1 at every binding
+        assert notes == [None, "divisibility"] * base.domain_size(ft)
+
+
+def test_verify_never_builds_rows(monkeypatch):
     ft = _field(13)
     cases = [get_identity("thm4.1"), get_identity("cor3.3"), _mutant("thm4.3-a")]
     kw = dict(mode="sampled", sample_count=200, seed=7, max_counterexamples=10**6)
-    want = [json.dumps(verify(e, ft, **kw).to_json()) for e in cases]
-    assert "counterexamples\": [{" in want[2]
+    sampled = [json.dumps(verify(e, ft, **kw).to_json()) for e in cases]
+    assert "counterexamples\": [{" in sampled[2]
+    exhaustive = json.dumps(verify(_mutant("cor3.3"), ft).to_json())
+    assert "counterexamples\": [{" in exhaustive
 
     def unbuilt(ring):
         raise AssertionError(f"rows built for n = {ring.n}")
 
-    # a property is a data descriptor, so it wins over the values that
-    # the runs above cached on the instance
+    # a property is a data descriptor, so it wins over any value cached on
+    # the instance
     ring = _ring(ft.n)
     monkeypatch.setattr(type(ring), "np_rows", property(unbuilt))
     monkeypatch.setattr(type(ring), "row_max", property(unbuilt))
-    monkeypatch.setattr(V, "_ROWS_BYTES", 8 * ft.n * ring.phi - 1)
-    # sampled mode checks binding by binding, with the same reports
-    assert [json.dumps(verify(e, ft, **kw).to_json()) for e in cases] == want
-    with pytest.raises(ValueError, match=r"q = 13: .*rows need 384 bytes.*--sampled"):
-        verify(cases[0], ft)
+    assert [json.dumps(verify(e, ft, **kw).to_json()) for e in cases] == sampled
+    assert json.dumps(verify(_mutant("cor3.3"), ft).to_json()) == exhaustive
+    # the reported values are the scalar sides' at each failing binding
+    ctx = EvalContext(ft)
+    mutant = _mutant("thm4.3-a")
+    for ce in verify(mutant, ft, **kw).counterexamples:
+        binding = tuple(ce["binding"].values())
+        assert ce["lhs"] == mutant.lhs(ctx, binding), binding
+        assert ce["rhs"] == mutant.rhs(ctx, binding), binding
+
+
+def test_exhaustive_work_is_admitted_before_any_work(monkeypatch):
+    ft = _field(101)
+    entry = get_identity("thm1.3")
+    # about 10^12 bindings: refused before a single chunk is evaluated
+    monkeypatch.setattr(V, "_scan", lambda *a: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match=r"q = 101: \d+ bindings, over .*--sampled"):
+        verify(entry, ft)
+    assert entry.domain_size(ft) > V._EXHAUSTIVE_CASES
+    # the limit is inclusive; find_counterexample has none
+    monkeypatch.undo()
+    small = _field(5)
+    monkeypatch.setattr(V, "_EXHAUSTIVE_CASES", entry.domain_size(small))
+    assert verify(entry, small).passed
+    monkeypatch.setattr(V, "_EXHAUSTIVE_CASES", entry.domain_size(small) - 1)
+    with pytest.raises(ValueError, match=r"q = 5: "):
+        verify(entry, small)
+    assert find_counterexample(_mutant("thm1.3"), small) is not None
 
 
 SEEDS =(0, 2**64 - 1, 20240811)

@@ -4,11 +4,13 @@
 for the traced pass (`perfbench/run.py --trace 1`). A renamed one would
 break only that pass, so this test runs the same instrumentation on a
 fresh import of the package, in its own interpreter, on two verifies.
-Both modes are batched, and a passing binding never reaches a scalar
-layer; so the sampled verify checks thm4.3-a's documented mutant, whose
-failing bindings are evaluated again one at a time on `EvalContext`,
-through the point sum and `CycInt` multiply. The exhaustive verify of
-the registered entry reaches the scan only.
+Both modes are batched and no verify reaches a scalar layer: the sampled
+verify of thm4.3-a's documented mutant reduces its failing bindings'
+counts (`CycInt.from_powers`), and the exhaustive verify of the
+registered entry reaches the scan only. So the script also builds an
+`EvalContext` and evaluates the mutant at its first failing binding,
+through the point sum and `CycInt` multiply, which must give the values
+the report holds.
 """
 
 import json
@@ -32,9 +34,16 @@ ft = afq.fields.build_field(5, 1)
 entry = afq.get_identity("thm4.3-a")
 mutant = dataclasses.replace(entry, rhs=entry.mutation.fn)
 rep = afq.verifier.verify(mutant, ft, mode="sampled", sample_count=40, seed=1)
+verify_calls = {name: agg[0] for name, agg in tracer.totals.items()}
+ctx = afq.identities.EvalContext(ft)
+first = rep.counterexamples[0]
+binding = tuple(first["binding"].values())
+scalar = (mutant.lhs(ctx, binding) == first["lhs"]
+          and mutant.rhs(ctx, binding) == first["rhs"])
 calls = {name: agg[0] for name, agg in tracer.totals.items()}
 full = afq.verifier.verify("thm4.3-a", ft)
 print(json.dumps({"passed": rep.passed, "cases": rep.cases, "calls": calls,
+                  "verify_calls": verify_calls, "scalar_equal": scalar,
                   "exhaustive_passed": full.passed, "exhaustive_cases": full.cases,
                   "scans": tracer.totals["verifier.scan"][0]}))
 """
@@ -48,6 +57,12 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert not out["passed"] and out["cases"] == 40
+    # the verify reduces the failing bindings' counts and builds no
+    # scalar context
+    verify_calls = out["verify_calls"]
+    assert verify_calls["cyclotomic.reduce"] > 0
+    assert verify_calls.get("identities.ctx_build", 0) == 0
+    assert out["scalar_equal"]
     calls = out["calls"]
     for name in ("fields.build", "verifier.verify", "identities.ctx_build",
                  "characters.binom_table"):

@@ -256,10 +256,10 @@ def test_verify_human_format(capsys):
 
 
 def test_verify_human_format_reports_an_error_as_a_line(capsys, monkeypatch):
-    # with a budget of one byte the exhaustive check refuses its rows
+    # with a limit of one binding the exhaustive check is refused
     import appellfq.verifier as verifier
 
-    monkeypatch.setattr(verifier, "_ROWS_BYTES", 1)
+    monkeypatch.setattr(verifier, "_EXHAUSTIVE_CASES", 1)
     args = ["verify", "thm1.1", "-q", "5", "--exhaustive"]
     rc, out, _ = run(capsys, *args, "--format", "human")
     assert rc == 3
@@ -346,12 +346,12 @@ def test_closed_stdout_ends_a_table_with_exit_0():
 
 
 def test_evaluator_refusal_exits_3_from_every_command(capsys, monkeypatch):
-    # q = 5 is a valid field; with a budget of one byte, an exhaustive check
-    # refuses to build its reduction rows, which is no usage error
+    # q = 5 is a valid field; with a limit of one binding, an exhaustive
+    # check is refused before any work, which is no usage error
     import appellfq.cli as cli
     import appellfq.verifier as verifier
 
-    monkeypatch.setattr(verifier, "_ROWS_BYTES", 1)
+    monkeypatch.setattr(verifier, "_EXHAUSTIVE_CASES", 1)
     rc, out, _ = run(capsys, "verify", "thm1.1", "-q", "5", "--exhaustive")
     assert rc == 3
     doc = json.loads(out)
@@ -359,7 +359,7 @@ def test_evaluator_refusal_exits_3_from_every_command(capsys, monkeypatch):
     assert list(doc) == ["id", "q", "mode", "seed", "cases", "counterexamples",
                          "error", "ms"]
     assert doc["cases"] == 0 and doc["seed"] is None
-    assert "over the budget" in doc["error"]
+    assert "over the exhaustive limit of 1" in doc["error"]
     [rep] = verifier.verify_all(build_field(5, 1), ids=["thm1.1"])
     assert json.dumps(rep.to_json()) == out.strip()
     # the character routes refuse no field, so `eval` reaches exit 3 only
@@ -373,6 +373,39 @@ def test_evaluator_refusal_exits_3_from_every_command(capsys, monkeypatch):
                        "-Bp", "3", "-C", "4", "-x", "2", "-y", "3", "--route", "char")
     assert rc == 3 and out == ""
     assert err.startswith("error: ValueError: refused")
+
+
+def test_exhaustive_verify_past_its_work_limit_exits_3(capsys, monkeypatch):
+    # thm1.3 at q = 101 has about 10^12 bindings: refused before any scan
+    import appellfq.verifier as verifier
+
+    monkeypatch.setattr(verifier, "_scan", lambda *a: pytest.fail("scanned"))
+    rc, out, err = run(capsys, "verify", "thm1.3", "-q", "101", "--exhaustive")
+    assert rc == 3 and err == ""
+    doc = json.loads(out)
+    assert doc["cases"] == 0 and "q = 101: " in doc["error"]
+    assert "--sampled" in doc["error"]
+
+
+@pytest.mark.slow
+def test_exhaustive_verify_of_a_small_domain_at_q16381(capsys):
+    # prop2.3-b has 16,380 bindings, which the reduction rows refused
+    rc, out, _ = run(capsys, "verify", "prop2.3-b", "-q", "16381", "--exhaustive")
+    assert rc == 0 and json.loads(out)["cases"] == 16380
+
+
+def test_q2_warning_is_one_line_without_source():
+    # the warning of a degenerate field reads as the cli's own, with no
+    # file name or code line of the package
+    proc = subprocess.run(
+        [sys.executable, "-m", "appellfq.cli", "eval", "jacobi", "-q", "2",
+         "-A", "0", "-B", "0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert "cli.py" not in proc.stderr
+    assert proc.stderr == ("warning: q = 2 is degenerate: the character group "
+                           "is trivial\n")
 
 
 def test_verify_all_sampled_at_q_1021(capsys):

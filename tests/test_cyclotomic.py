@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from appellfq import (
@@ -255,3 +256,38 @@ def test_np_rows_refuse_to_pass_int64():
     ring.tail = tuple((i, t * 2**61) for i, t in ring.tail)
     with pytest.raises(ValueError, match=r"n = 30: reducing z\^9 .*2\^63"):
         ring.np_rows
+
+
+def _cyclic(poly, g, n):
+    """poly * g mod x^n - 1, as n counts."""
+    out = [0] * n
+    for i, a in enumerate(poly):
+        for j, b in enumerate(g):
+            out[(i + j) % n] += a * b
+    return out
+
+
+# the zero test against reduction by the rows, at every n up to 79, at
+# n = 100 (squared primes) and at n with three or four primes (105, 210,
+# 1155)
+@pytest.mark.parametrize("n", list(range(1, 80)) + [100, 105, 210, 1155])
+def test_vanishes_agrees_with_the_reduction_rows(n):
+    ring, rng = _ring(n), np.random.default_rng(n)
+    phi_n = cyclotomic_poly(n)
+    multiples = np.array([_cyclic(phi_n, rng.integers(-3, 4, n).tolist(), n)
+                          for _ in range(10)])
+    # a multiple plus one term is nonzero
+    off = multiples.copy()
+    off[np.arange(10), rng.integers(0, n, 10)] += rng.choice([-2, -1, 1, 2], 10)
+    a = np.concatenate((np.zeros((1, n), dtype=np.int64), multiples, off,
+                        rng.integers(-3, 4, (20, n))))
+    want = ~(a @ ring.np_rows).any(axis=1)
+    assert want[:11].all() and not want[11:21].any()
+    assert (ring.vanishes(a) == want).all()
+    # (x^n - 1) / Phi_n, the product of every other Phi_d with d | n, is
+    # not 0 at zeta_n
+    psi = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            psi = np.convolve(psi, cyclotomic_poly(d)).tolist()
+    assert not ring.vanishes(np.array([_cyclic(psi, [1], n)]))[0]

@@ -17,7 +17,6 @@ import json
 import pytest
 
 import appellfq.cli as cli
-import appellfq.verifier as V
 from appellfq import build_field
 from appellfq.characters import Character, binom, jacobi_sum
 from appellfq.cli import main
@@ -145,7 +144,7 @@ def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monke
         return err
 
     # the reduction rows over the budget, by one byte
-    monkeypatch.setattr(V, "_ROWS_BYTES", 8 * ft.n * ring.phi - 1)
+    monkeypatch.setattr(cli, "_ROWS_BYTES", 8 * ft.n * ring.phi - 1)
     assert "budget" in refused("f1", "-q", "5")
     assert "budget" in refused("f21", "-q", "5", "--out", str(path))
     # every kind reduces its values by the same rows
