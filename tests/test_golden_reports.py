@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from appellfq import build_field, get_identity, registry, verify
+from appellfq.cli import main
 from appellfq.fields import prime_power_decompose
 from appellfq.verifier import mutated_case
 
@@ -30,6 +31,11 @@ CAP = 10**6  # keep every counterexample, so each failing binding is pinned
 # group-ring contraction is widest; q = 101 costs a few ms per sample
 WIDE_SAMPLES = {16: SAMPLES, 101: 12}
 # every documented mutant is killed at q = 5 (at q = 4 only 21 of 28 are)
+# sha256 of the stdout of `appellfq verify --all --sampled --samples 20
+# -q 1021`: every registered id at n = 1020, where each product's operands
+# are widest in the contracted suite
+WIDE_N_ARGV = ("verify", "--all", "--sampled", "--samples", "20", "-q", "1021")
+WIDE_N_DIGEST = "132a97cb085c88b077789dbdd3def6fd65d20d31cb233969f75a3fbf923d1820"
 CASES = [(e.id, 5, "exhaustive") for e in registry()] + [
     (i, q, "sampled") for q in SAMPLED_Q for i in IDS
 ] + [("thm1.3", q, "sampled") for q in WIDE_SAMPLES]
@@ -57,6 +63,12 @@ def _digest(identity_id, q, mode):
 def test_mutant_report_matches_golden(identity_id, q, mode):
     golden = json.loads(GOLDEN.read_text())
     assert _digest(identity_id, q, mode) == golden[_key(identity_id, q, mode)]
+
+
+def test_sampled_reports_at_q1021_match_golden(capsys):
+    assert main(list(WIDE_N_ARGV)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_N_DIGEST
 
 
 if __name__ == "__main__":
