@@ -182,7 +182,8 @@ class Counts:
     ring operations, so a result known from `mass` to stay below 2^63 is
     exact even if an intermediate wrapped: the counts themselves while
     mass < 2^63, the verifier's zero test while mass * 2^omega(n) is, and
-    a `table`'s reduced coefficients while mass * max|row| is.
+    a `table`'s reduced coefficients while mass * max|row| is. A mass
+    <= 1 means one-hot rows (0 or +-zeta^j), which `_convolve` gathers.
     """
 
     __slots__ = ("a", "mass")
@@ -222,14 +223,23 @@ class Counts:
 
 def _const(n: int, v) -> Counts:
     """v zeta^0 in each row, for an int or an int column v."""
-    v = np.asarray(v, dtype=np.int64).reshape(-1, 1)
-    return Counts(np.pad(v, ((0, 0), (0, n - 1))), int(np.abs(v).max(initial=0)))
+    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    a = np.zeros((len(v), n), dtype=np.int64)
+    a[:, 0] = v
+    return Counts(a, int(np.abs(v).max(initial=0)))
 
 
 def _convolve(u: Counts, v: Counts) -> Counts:
-    """Row-wise product in Z[C_n]: out[m] = sum_j u[j] v[m - j]."""
-    a, b = u.a, v.a
-    out = np.zeros((max(len(a), len(b)), a.shape[1]), dtype=np.int64)
+    """Row-wise product in Z[C_n]: out[m] = sum_j u[j] v[m - j]. By a
+    factor of mass <= 1, whose rows are k zeta^j with k in {0, +-1}, it is
+    the gather k v[(m - j) mod n]; else a sum of rotations of v."""
+    u, v = (v, u) if v.mass <= 1 else (u, v)
+    a, b, n = u.a, v.a, u.a.shape[1]
+    if u.mass <= 1:
+        j = np.abs(a).argmax(axis=1)[:, None]
+        k, m = np.take_along_axis(a, j, axis=1), (np.arange(n) - j) % n
+        return Counts(k * np.take_along_axis(b, m, axis=1), u.mass * v.mass)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
     for j in np.flatnonzero(a.any(axis=0)):
         out += a[:, j, None] * np.roll(b, j, axis=1)
     return Counts(out, u.mass * v.mass)

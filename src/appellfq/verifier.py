@@ -165,6 +165,8 @@ def _scan(entry, ft, columns, cases, cap):
     cex: list[dict] = []
     step = max(1, _CHUNK_CELLS // q)
     for lo in range(0, cases, step):
+        if len(cex) >= cap:
+            break
         cols = columns(lo, min(lo + step, cases))
         size = len(cols[0])
         lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
@@ -215,18 +217,16 @@ def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
 
 def _draws(seed, start, stop, bounds):
     """`_CounterStream(seed, i).below(b)` for each bound b in turn, drawn
-    from one word each, for i = start .. stop - 1: one uint64 column per
-    bound, and the mask of samples where a word fell in `below`'s
-    rejection zone, whose draws are therefore not these."""
-    stream = _CounterStream(seed, np.arange(start, stop, dtype=np.uint64))
-    draws, rejected = [], np.zeros(stop - start, dtype=bool)
-    for bound in bounds:
-        w = stream.word()
-        lim = (1 << 64) - ((1 << 64) % bound)
-        if lim <= _U64:  # else, for a power of two, no word is rejected
-            rejected |= w >= lim
-        draws.append(w % bound)
-    return draws, rejected
+    from one word each, for i = start .. stop - 1, in one `_splitmix64`
+    pass: one uint64 row per bound, and the mask of samples where a word
+    fell in `below`'s rejection zone (words past 2^64 - 1 - (2^64 mod b),
+    none for a power of two), whose draws are therefore not these."""
+    base = _CounterStream(seed, np.arange(start, stop, dtype=np.uint64))._base
+    step = np.arange(1, len(bounds) + 1, dtype=np.uint64).reshape(-1, 1)
+    words = _splitmix64(base + step * np.uint64(_GOLDEN))
+    b = np.array(bounds, dtype=np.uint64).reshape(-1, 1)
+    top = np.array([_U64 - (1 << 64) % bound for bound in bounds], dtype=np.uint64)
+    return words % b, (words > top.reshape(-1, 1)).any(axis=0)
 
 
 def _sample_columns(entry, domains, seed, start, stop):

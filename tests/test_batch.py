@@ -21,7 +21,7 @@ from appellfq.characters import Character, binom
 from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import f1_point_idx, f21_point_idx
-from appellfq.identities import BatchContext, EvalContext
+from appellfq.identities import BatchContext, Counts, EvalContext, _const, _convolve
 from appellfq.verifier import (
     _columns,
     _entry_domains,
@@ -289,6 +289,113 @@ def test_exhaustive_work_is_admitted_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=r"q = 5: "):
         verify(entry, small)
     assert find_counterexample(_mutant("thm1.3"), small) is not None
+
+
+def test_find_counterexample_stops_at_its_first_chunk():
+    # the thm4.1 mutant fails at (0, 0, 0, 1, 2, 2, 2), in the first chunk
+    # of a domain of 2,654,208 bindings
+    ft = _field(9)
+    entry = get_identity("thm4.1")
+    lhs, rhs = mutated_case(entry)
+    calls = []
+
+    def counted(c, b):
+        calls.append(len(b[0]))
+        return lhs(c, b)
+
+    assert find_counterexample(entry, ft, lhs=counted, rhs=rhs) == (0, 0, 0, 1, 2, 2, 2)
+    assert len(calls) == 1
+    # a verify stops once it holds its cap, and still reports the domain
+    mutant = dataclasses.replace(entry, lhs=counted, rhs=rhs)
+    calls.clear()
+    rep = verify(mutant, ft, max_counterexamples=1)
+    assert len(calls) == 1 and len(rep.counterexamples) == 1
+    assert rep.cases == entry.domain_size(ft)
+    calls.clear()
+    rep = verify(mutant, ft, mode="sampled", sample_count=10**5, max_counterexamples=3)
+    assert len(rep.counterexamples) == 3 and rep.cases == 10**5
+    assert sum(calls) < 10**5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_mass_bounds_every_row(q, monkeypatch):
+    """`mass` bounds sum |count| in every row of every `Counts` a verify
+    builds, so a factor of mass <= 1 is one-hot, as `_convolve` trusts."""
+    ft = _field(q)
+    init, seen = Counts.__init__, []
+
+    def checked(self, a, mass):
+        assert np.abs(a).sum(axis=1).max(initial=0) <= mass, (a, mass)
+        seen.append(mass)
+        init(self, a, mass)
+
+    monkeypatch.setattr(Counts, "__init__", checked)
+    kw = (dict(max_counterexamples=10**6) if q <= 5 else
+          dict(mode="sampled", sample_count=300, seed=q, max_counterexamples=10**6))
+    for entry in registry():
+        if not all(_entry_domains(entry, ft)):
+            continue  # sampled mode refuses an empty domain
+        for case in (entry, _mutant(entry.id)):
+            verify(case, ft, **kw)
+    # one-hot factors and wider ones were both built (at q = 2, where
+    # q - 2 = 0, every point sum is 0)
+    assert min(seen) <= 1 < max(seen)
+
+
+def _convolve_reference(a, b):
+    """out[r, m] = sum_j a[r, j] b[r, (m - j) mod n] in Python ints, with
+    a (1, n) operand standing for every row."""
+    rows, n = np.broadcast_shapes(a.shape, b.shape)
+    a, b = np.broadcast_to(a, (rows, n)).tolist(), np.broadcast_to(b, (rows, n)).tolist()
+    return [[sum(a[r][j] * b[r][(m - j) % n] for j in range(n)) for m in range(n)]
+            for r in range(rows)]
+
+
+def _one_hot(rng, rows, n):
+    """Rows +-zeta^j or 0, with each kind present once rows >= 3."""
+    a = np.zeros((rows, n), dtype=np.int64)
+    k = rng.choice([1, -1, 0], rows)
+    k[:3] = [1, -1, 0][:rows]
+    a[np.arange(rows), rng.integers(0, n, rows)] = k
+    return Counts(a, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 24, 100])
+def test_convolve_equals_reference(n):
+    rng = np.random.default_rng(n)
+
+    def wide(rows):
+        a = rng.integers(-50, 50, (rows, n))
+        return Counts(a, int(np.abs(a).sum(axis=1).max(initial=0)) + 2)
+
+    for rows in (0, 1, 6):
+        # a one-hot factor on either side and of either height, a full one,
+        # both one-hot, and neither (the rotation sum)
+        for u, v in [(_one_hot(rng, rows, n), wide(rows)),
+                     (wide(rows), _one_hot(rng, rows, n)),
+                     (_one_hot(rng, 1, n), wide(rows)),
+                     (wide(rows), _one_hot(rng, 1, n)),
+                     (_one_hot(rng, rows, n), wide(1)),
+                     (wide(1), _one_hot(rng, rows, n)),
+                     (_one_hot(rng, rows, n), _one_hot(rng, rows, n)),
+                     (_one_hot(rng, 1, n), _one_hot(rng, rows, n)),
+                     (wide(rows), wide(rows)),
+                     (wide(1), wide(rows)),
+                     (_const(n, 0), wide(rows)),
+                     (wide(rows), _const(n, rng.integers(-1, 2, rows)))]:
+            got = _convolve(u, v)
+            assert got.a.dtype == np.int64 and got.mass == u.mass * v.mass
+            assert got.a.tolist() == _convolve_reference(u.a, v.a), (u.a, v.a)
+
+
+def test_const_is_column_zero():
+    for n in (1, 4, 24):
+        c = _const(n, 3)
+        assert c.a.tolist() == [[3] + [0] * (n - 1)] and c.mass == 3
+        c = _const(n, np.array([2, -5, 0]))
+        assert c.a.tolist() == [[v] + [0] * (n - 1) for v in (2, -5, 0)]
+        assert c.a.dtype == np.int64 and c.mass == 5
+        assert _const(n, np.array([], dtype=np.int64)).a.shape == (0, n)
 
 
 SEEDS =(0, 2**64 - 1, 20240811)
