@@ -19,6 +19,20 @@ test is refused with a ValueError naming q, in both modes, and an
 exhaustive check of more than `_EXHAUSTIVE_CASES` bindings is refused
 before any work.
 
+Exhaustive mode scans by orbits. Every side is equivariant under the
+automorphisms sigma_k: zeta -> zeta^k, k a unit of Z/n: multiplying every
+character exponent by k applies sigma_k to both sides, which keeps
+equality and divisibility by (q-1)^d (tests/test_orbits.py guards this
+for every side). So a binding fails iff the binding with the least
+character tuple of its orbit, and the same elements, fails; and that
+one comes no later in domain order. The scan first evaluates only those
+representatives, about domain / phi(n) bindings. If none fails, that is
+the report of the whole domain. If one fails, it is the first failing
+binding of the domain: at a cap of 1 its record is the report, and
+otherwise the ordinary scan resumes at the chunk that holds it. Either
+way the report is the one a scan of every binding gives, and `cases`
+is the domain size.
+
 Comparison is exact equality in Z[zeta_{q-1}] after clearing. Entries
 registered with a div_power additionally assert that every coefficient of
 the summed side is divisible by (q-1)^div_power; a remainder is recorded
@@ -28,6 +42,7 @@ as a counterexample marked "divisibility".
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -123,7 +138,12 @@ def _columns(domains: list[np.ndarray], shape: list[int], start: int,
              stop: int) -> tuple[np.ndarray, ...]:
     """The bindings start .. stop - 1 in domain order, as one int64 column
     per parameter (the last parameter varies fastest)."""
-    index = np.arange(start, stop)
+    return _decode(domains, shape, np.arange(start, stop))
+
+
+def _decode(domains: list[np.ndarray], shape: list[int],
+            index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The bindings at the domain positions `index`, as in `_columns`."""
     cols = [None] * len(shape)
     for pos in range(len(shape) - 1, -1, -1):
         index, digit = np.divmod(index, shape[pos])
@@ -141,15 +161,22 @@ def _entry_domains(entry: IdentityCase, ft: FieldTable) -> list[list[int]]:
 # 128 KB each; a whole verify peaks at 1.1-1.4 MB (tracemalloc, q <= 25)
 _CHUNK_CELLS = 1 << 14
 
-# the most bindings an exhaustive check is admitted with: thm4.* at
-# q = 25 has 5.0e9, thm1.3 at q = 101 about 1e12 (weeks of work)
+# the most bindings an exhaustive check is admitted with, counted over the
+# whole domain: thm4.* at q = 25 has 5.0e9, thm1.3 at q = 101 about 1e12.
+# A check that passes evaluates one character tuple per unit orbit, so its
+# work is about domain / phi(n) bindings
 _EXHAUSTIVE_CASES = 2**34
 
 
-def _scan(entry, ft, columns, cases, cap):
-    """The first `cap` counterexample records over the bindings
-    0 .. cases - 1, which `columns(lo, hi)` gives a chunk at a time as a
-    tuple of int64 columns, one entry per binding.
+def _step(q: int) -> int:
+    """Bindings per chunk."""
+    return max(1, _CHUNK_CELLS // q)
+
+
+def _scan(entry, ft, chunks, cap):
+    """The first `cap` counterexample records over the bindings that
+    `chunks` yields, a chunk at a time, as tuples of int64 columns, one
+    entry per binding.
 
     A binding fails where the counts of lhs - rhs are not zero in
     Z[zeta_n] (`_Ring.vanishes`), or where the lhs leaves a remainder mod
@@ -163,11 +190,7 @@ def _scan(entry, ft, columns, cases, cap):
     ring, batch = _ring(n), BatchContext(ft)
     divisor = (q - 1) ** entry.div_power if entry.div_power else None
     cex: list[dict] = []
-    step = max(1, _CHUNK_CELLS // q)
-    for lo in range(0, cases, step):
-        if len(cex) >= cap:
-            break
-        cols = columns(lo, min(lo + step, cases))
+    for cols in chunks:
         size = len(cols[0])
         lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
         diff = lhs - rhs
@@ -188,6 +211,8 @@ def _scan(entry, ft, columns, cases, cap):
                 cex.append(record)
             if undivided[r] and any(c % divisor for c in record["lhs"].coeffs):
                 cex.append({**record, "note": "divisibility"})
+        if len(cex) >= cap:
+            break
     return cex[:cap]
 
 
@@ -196,18 +221,91 @@ def _value(a: np.ndarray, r: int, n: int) -> CycInt:
     return CycInt.from_powers(n, a[min(r, len(a) - 1)].tolist())
 
 
-def _scan_range(entry, ft, domains, cases, cap):
-    """`_scan` over the first `cases` bindings in domain order."""
+def _scan_range(entry, ft, domains, cases, cap, start=0, units=()):
+    """`_scan` over the bindings start .. cases - 1 in domain order, in
+    chunks of `_step(q)` from `start`; with `units`, over the bindings
+    whose character tuple is least of its orbit under them
+    (`_orbit_columns`) instead."""
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
     shape = [len(d) for d in doms]
-    return _scan(entry, ft, lambda lo, hi: _columns(doms, shape, lo, hi),
-                 cases, cap)
+    step = _step(ft.q)
+    if units:
+        chunks = _orbit_columns(doms, shape, len(entry.chars), units, step)
+    else:
+        chunks = (_columns(doms, shape, lo, min(lo + step, cases))
+                  for lo in range(start, cases, step))
+    return _scan(entry, ft, chunks, cap)
+
+
+def _orbit_columns(doms, shape, width, units, step):
+    """Chunks of at most `step` bindings, as `_columns` gives them, in
+    domain order, of the bindings whose character tuple (the first `width`
+    parameters, exponents mod n) is least of its orbit under multiplying
+    every exponent by each of `units`.
+
+    A tuple is compared by its code, its exponents read as base-n digits,
+    which orders tuples as the domain does; each code stands for the
+    element bindings that follow it. Codes are tested a block at a time
+    against every unit at once, in blocks of at most `_CHUNK_CELLS`
+    (code, unit, digit) cells, and a kept code's bindings are decoded as
+    they fill chunks, so memory stays O(chunk) at any domain size and
+    the test costs width * len(units) cells a code.
+    """
+    n = shape[0]  # the domain of a character exponent is 0 .. n - 1
+    total, per_code = n**width, math.prod(shape[width:])
+    place = n ** np.arange(width - 1, -1, -1)
+    units = np.array(units).reshape(-1, 1)
+    block = max(1, _CHUNK_CELLS // (len(units) * width))
+    kept = np.empty(0, dtype=np.int64)  # codes with bindings still to yield
+    done = 0  # bindings of kept[0] already yielded
+    for lo in range(0, total, block):
+        codes = np.arange(lo, min(lo + block, total))
+        digits = codes[:, None, None] // place % n  # (codes, 1, width)
+        least = (codes[:, None] <= digits * units % n @ place).all(axis=1)
+        kept = np.concatenate([kept, codes[least]])
+        last = lo + block >= total
+        while len(kept) * per_code > done and (
+                last or len(kept) * per_code - done >= step):
+            stop = min(done + step, len(kept) * per_code)
+            yield _decode(doms, shape, _positions(kept, per_code, done, stop))
+            kept, done = kept[stop // per_code:], stop % per_code
+
+
+def _positions(kept, per_code, start, stop):
+    """The domain positions of the bindings start .. stop - 1 of the codes
+    `kept`, each followed by its `per_code` element bindings."""
+    j = np.arange(start, stop)
+    return kept[j // per_code] * per_code + j % per_code
 
 
 # The registered thm1.3 is scanned under this name only so that the
 # benchmark's span wrappers (perfbench/spans.py, ROADMAP item 5) can time
 # it on their own; it is `_scan_range` itself, not a second algorithm.
 _thm13_exhaustive_batch = _scan_range
+
+
+def _scan_exhaustive(scan, entry, ft, domains, cases, cap):
+    """The records of `scan` over the whole domain, found first over one
+    character tuple per orbit of the units of Z/n (see the module
+    docstring)."""
+    n = ft.n
+    units = [k for k in range(2, n) if math.gcd(k, n) == 1] if entry.chars else []
+    start = 0
+    if units:
+        first = scan(entry, ft, domains, cases, 1, units=units)
+        if not first or cap == 1:
+            return first
+        step = _step(ft.q)
+        start = _position(domains, first[0]["binding"].values()) // step * step
+    return scan(entry, ft, domains, cases, cap, start=start)
+
+
+def _position(domains: list[list[int]], values) -> int:
+    """The domain position of the binding with these parameter values."""
+    pos = 0
+    for dom, v in zip(domains, values):
+        pos = pos * len(dom) + dom.index(v)
+    return pos
 
 
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
@@ -243,8 +341,10 @@ def _sample_columns(entry, domains, seed, start, stop):
 def _scan_samples(entry, ft, domains, seed, cases, cap):
     """`_scan` over the samples 0 .. cases - 1."""
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    return _scan(entry, ft, lambda lo, hi: _sample_columns(entry, doms, seed, lo, hi),
-                 cases, cap)
+    step = _step(ft.q)
+    chunks = (_sample_columns(entry, doms, seed, lo, min(lo + step, cases))
+              for lo in range(0, cases, step))
+    return _scan(entry, ft, chunks, cap)
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +362,12 @@ def verify(
 ) -> VerifyReport:
     """Check one identity over one field and report exactly.
 
-    Both modes run batched in one process. `jobs` is deprecated and
-    ignored once validated (>= 1), so every report is the same at every
-    `jobs`.
+    Both modes run batched in one process. Exhaustive mode reports the
+    whole domain as `cases`, and the first `max_counterexamples` records
+    in domain order, but evaluates one character tuple per orbit of the
+    units of Z/n until a binding fails (see the module docstring).
+    `jobs` is deprecated and ignored once validated (>= 1), so every
+    report is the same at every `jobs`.
     """
     entry = get_identity(identity) if isinstance(identity, str) else identity
     if mode not in ("exhaustive", "sampled"):
@@ -293,7 +396,7 @@ def verify(
                 f"of {_EXHAUSTIVE_CASES}; check this field with --sampled")
         scan = (_thm13_exhaustive_batch if entry is get_identity("thm1.3")
                 else _scan_range)
-        cex = scan(entry, field, domains, cases, cap)
+        cex = _scan_exhaustive(scan, entry, field, domains, cases, cap)
     else:
         cases, seed = sample_count, seed or 0
         cex = _scan_samples(entry, field, domains, seed, cases, cap)
