@@ -267,15 +267,9 @@ def _orbit_columns(doms, shape, width, units, step):
         while len(kept) * per_code > done and (
                 last or len(kept) * per_code - done >= step):
             stop = min(done + step, len(kept) * per_code)
-            yield _decode(doms, shape, _positions(kept, per_code, done, stop))
+            j = np.arange(done, stop)
+            yield _decode(doms, shape, kept[j // per_code] * per_code + j % per_code)
             kept, done = kept[stop // per_code:], stop % per_code
-
-
-def _positions(kept, per_code, start, stop):
-    """The domain positions of the bindings start .. stop - 1 of the codes
-    `kept`, each followed by its `per_code` element bindings."""
-    j = np.arange(start, stop)
-    return kept[j // per_code] * per_code + j % per_code
 
 
 # The registered thm1.3 is scanned under this name only so that the
