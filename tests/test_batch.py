@@ -10,6 +10,7 @@ and the documented mutant), reduced, must equal the scalar `CycInt`.
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from appellfq.characters import Character, binom
 from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import f1_point_idx, f21_point_idx
-from appellfq.identities import BatchContext, Counts, EvalContext, _const, _convolve
+from appellfq.identities import BatchContext, Counts, EvalContext, _const, _convolve, _norms
 from appellfq.verifier import (
     _columns,
     _entry_domains,
@@ -360,7 +361,8 @@ def _one_hot(rng, rows, n):
     return Counts(a, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 24, 100])
+# 7, 31 and 127 are prime: there pocketfft runs Bluestein's algorithm
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 24, 31, 100, 127])
 def test_convolve_equals_reference(n):
     rng = np.random.default_rng(n)
 
@@ -386,6 +388,93 @@ def test_convolve_equals_reference(n):
             got = _convolve(u, v)
             assert got.a.dtype == np.int64 and got.mass == u.mass * v.mass
             assert got.a.tolist() == _convolve_reference(u.a, v.a), (u.a, v.a)
+
+
+def _roll_sum(a, b):
+    """sum_j a[:, j] times b rolled by j, in int64: an O(n^2) oracle for
+    the FFT product."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for j in np.flatnonzero(a.any(axis=0)):
+        out += a[:, j, None] * np.roll(b, j, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("q", [8192, 16381])
+def test_fft_product_of_binomials_is_exact_at_large_n(q):
+    # n = 8191 is prime (Bluestein), n = 16380 is not
+    c = BatchContext(_field(q))
+    rng = np.random.default_rng(q)
+    A, B, C = (rng.integers(0, c.n, 2) for _ in range(3))
+    u, v = c.binom(C, A), c.binom(A, B)
+    assert u.mass > 1 and v.mass > 1
+    assert np.array_equal(_convolve(u, v).a, _roll_sum(u.a, v.a))
+
+
+def test_fft_bound_refuses_before_any_fft(monkeypatch):
+    def row(*entries, mass=None):
+        a = np.zeros((1, 8), dtype=np.int64)
+        a[0, :len(entries)] = entries
+        return Counts(a, int(np.abs(a).sum()) if mass is None else mass)
+
+    # at n = 8 the bound is ||u|| ||v|| 2^-53 64 (3 + 1) = ||u|| ||v|| 2^-45
+    refused = [
+        (row(2**22), row(2**21)),  # bound 1/4 exactly, mass 2^43
+        (row(2**45), row(1, 1)),  # bound 2^0.5; squares past int64
+        (row(1, 1, mass=2**26), row(1, 1, mass=2**26)),  # mass 2^52
+    ]
+    accepted = [
+        (row(2**21), row(2**21)),  # bound 1/8
+        (row(2**40, 3), row(1, 1)),  # squares past int64, bound 2^-4.5
+        (row(1, 1, mass=2**26), row(1, 1, mass=2**26 - 1)),  # mass < 2^52
+    ]
+
+    def no_fft(*args, **kwargs):
+        pytest.fail("the FFT ran before the bound was checked")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    for u, v in refused:
+        with pytest.raises(ValueError, match=r"FFT product at n = 8 .* < 2\^52 .* < 1/4"):
+            _convolve(u, v)
+    monkeypatch.undo()
+    for u, v in accepted:
+        got = _convolve(u, v)
+        assert got.a.tolist() == _convolve_reference(u.a, v.a)
+        assert got.mass == u.mass * v.mass
+    # the norms are exact past int64's squares
+    assert _norms(row(2**40, 3)).tolist() == [float(math.isqrt(2**80 + 9))]
+
+
+def test_a_refused_product_is_a_verify_error(monkeypatch):
+    # a looser mass bound, 2^26 (q - 2), on each binomial puts prop2.1-b's
+    # product past 2^52: the verify reports the bound as its error
+    binom = BatchContext.binom
+    monkeypatch.setattr(BatchContext, "binom",
+                        lambda self, i, j: Counts(binom(self, i, j).a, 2**26 * (self.q - 2)))
+    [rep] = V.verify_all(_field(5), ids=["prop2.1-b"])
+    assert rep.error.startswith("ValueError: an FFT product at n = 4 is exact only")
+    assert not rep.passed
+
+
+def test_wide_product_is_two_rfft_and_one_irfft(monkeypatch):
+    calls = {"roll": 0, "rfft": 0, "irfft": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np, "roll")
+    counted(np.fft, "rfft")
+    counted(np.fft, "irfft")
+    rng = np.random.default_rng(0)
+    for n in (4, 100, 16380):
+        u, v = (Counts(rng.integers(-3, 4, (2, n)), 3 * n) for _ in range(2))
+        calls.update(dict.fromkeys(calls, 0))
+        _convolve(u, v)
+        assert calls == {"roll": 0, "rfft": 2, "irfft": 1}, n
 
 
 def test_const_is_column_zero():
