@@ -7,7 +7,9 @@ Z[zeta_{q-1}].
 
 The binomial coefficient here is the q-scaled variant
 binom(A, B) = B(-1) * J(A, B-inverse), where J(A, B) is the Jacobi sum
-sum over u in F_q of A(u) * B(1 - u).
+sum over u in F_q of A(u) * B(1 - u). Both are one row of the column
+kernel `binom_counts`, reduced once and kept in `binomial_table`; a
+Jacobi sum is the binomial of B-inverse times B(-1).
 """
 
 from __future__ import annotations
@@ -102,35 +104,17 @@ def delta_char(chi: Character) -> int:
 # Jacobi sums and binomial coefficients
 # ----------------------------------------------------------------------
 
-def _jacobi_counts(ft: FieldTable, a: int, b: int, shift: int = 0) -> list[int]:
-    """Root-of-unity weights of sum_u zeta^(a*log u + b*log(1-u) + shift)."""
-    n = ft.n
-    counts = [0] * n
-    om = ft.one_minus_idx
-    for u in range(1, ft.q):  # u != 0
-        v = om[u]
-        if v == 0:  # u = 1 contributes B(0) = 0
-            continue
-        counts[(a * (u - 1) + b * (v - 1) + shift) % n] += 1
-    return counts
-
-
 def jacobi_sum(A: Character, B: Character) -> CycInt:
-    """J(A, B) = sum over u in F_q of A(u) B(1 - u)."""
-    A._check(B)
-    ft = A.field
-    return CycInt.from_powers(ft.n, _jacobi_counts(ft, A.exponent, B.exponent))
+    """J(A, B) = sum over u in F_q of A(u) B(1 - u), which is
+    B(-1) [A|B~] by the definition of `binom` read backwards."""
+    return binom(A, B.inverse()) * B.eval_minus_one()
 
 
 def binom(A: Character, B: Character) -> CycInt:
-    """The scaled binomial coefficient B(-1) * J(A, B-inverse)."""
+    """The scaled binomial coefficient B(-1) * J(A, B-inverse): one
+    `binom_counts` row, reduced once and kept in `binomial_table`."""
     A._check(B)
-    ft = A.field
-    n = ft.n
-    shift = (B.exponent * ft.log_minus_one) % n
-    return CycInt.from_powers(
-        ft.n, _jacobi_counts(ft, A.exponent, -B.exponent % n, shift)
-    )
+    return binomial_table(A.field)[A.exponent][B.exponent]
 
 
 def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +173,23 @@ class _BinomRow(dict):
         return v
 
 
-def binomial_table(ft: FieldTable) -> list[_BinomRow]:
-    """binom(chi_i, chi_j) as tab[i][j], cached on the field and filled on
-    demand, so that a run pays only for the entries it reads."""
+class _BinomTable(dict):
+    """The rows of the binomial table; a row is made on first read."""
+
+    def __init__(self, ft: FieldTable):
+        self.ft = ft
+
+    def __missing__(self, a: int) -> _BinomRow:
+        row = self[a] = _BinomRow(self.ft, a)
+        return row
+
+
+def binomial_table(ft: FieldTable) -> _BinomTable:
+    """binom(chi_i, chi_j) as tab[i][j] for 0 <= i, j < n, cached on the
+    field and filled on demand, so that a run pays only for the rows and
+    entries it reads (one value at q = 65521 would otherwise make 65,520
+    rows first, 0.3 s and 29 MB)."""
     tab = ft._caches.get("binom_table")
     if tab is None:
-        tab = ft._caches["binom_table"] = [_BinomRow(ft, a) for a in range(ft.n)]
+        tab = ft._caches["binom_table"] = _BinomTable(ft)
     return tab

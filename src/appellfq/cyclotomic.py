@@ -374,21 +374,3 @@ def cyc_one(n: int) -> CycInt:
 def root_of_unity(n: int, k: int) -> CycInt:
     """zeta_n^k in canonical form."""
     return _new(n, _ring(n).reduce([0] * (k % n) + [1]))
-
-
-class _Roots(dict):
-    """zeta_n^k as roots[k], for 0 <= k < n."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __missing__(self, k: int) -> CycInt:
-        v = self[k] = root_of_unity(self.n, k)
-        return v
-
-
-@functools.lru_cache(maxsize=None)
-def all_roots(n: int) -> _Roots:
-    """The roots zeta_n^0 .. zeta_n^(n-1) by exponent; cached, and each root
-    is reduced on its first read."""
-    return _Roots(n)

@@ -6,13 +6,13 @@ character; "~" below means character inversion):
     2F1[A,B;C;x]      = eps(x) (BC)(-1) sum_u B(u) (B~C)(1-u) A~(1-ux)
     F1(A;B,B';C;x,y)  = eps(xy) (AC)(-1) sum_u A(u) (A~C)(1-u) B~(1-ux) B'~(1-uy)
 
-The point sums above are the canonical Theta(q) evaluators, in two forms
-of one function each (`f21_point_idx`, `f1_point_idx`). With int
-arguments a Python loop over u gives a `CycInt`: the scalar reference,
-and the faster form for one binding. With int64 columns one `np.bincount`
-over u gives the (S, n) zeta-power counts of S bindings, unreduced: the
-kernel of `identities.BatchContext` and of the f21/f1 `table`. The
-character sum forms are independent routes used for cross-validation:
+The point sums above are the canonical Theta(q) evaluators
+(`f21_point_idx`, `f1_point_idx`). One `np.bincount` over u gives the
+(S, n) zeta-power counts of S bindings given as int64 columns,
+unreduced: the kernel of `identities.BatchContext` and of the f21/f1
+`table`. With int arguments the same body counts one row and reduces it
+to a `CycInt`. The character sum forms are independent routes used for
+cross-validation:
 
     2F1 = 1/(q-1)   sum_chi     [A chi | chi] [B chi | C chi] chi(x)
     F1  = 1/(q-1)^2 sum_chi,lam [A chi lam | C chi lam] [B chi | chi]
@@ -30,7 +30,7 @@ other, the one whose slope cancels it (`characters._slope_index`). Each
 character sum is thus one gather and one `np.bincount` of the summed
 intercepts, O(q) per binding, in one body for ints and for columns; an
 int result is reduced and then scaled by n (or n^2) in Python ints, so
-the scalar routes have no int64 bound.
+the single values have no int64 bound.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import Character, _binom_logs, _slope_index
-from .cyclotomic import CycInt, cyc_zero
+from .cyclotomic import CycInt
 from .fields import FieldElement, FieldTable
 
 
@@ -81,62 +81,23 @@ class AppellF1Params:
 def f21_point_idx(ft: FieldTable, a, b, c, xi):
     """The 2F1 point sum at exponents a, b, c and element index xi.
 
-    With int arguments, a loop over u and one reduction give a `CycInt`.
     If any argument is an int64 column, the others stand for every row
     and the result is the (S, n) int64 array of zeta-power counts of
-    each row, unreduced (`_point_counts`).
+    each row, unreduced (`_point_counts`); with int arguments, its one
+    row reduced to a `CycInt`.
     """
+    counts = _point_counts(ft, (b, c, a), (xi,))
     if any(isinstance(v, np.ndarray) for v in (a, b, c, xi)):
-        return _point_counts(ft, (b, c, a), (xi,))
-    n = ft.n
-    if xi == 0:
-        return cyc_zero(n)
-    om = ft.one_minus_idx
-    pref = ((b + c) * ft.log_minus_one) % n
-    e2 = (c - b) % n
-    e3 = (-a) % n
-    lx = xi - 1
-    counts = [0] * n
-    for lu in range(n):
-        i1 = om[lu + 1]  # 1 - u
-        if i1 == 0:
-            continue
-        i2 = om[(lu + lx) % n + 1]  # 1 - ux
-        if i2 == 0:
-            continue
-        counts[(pref + b * lu + e2 * (i1 - 1) + e3 * (i2 - 1)) % n] += 1
-    return CycInt.from_powers(n, counts)
+        return counts
+    return _reduced(ft.n, counts, 1)
 
 
 def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     """The Appell F1 point sum; ints or int64 columns as `f21_point_idx`."""
+    counts = _point_counts(ft, (a, c, b, bp), (xi, yi))
     if any(isinstance(v, np.ndarray) for v in (a, b, bp, c, xi, yi)):
-        return _point_counts(ft, (a, c, b, bp), (xi, yi))
-    n = ft.n
-    if xi == 0 or yi == 0:
-        return cyc_zero(n)
-    om = ft.one_minus_idx
-    pref = ((a + c) * ft.log_minus_one) % n
-    e2 = (c - a) % n
-    e3 = (-b) % n
-    e4 = (-bp) % n
-    lx = xi - 1
-    ly = yi - 1
-    counts = [0] * n
-    for lu in range(n):
-        i1 = om[lu + 1]  # 1 - u
-        if i1 == 0:
-            continue
-        i2 = om[(lu + lx) % n + 1]  # 1 - ux
-        if i2 == 0:
-            continue
-        i3 = om[(lu + ly) % n + 1]  # 1 - uy
-        if i3 == 0:
-            continue
-        counts[
-            (pref + a * lu + e2 * (i1 - 1) + e3 * (i2 - 1) + e4 * (i3 - 1)) % n
-        ] += 1
-    return CycInt.from_powers(n, counts)
+        return counts
+    return _reduced(ft.n, counts, 1)
 
 
 def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:

@@ -11,20 +11,20 @@ multiplied by (q-1)^k, with exact divisibility of the sum asserted
 separately. Right sides are encoded term by term, including eps() and
 delta() factors, with no algebraic simplification.
 
-Each side is written once, as a Python expression over `c` (the
-`EvalContext`) and the binding names, and compiled when this module is
+Each side is written once, as a Python expression over `c` (a
+`BatchContext`) and the binding names, and compiled when this module is
 imported into a plain function `side(c, b)`. An entry's documented
 mutation is one edit of its rhs text, (description, old, new): `old`
 must occur exactly once in the rhs, and the mutant is the rhs with it
 replaced by `new`, compiled the same way.
 
-Bindings are plain int tuples: character exponents first, then element
-enumeration indices, in the order of `chars` + `elems`. The same compiled
-side also takes a `BatchContext` and a tuple of int64 columns, one entry
-per binding, and then returns the values of a whole chunk of bindings as
-`Counts`; so a side is written without Python branches on its bindings.
-The verifier runs the sides on `BatchContext` only; `EvalContext` is the
-scalar form, which the tests and the benchmark use as a reference.
+A binding holds character exponents first, then element enumeration
+indices, in the order of `chars` + `elems`, each an int64 column with one
+entry per binding (or an int that stands for every row). A compiled side
+returns the values of a whole chunk of bindings as `Counts`, so it is
+written without Python branches on its bindings. `BatchContext` is the
+one evaluator, of the verifier and of `table`; the tests keep a scalar
+`CycInt` evaluator of the same sides as their reference.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from typing import Callable
 import numpy as np
 import numpy.fft  # noqa: F401 (np.fft is lazy: load it at import, not mid-verify)
 
-from .characters import _slope_index, binom_counts, binomial_table
-from .cyclotomic import CycInt, all_roots, cyc_zero
+from .characters import _slope_index, binom_counts
+from .characters import binomial_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .fields import FieldTable
 from .hypergeometric import (
     _col,
-    _reduced,
     _row_counts,
     f1_charsum_idx,
     f1_point_idx,
@@ -93,85 +92,6 @@ def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis) -> np.ndarray:
     i = inv[-(L[k] + t - 1) % n]
     e = _col(X) * m1[i] + sum(_col(c) * row for c, row in zip(coeffs, L))
     return _row_counts(n, e, ok & (i >= 0) & (t != 0))
-
-
-class EvalContext:
-    """Compiled per-field helpers for identity evaluation.
-
-    Element arguments are enumeration indices (0 is the zero element,
-    index i > 0 has discrete log i - 1); characters are exponents mod q-1.
-    """
-
-    def __init__(self, ft: FieldTable):
-        self.ft = ft
-        self.n = ft.n
-        self.q = ft.q
-        self.qm1 = ft.q - 1
-        self.om = ft.one_minus_idx
-        self.ng = ft.neg_idx
-        self.lm1 = ft.log_minus_one
-        self.zero = cyc_zero(ft.n)
-        self.roots = all_roots(ft.n)  # filled on first read
-        self.bt = binomial_table(ft)
-
-    # element ops on enumeration indices
-    def sub(self, i, j):
-        return self.ft.sub_idx(i, j)
-
-    def div(self, i, j):
-        return self.ft.div_idx(i, j)
-
-    def eps(self, i):
-        """eps(x) as a 0/1 integer factor."""
-        return 0 if i == 0 else 1
-
-    def delta(self, i):
-        """delta on field elements: 1 iff the element is 0."""
-        return 1 if i == 0 else 0
-
-    def dchar(self, e):
-        """delta on characters: 1 iff trivial."""
-        return 1 if e % self.n == 0 else 0
-
-    def sign(self, e):
-        """chi_e(-1), a unit, as a CycInt."""
-        return self.roots[(e * self.lm1) % self.n]
-
-    def cp(self, *pairs):
-        """Product of character values chi_e(elem); zero if any arg is 0."""
-        t = 0
-        for e, i in pairs:
-            if i == 0:
-                return self.zero
-            t += e * (i - 1)
-        return self.roots[t % self.n]
-
-    def intv(self, v):
-        return CycInt.from_int(self.n, v)
-
-    def binom(self, i, j):
-        return self.bt[i % self.n][j % self.n]
-
-    def f21(self, a, b, c, x):
-        return f21_point_idx(self.ft, a, b, c, x)
-
-    def f1(self, a, b, bp, c, x, y):
-        return f1_point_idx(self.ft, a, b, bp, c, x, y)
-
-    def f21_sum(self, a, b, c, x):
-        return f21_charsum_idx(self.ft, a, b, c, x)
-
-    def f1_sum(self, a, b, bp, c, x, y):
-        return f1_charsum_idx(self.ft, a, b, bp, c, x, y)
-
-    def power_sum(self, step):
-        return CycInt.from_powers(self.n, power_sum_counts(self.ft, step)[0].tolist())
-
-    def binthm(self, A, x):
-        return _reduced(self.n, binthm_counts(self.ft, A, x), self.n)
-
-    def theta(self, t, X, coeffs, k, *xis):
-        return _reduced(self.n, theta_counts(self.ft, t, X, coeffs, k, *xis), self.n)
 
 
 class Counts:
@@ -272,20 +192,20 @@ def _convolve(u: Counts, v: Counts) -> Counts:
 
 
 class BatchContext:
-    """`EvalContext`'s helpers over columns of bindings: the one evaluator
-    of the verifier and of `table`.
+    """The helpers a compiled side calls, over columns of bindings: the one
+    evaluator of the verifier and of `table`.
 
+    Element arguments are enumeration indices (0 is the zero element,
+    index i > 0 has discrete log i - 1); characters are exponents mod q-1.
     Each argument is an int64 column with one entry per binding, or an int
     that stands for every row, and each value is `Counts`, so a compiled
-    side evaluates a whole chunk of bindings in one call. The exponents are
-    those of the scalar evaluators, counted per row with `np.bincount`
-    instead of reduced one binding at a time. The point sums and the five
-    sums over characters (f21, f1, theta, binthm, power_sum) are the
-    column forms of the kernels `EvalContext` reduces, wrapped in `Counts`
-    with a bound on their mass (a point sum counts the q - 2 u outside
-    {0, 1}). The verifier tests the counts for zero without reducing
-    them, and reduces only a failing binding's row, in Python ints;
-    `table` reduces every row by the (n, phi) int64 rows.
+    side evaluates a whole chunk of bindings in one call. The point sums
+    and the five sums over characters (f21, f1, theta, binthm, power_sum)
+    are the column kernels, wrapped in `Counts` with a bound on their mass
+    (a point sum counts the q - 2 u outside {0, 1}). The verifier tests
+    the counts for zero without reducing them, and reduces only a failing
+    binding's row, in Python ints; `table` reduces every row by the
+    (n, phi) int64 rows.
     """
 
     def __init__(self, ft: FieldTable):
@@ -374,6 +294,10 @@ class BatchContext:
 
     def theta(self, t, X, coeffs, k, *xis):
         return Counts(theta_counts(self.ft, t, X, coeffs, k, *xis), self.n) * self.n
+
+
+# perfbench/child.py, kernels.py and spans.py build and wrap the context by this name
+EvalContext = BatchContext
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Batched evaluation (`identities.BatchContext`) against the scalar sides.
 
 The verifier decides every binding on chunks of unreduced zeta-power
-counts, and reports a failing binding's counts reduced, so no value in a
-report comes from `EvalContext`. A wrong batch value would reach a
-report, or hide a counterexample, unseen, so these tests compare values,
-not only pass or fail: every row of every side of every entry (lhs, rhs
-and the documented mutant), reduced, must equal the scalar `CycInt`.
+counts, and reports a failing binding's counts reduced, so every value in
+a report comes from `BatchContext`, the package's one evaluator. A wrong
+batch value would reach a report, or hide a counterexample, unseen, so
+these tests compare values, not only pass or fail: every row of every
+side of every entry (lhs, rhs and the documented mutant), reduced, must
+equal the `CycInt` of the tests' scalar `EvalContext` (`scalar_reference`).
 """
 
 import dataclasses
@@ -18,17 +19,19 @@ import pytest
 
 import appellfq.verifier as V
 from appellfq import build_field, get_identity, registry, verify
-from appellfq.characters import Character, binom
+from appellfq.characters import Character
 from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import f1_point_idx, f21_point_idx
-from appellfq.identities import BatchContext, Counts, EvalContext, _const, _convolve, _norms
+from appellfq.identities import BatchContext, Counts, _const, _convolve, _norms
 from appellfq.verifier import (
     _columns,
     _entry_domains,
     find_counterexample,
     mutated_case,
 )
+import scalar_reference as ref
+from scalar_reference import EvalContext
 
 EXHAUSTIVE_MAX = 50_000  # bindings per entry checked exhaustively
 SUBSET = 1500  # seeded bindings per entry beyond that
@@ -74,16 +77,22 @@ def test_batch_values_equal_scalar_values(q):
                 assert tuple(row) == want, (entry.id, side, binding)
 
 
+def test_reference_is_not_the_package_evaluator():
+    assert EvalContext is not BatchContext
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16, 25, 27, 101])
 @pytest.mark.parametrize("kernel,chars,elems", [(f21_point_idx, 3, 1),
                                                 (f1_point_idx, 4, 2)])
 def test_point_columns_equal_int_loop(q, kernel, chars, elems):
     """The column form of a point sum (the kernel of `BatchContext` and
-    `table`) against its int loop, row by row: every binding at q <= 7,
-    and at larger q random columns, exponents outside 0 .. n-1 included,
-    with the rows x = 0, x = 1, y = 0 and x = y, also with some arguments
-    given as ints."""
+    `table`) against the reference's int loop, row by row: every binding
+    at q <= 7, and at larger q random columns, exponents outside
+    0 .. n-1 included, with the rows x = 0, x = 1, y = 0 and x = y, also
+    with some arguments given as ints, and there the int form (one row
+    of the kernel, reduced) at each row's binding."""
     ft = _field(q)
+    loop = getattr(ref, kernel.__name__)
     rows = _ring(ft.n).np_rows
     shape = (ft.n,) * chars + (ft.q,) * elems
     if q <= 7:
@@ -105,16 +114,19 @@ def test_point_columns_equal_int_loop(q, kernel, chars, elems):
         assert got.shape == (len(cols[0]), rows.shape[1])
         for r, row in enumerate(got.tolist()):
             binding = [a if i in at else int(a[r]) for i, a in enumerate(args)]
-            assert tuple(row) == kernel(ft, *binding).coeffs, (at, binding)
+            want = loop(ft, *binding)
+            assert tuple(row) == want.coeffs, (at, binding)
+            if not at and q > 7:
+                assert kernel(ft, *binding) == want, binding
 
 
 def _binthm_oracle(ft, a, x):
     """sum over k of binom(chi_(a+k), chi_k) chi_k(x), term by term through
-    `Character` and `characters.binom` (the `_jacobi_counts` loop)."""
+    `Character` and the reference's binomial (the `_jacobi_counts` loop)."""
     total = cyc_zero(ft.n)
     for k in range(ft.n):
         chi = Character(ft, k)
-        total = total + binom(Character(ft, a) * chi, chi) * chi(ft.elements[x])
+        total = total + ref.binom(ft, a + k, k) * chi(ft.elements[x])
     return total
 
 
@@ -128,10 +140,11 @@ def _power_sum_oracle(ft, step):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_sums_over_characters_equal_oracle(q):
-    """`binthm` and `power_sum`, in the int form of `EvalContext` and the
-    column form of `BatchContext`, against term-by-term sums over the
-    characters: every binding at q <= 9, and at larger q random ones,
-    exponents outside 0 .. n-1 and the rows x = 0 and x = 1 included."""
+    """`binthm` and `power_sum`, in the int form of the reference
+    `EvalContext` and the column form of `BatchContext`, against
+    term-by-term sums over the characters: every binding at q <= 9, and
+    at larger q random ones, exponents outside 0 .. n-1 and the rows
+    x = 0 and x = 1 included."""
     ft = _field(q)
     n = ft.n
     ctx, batch = EvalContext(ft), BatchContext(ft)

@@ -4,13 +4,15 @@
 for the traced pass (`perfbench/run.py --trace 1`). A renamed one would
 break only that pass, so this test runs the same instrumentation on a
 fresh import of the package, in its own interpreter, on two verifies.
-Both modes are batched and no verify reaches a scalar layer: the sampled
-verify of thm4.3-a's documented mutant reduces its failing bindings'
-counts (`CycInt.from_powers`), and the exhaustive verify of the
-registered entry reaches the scan only. So the script also builds an
-`EvalContext` and evaluates the mutant at its first failing binding,
-through the point sum and `CycInt` multiply, which must give the values
-the report holds.
+Both modes are batched: the sampled verify of thm4.3-a's documented
+mutant reduces its failing bindings' counts (`CycInt.from_powers`), and
+the exhaustive verify of the registered entry reaches the scan only.
+`identities.EvalContext` is `BatchContext` under the name the benchmark
+wraps, so its build is counted once per verify, and the binomial table
+is no longer read through `identities`. The script also evaluates the
+mutant at its first failing binding on the tests' scalar `EvalContext`
+(`scalar_reference`), through its point-sum loop and `CycInt` multiply,
+which must give the values the report holds.
 """
 
 import json
@@ -28,6 +30,8 @@ sys.path.insert(0, str(root / "perfbench"))
 from child import import_package
 from spans import Tracer, instrument
 afq = import_package(root)
+sys.path.insert(0, str(root / "tests"))
+from scalar_reference import EvalContext
 tracer = Tracer()
 instrument(tracer, afq)
 ft = afq.fields.build_field(5, 1)
@@ -35,7 +39,7 @@ entry = afq.get_identity("thm4.3-a")
 mutant = dataclasses.replace(entry, rhs=entry.mutation.fn)
 rep = afq.verifier.verify(mutant, ft, mode="sampled", sample_count=40, seed=1)
 verify_calls = {name: agg[0] for name, agg in tracer.totals.items()}
-ctx = afq.identities.EvalContext(ft)
+ctx = EvalContext(ft)
 first = rep.counterexamples[0]
 binding = tuple(first["binding"].values())
 scalar = (mutant.lhs(ctx, binding) == first["lhs"]
@@ -57,16 +61,16 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert not out["passed"] and out["cases"] == 40
-    # the verify reduces the failing bindings' counts and builds no
-    # scalar context
+    # the verify reduces the failing bindings' counts, and the context it
+    # builds is the one `BatchContext`
     verify_calls = out["verify_calls"]
     assert verify_calls["cyclotomic.reduce"] > 0
-    assert verify_calls.get("identities.ctx_build", 0) == 0
+    assert verify_calls["identities.ctx_build"] == 1
     assert out["scalar_equal"]
     calls = out["calls"]
-    for name in ("fields.build", "verifier.verify", "identities.ctx_build",
-                 "characters.binom_table"):
+    for name in ("fields.build", "verifier.verify", "identities.ctx_build"):
         assert calls[name] == 1, name
+    assert calls["characters.binom_table"] == 0
     for name in ("verifier.scan", "identities.eval", "hypergeometric.f21_point",
                  "cyclotomic.mul"):
         assert calls[name] > 0, name

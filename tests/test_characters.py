@@ -17,9 +17,10 @@ from appellfq import (
     jacobi_sum,
     trivial_character,
 )
-from appellfq.characters import _jacobi_counts, binom_counts
+from appellfq.characters import binom_counts
 from appellfq.cyclotomic import CycInt
-from appellfq.identities import EvalContext
+import scalar_reference as ref
+from scalar_reference import _jacobi_counts
 
 QS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -180,6 +181,8 @@ def test_binom_counts_matches_scalar_oracle(p, r):
         assert counts.tolist() == expect[a * n + b].tolist()
         assert binom_counts(ft, a + n, b - n).tolist() == counts.tolist()
         assert CycInt.from_powers(n, counts.tolist()) == binom(chars[a], chars[b])
+        # at odd q, B(-1) = -1 for odd b, so a lost B(-1) changes half of these
+        assert jacobi_sum(chars[a], chars[b]) == ref.jacobi(ft, a, b), (a, b)
     ar = np.arange(n)
     table = binom_counts(ft, ar[:, None], ar[None, :])
     assert table.shape == (n, n, n)
@@ -191,14 +194,17 @@ def test_binom_counts_matches_scalar_oracle(p, r):
 
 def test_binomial_table_fills_on_demand():
     ft = build_field(101, 1)
-    ctx = EvalContext(ft)
-    assert sum(map(len, ctx.bt)) == 0
-    value = ctx.binom(37, -5)
-    assert sum(map(len, ctx.bt)) == 1
+    tab = binomial_table(ft)
+    assert len(tab) == 0  # rows, too, are made on first read
     chars = all_characters(ft)
-    assert value == binom(chars[37], chars[95])
-    assert ctx.binom(37, 95) is value
-    assert sum(map(len, ctx.bt)) == 1
+    value = binom(chars[37], Character(ft, -5))
+    assert list(tab) == [37] and len(tab[37]) == 1
+    assert value == ref.binom(ft, 37, 95)
+    assert binom(chars[37], chars[95]) is value
+    assert tab[37][95] is value
+    # a Jacobi sum reads the binomial of B-inverse: J(chi_37, chi_5)
+    assert jacobi_sum(chars[37], chars[5]) == ref.jacobi(ft, 37, 5)
+    assert sum(map(len, tab.values())) == 1
 
 
 def test_field_mismatch_rejected():

@@ -23,7 +23,7 @@ from appellfq import (
     f21_char_sum,
     f21_point_sum,
 )
-from appellfq.cyclotomic import _ring, all_roots
+from appellfq.cyclotomic import _ring
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import (
     f1_charsum_idx,
@@ -31,6 +31,7 @@ from appellfq.hypergeometric import (
     f21_charsum_idx,
     f21_point_idx,
 )
+from scalar_reference import all_roots
 
 
 @pytest.fixture(scope="module")

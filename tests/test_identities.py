@@ -11,13 +11,14 @@ import pytest
 import appellfq.fields
 from appellfq import build_field, get_identity, registry, verify, verify_all
 from appellfq.cyclotomic import root_of_unity
-from appellfq.identities import EvalContext, _entry
+from appellfq.identities import _entry
 from appellfq.verifier import (
     _columns,
     _entry_domains,
     find_counterexample,
     mutated_case,
 )
+from scalar_reference import EvalContext
 
 
 @pytest.fixture(scope="module")

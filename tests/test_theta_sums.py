@@ -2,9 +2,10 @@
 
 Each left side is `identities.theta_counts`: at each point u of the
 point sum, the sum over theta keeps only the binomial pair whose slope
-cancels theta's coefficient at u, found by one gather. Here its scalar
-value and its column form on `BatchContext` are checked against the sum
-over theta of scalar binomials times scalar point sums.
+cancels theta's coefficient at u, found by one gather. Here its value
+on the reference `EvalContext` (`scalar_reference`) and its column form
+on `BatchContext` are checked against the sum over theta of scalar
+binomials times the reference's point-sum loops.
 """
 
 import functools
@@ -18,8 +19,8 @@ import pytest
 from appellfq import build_field, get_identity
 from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
-from appellfq.hypergeometric import f1_point_idx, f21_point_idx
-from appellfq.identities import BatchContext, EvalContext
+from appellfq.identities import BatchContext
+from scalar_reference import EvalContext, f1_point_idx, f21_point_idx
 
 
 def _field(q):
