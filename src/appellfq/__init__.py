@@ -9,7 +9,6 @@ Z[zeta_{q-1}]; nothing is ever evaluated in floating point.
 
 from .cyclotomic import (
     CycInt,
-    InexactDivisionError,
     cyclotomic_poly,
     cyc_one,
     cyc_zero,
@@ -58,7 +57,6 @@ __all__ = [
     "FieldTable",
     "Hyp2F1Params",
     "IdentityCase",
-    "InexactDivisionError",
     "VerifyReport",
     "all_characters",
     "appell_f1_char_sum",

@@ -44,9 +44,6 @@ class Character:
         self._check(other)
         return Character(self.field, self.exponent + other.exponent)
 
-    def __pow__(self, k: int) -> "Character":
-        return Character(self.field, self.exponent * k)
-
     def inverse(self) -> "Character":
         """The conjugate character (inverse in the character group)."""
         return Character(self.field, -self.exponent)

@@ -3,7 +3,7 @@ and the identity verification suite, with machine-readable JSON output.
 
 Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
 arguments: the field, the table cap, an element, a missing flag, a
---samples, --jobs or --max-counterexamples below 1), 3 an evaluation
+--samples or --max-counterexamples below 1), 3 an evaluation
 failed: an evaluator raised, or refused the request (an exhaustive check
 of more than 2^34 bindings, refused before any work; a check whose
 counts could pass int64; or a table of any kind whose line count could
@@ -12,8 +12,8 @@ values could pass int64, refused before any row is written). A missing
 parameter flag of `eval` is reported as "eval <kind> requires -<flag>",
 and a warning of the field (q = 2) as one "warning:" line. A closed
 stdout (a reader such as `head` that went away) ends the output silently,
-and the command exits as it would have. `verify --jobs` is deprecated and
-has no effect beyond a warning on stderr.
+and the command exits as it would have. A field is given by -q Q or by
+-p P [-r R] (R defaults to 1), never by both.
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_field_args(p, q_list=False, fmt=True):
         p.add_argument("-p", type=int, help="field characteristic (prime)")
-        p.add_argument("-r", type=int, default=1, help="extension degree")
+        p.add_argument("-r", type=int, help="extension degree (default 1)")
         if q_list:
             p.add_argument(
                 "-q", type=str, help="comma-separated prime powers, e.g. 3,4,5"
@@ -124,8 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sampled", action="store_true")
     p_ver.add_argument("--samples", type=int, default=10000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=None, help="deprecated, "
-                       "no effect: accepted (>= 1), and one process runs")
     p_ver.add_argument("--max-counterexamples", type=int, default=10)
 
     p_tab = sub.add_parser("table", help="dump a full value table (JSON lines)")
@@ -141,7 +139,10 @@ def _field(args, q=None) -> FieldTable:
     cap, is a usage error. A warning of the field (q = 2 is degenerate) is
     printed as one line on stderr."""
     try:
-        p, r = (args.p, args.r) if q is None else prime_power_decompose(int(q))
+        if q is not None:
+            p, r = prime_power_decompose(int(q))
+        else:
+            p, r = args.p, 1 if args.r is None else args.r
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ft = build_field(p, r, max_q=args.table_cap)
@@ -155,7 +156,7 @@ def _field(args, q=None) -> FieldTable:
 def _fields(args) -> list[FieldTable]:
     """The fields of -q (a comma-separated list for `verify`), or of -p/-r."""
     if args.q is not None:
-        if args.p is not None:
+        if args.p is not None or args.r is not None:
             raise UsageError("give either -q or -p/-r, not both")
         fields = [_field(args, part) for part in str(args.q).split(",") if part.strip()]
         if not fields:
@@ -271,10 +272,6 @@ def _cmd_verify(args) -> int:
     mode = "sampled" if args.sampled else "exhaustive"
     if mode == "sampled" and args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-        print("warning: --jobs is deprecated and has no effect", file=sys.stderr)
     if args.max_counterexamples < 1:
         raise UsageError("--max-counterexamples must be >= 1")
 

@@ -185,20 +185,6 @@ def _ring(n: int) -> _Ring:
     return _Ring(n)
 
 
-class InexactDivisionError(ArithmeticError):
-    """Raised when a coefficient-wise integer division leaves a remainder."""
-
-    def __init__(self, n, index, coefficient, divisor):
-        self.n = n
-        self.index = index
-        self.coefficient = coefficient
-        self.divisor = divisor
-        super().__init__(
-            f"coefficient {coefficient} at basis index {index} (n={n}) "
-            f"is not divisible by {divisor}"
-        )
-
-
 class CycInt:
     """An element of Z[zeta_n] in canonical reduced form. Immutable."""
 
@@ -285,18 +271,6 @@ class CycInt:
     __rmul__ = __mul__
 
     # --- structure ---------------------------------------------------------
-
-    def exact_div_int(self, m: int) -> "CycInt":
-        """Coefficient-wise division by m; every coefficient must divide."""
-        if m == 0:
-            raise ZeroDivisionError("division of CycInt by zero")
-        out = []
-        for i, c in enumerate(self.coeffs):
-            d, rem = divmod(c, m)
-            if rem:
-                raise InexactDivisionError(self.n, i, c, m)
-            out.append(d)
-        return _new(self.n, tuple(out))
 
     def galois(self, k: int) -> "CycInt":
         """The automorphism zeta -> zeta^k, for k coprime to n."""

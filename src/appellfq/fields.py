@@ -1,8 +1,10 @@
 """Finite fields F_{p^r} with generator-relative exp/log tables.
 
 A field is fully materialized at construction: every element exists as a
-canonical object, multiplication is exponent arithmetic against a fixed
-generator, and addition works on coefficient vectors over F_p.
+canonical object with its coefficient vector over F_p and its discrete log
+against a fixed generator, and the tables of 1 - x and -x are built once.
+The evaluators do their arithmetic on enumeration indices and these tables
+(`identities.BatchContext`), not on element objects.
 
 Construction is deterministic. The modulus is the lexicographically first
 monic irreducible polynomial of degree r (coefficient tuples ordered with
@@ -261,88 +263,9 @@ class FieldTable:
             key = key + (0,) * (self.r - len(key))
         return self._by_coeffs[key]
 
-    def from_index(self, i: int) -> FieldElement:
-        return self.elements[i]
-
     def from_int(self, v: int) -> FieldElement:
         """Residue v in the prime subfield."""
         return self.from_coeffs((v % self.p,) + (0,) * (self.r - 1))
-
-    # --- arithmetic -----------------------------------------------------
-
-    def _check(self, a: FieldElement):
-        if a.q != self.q:
-            raise ValueError(f"element of F_{a.q} used in F_{self.q}")
-
-    def add(self, a, b):
-        self._check(a); self._check(b)
-        return self._by_coeffs[
-            tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs))
-        ]
-
-    def neg(self, a):
-        self._check(a)
-        return self.elements[self.neg_idx[a.index]]
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        self._check(a); self._check(b)
-        if a.log is None or b.log is None:
-            return self.zero
-        return self.exp_table[(a.log + b.log) % self.n]
-
-    def inv(self, a):
-        self._check(a)
-        if a.log is None:
-            raise ZeroDivisionError("inverse of 0 in F_q")
-        return self.exp_table[(-a.log) % self.n]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def one_minus(self, a):
-        self._check(a)
-        return self.elements[self.one_minus_idx[a.index]]
-
-    def pow_element(self, a, k: int):
-        self._check(a)
-        if a.log is None:
-            if k < 0:
-                raise ZeroDivisionError("negative power of 0")
-            return self.one if k == 0 else self.zero
-        return self.exp_table[(a.log * k) % self.n]
-
-    # --- index-level ops (hot paths work on enumeration indices) -------
-
-    def mul_idx(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        return (i - 1 + j - 1) % self.n + 1
-
-    def inv_idx(self, i: int) -> int:
-        if i == 0:
-            raise ZeroDivisionError("inverse of 0 in F_q")
-        return (1 - i) % self.n + 1
-
-    def div_idx(self, i: int, j: int) -> int:
-        return self.mul_idx(i, self.inv_idx(j))
-
-    def add_idx(self, i: int, j: int) -> int:
-        a, b = self.elements[i], self.elements[j]
-        return self._by_coeffs[
-            tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs))
-        ].index
-
-    def sub_idx(self, i: int, j: int) -> int:
-        return self.add_idx(i, self.neg_idx[j])
-
-    # --- misc -----------------------------------------------------------
-
-    @property
-    def degenerate(self) -> bool:
-        return self.q == 2
 
     def describe(self) -> dict:
         gen = self.generator

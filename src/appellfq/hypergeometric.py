@@ -19,8 +19,8 @@ cross-validation:
                                 [B' lam | lam] chi(x) lam(y)
 
 where [.|.] is the scaled binomial coefficient from `characters.binom`.
-Both divisions are exact; a remaining remainder raises and signals a bug
-or a convention mismatch.
+Both divisions are exact by construction (below), so the kernels count
+the quotient directly.
 
 At a binomial pair each factor of a character sum has an exponent
 intercept + k slope, linear in the summed character chi_k, and
@@ -28,9 +28,9 @@ sum_k zeta^(kD) = n [D = 0 mod n]. A pair's slope is injective, so for
 each pair of one factor the sum over k keeps at most one pair of the
 other, the one whose slope cancels it (`characters._slope_index`). Each
 character sum is thus one gather and one `np.bincount` of the summed
-intercepts, O(q) per binding, in one body for ints and for columns; an
-int result is reduced and then scaled by n (or n^2) in Python ints, so
-the single values have no int64 bound.
+intercepts, O(q) per binding, in one body for ints and for columns. Each
+kept term occurs n times over k (n^2 times over k, l for F1), so the
+counts of each kept term once are the sum divided by q - 1 (or (q-1)^2).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def f21_point_idx(ft: FieldTable, a, b, c, xi):
     counts = _point_counts(ft, (b, c, a), (xi,))
     if any(isinstance(v, np.ndarray) for v in (a, b, c, xi)):
         return counts
-    return _reduced(ft.n, counts, 1)
+    return _reduced(ft.n, counts)
 
 
 def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
@@ -97,7 +97,7 @@ def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     counts = _point_counts(ft, (a, c, b, bp), (xi, yi))
     if any(isinstance(v, np.ndarray) for v in (a, b, bp, c, xi, yi)):
         return counts
-    return _reduced(ft.n, counts, 1)
+    return _reduced(ft.n, counts)
 
 
 def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
@@ -160,19 +160,18 @@ def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Character-sum evaluators (uncleared: without the 1/(q-1)^k factor), on
-# raw indices as ints or as int64 columns, as the point sums.
+# Character-sum evaluators (with their 1/(q-1)^k factor), on raw indices
+# as ints or as int64 columns, as the point sums.
 # ----------------------------------------------------------------------
 
 def f21_charsum_idx(ft: FieldTable, a, b, c, xi):
-    """sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
+    """1/(q-1) sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
 
     At binomial pairs (l1, l2), with chi = chi_k and s = l1 + l2, the two
     factors have exponents a l1 + k (s + log x) and b l1 + c l2 + k s, so
     the sum over k keeps, for each pair i of the first, the pair j (if
-    any) whose slope cancels that of i (`_slope_index`), n times. With int
-    arguments the result is a `CycInt`; if any is an int64 column, the
-    (S, n) int64 counts of each row before the factor n.
+    any) whose slope cancels that of i (`_slope_index`), n times; each is
+    counted once. Ints or int64 columns as `f21_point_idx`.
     """
     n = ft.n
     inv, m1, m2 = _slope_index(ft)
@@ -183,11 +182,12 @@ def f21_charsum_idx(ft: FieldTable, a, b, c, xi):
     counts = _row_counts(n, e, (j >= 0) & (x != 0))
     if any(isinstance(v, np.ndarray) for v in (a, b, c, xi)):
         return counts
-    return _reduced(n, counts, n)
+    return _reduced(n, counts)
 
 
 def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
-    """sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam] chi(x) lam(y).
+    """1/(q-1)^2 sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam]
+    chi(x) lam(y).
 
     At binomial pairs (l1, l2), with chi = chi_k, lam = chi_l and
     s = l1 + l2, the three factors have exponents b l1 + k (s + log x),
@@ -197,8 +197,7 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     pair of the lam(y) factor whose slope cancels that of j: n^2 times at
     most one term per i, O(q) work. So the (q-1)^2 division is exact by
     construction; the tests' `_f1_charsum_reference`, which enumerates
-    (chi, lam), checks it. Ints or int64 columns as `f21_charsum_idx`,
-    with counts before the factor n^2.
+    (chi, lam), checks it. Ints or int64 columns as `f21_point_idx`.
     """
     n = ft.n
     inv, m1, m2 = _slope_index(ft)
@@ -211,13 +210,12 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     counts = _row_counts(n, e, (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
     if any(isinstance(v, np.ndarray) for v in (a, b, bp, c, xi, yi)):
         return counts
-    return _reduced(n, counts, n * n)
+    return _reduced(n, counts)
 
 
-def _reduced(n: int, counts: np.ndarray, scale: int) -> CycInt:
-    """Row 0 of `counts` as a `CycInt`, times `scale` in Python ints, so
-    that no int64 bound applies to the scale."""
-    return CycInt.from_powers(n, counts[0].tolist()) * scale
+def _reduced(n: int, counts: np.ndarray) -> CycInt:
+    """Row 0 of `counts` as a `CycInt`."""
+    return CycInt.from_powers(n, counts[0].tolist())
 
 
 # ----------------------------------------------------------------------
@@ -236,12 +234,14 @@ def f21_point_sum(params: Hyp2F1Params) -> CycInt:
 
 
 def f21_char_sum(params: Hyp2F1Params) -> CycInt:
-    """The 2F1 character-sum route, exactly divided by q - 1."""
-    ft = params.A.field
-    s = f21_charsum_idx(
-        ft, params.A.exponent, params.B.exponent, params.C.exponent, params.x.index
+    """The 2F1 character-sum route, with its 1/(q - 1)."""
+    return f21_charsum_idx(
+        params.A.field,
+        params.A.exponent,
+        params.B.exponent,
+        params.C.exponent,
+        params.x.index,
     )
-    return s.exact_div_int(ft.q - 1)
 
 
 def appell_f1_point_sum(params: AppellF1Params) -> CycInt:
@@ -258,10 +258,9 @@ def appell_f1_point_sum(params: AppellF1Params) -> CycInt:
 
 
 def appell_f1_char_sum(params: AppellF1Params) -> CycInt:
-    """The double character-sum route, exactly divided by (q - 1)^2."""
-    ft = params.A.field
-    s = f1_charsum_idx(
-        ft,
+    """The double character-sum route, with its 1/(q - 1)^2."""
+    return f1_charsum_idx(
+        params.A.field,
         params.A.exponent,
         params.B.exponent,
         params.Bp.exponent,
@@ -269,4 +268,3 @@ def appell_f1_char_sum(params: AppellF1Params) -> CycInt:
         params.x.index,
         params.y.index,
     )
-    return s.exact_div_int((ft.q - 1) ** 2)

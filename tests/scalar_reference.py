@@ -137,10 +137,16 @@ class EvalContext:
 
     # element ops on enumeration indices
     def sub(self, i, j):
-        return self.ft.sub_idx(i, j)
+        """x_i - x_j by coefficient vectors over F_p."""
+        els = self.ft.elements
+        diff = [a - b for a, b in zip(els[i].coeffs, els[j].coeffs)]
+        return self.ft.from_coeffs(diff).index
 
     def div(self, i, j):
-        return self.ft.div_idx(i, j)
+        """x_i / x_j by discrete logs."""
+        if j == 0:
+            raise ZeroDivisionError("inverse of 0 in F_q")
+        return 0 if i == 0 else (i - j) % self.n + 1
 
     def eps(self, i):
         """eps(x) as a 0/1 integer factor."""
@@ -179,17 +185,19 @@ class EvalContext:
     def f1(self, a, b, bp, c, x, y):
         return f1_point_idx(self.ft, a, b, bp, c, x, y)
 
+    # the sums over characters, uncleared: the kernels give them divided
+    # by n (n^2 for f1_sum)
     def f21_sum(self, a, b, c, x):
-        return f21_charsum_idx(self.ft, a, b, c, x)
+        return f21_charsum_idx(self.ft, a, b, c, x) * self.n
 
     def f1_sum(self, a, b, bp, c, x, y):
-        return f1_charsum_idx(self.ft, a, b, bp, c, x, y)
+        return f1_charsum_idx(self.ft, a, b, bp, c, x, y) * (self.n * self.n)
 
     def power_sum(self, step):
         return CycInt.from_powers(self.n, power_sum_counts(self.ft, step)[0].tolist())
 
     def binthm(self, A, x):
-        return _reduced(self.n, binthm_counts(self.ft, A, x), self.n)
+        return _reduced(self.n, binthm_counts(self.ft, A, x)) * self.n
 
     def theta(self, t, X, coeffs, k, *xis):
-        return _reduced(self.n, theta_counts(self.ft, t, X, coeffs, k, *xis), self.n)
+        return _reduced(self.n, theta_counts(self.ft, t, X, coeffs, k, *xis)) * self.n

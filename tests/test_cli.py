@@ -194,8 +194,6 @@ def test_verify_sampled_deterministic(capsys):
     rc2, out2, _ = run(capsys, *args)
     assert rc1 == rc2 == 0
     assert out1 == out2
-    rcj, outj, _ = run(capsys, *args, "--jobs", "2")
-    assert outj == out1
 
 
 @pytest.mark.slow
@@ -233,19 +231,15 @@ def test_verify_exit_code_on_counterexample(capsys, monkeypatch):
 
 def test_verify_counts_below_one_are_usage_errors(capsys):
     for flag, value in (("--max-counterexamples", "0"),
-                        ("--max-counterexamples", "-1"), ("--jobs", "0")):
+                        ("--max-counterexamples", "-1")):
         rc, out, err = run(capsys, "verify", "thm3.7", "-q", "5", flag, value)
         assert rc == 2 and out == "" and flag in err
 
 
-def test_verify_jobs_is_deprecated(capsys):
-    args = ["verify", "thm3.7", "-q", "5", "--sampled", "--samples", "50"]
-    rc, out, err = run(capsys, *args)
-    assert rc == 0 and err == ""
-    for jobs in ("1", "2"):
-        rcj, outj, errj = run(capsys, *args, "--jobs", jobs)
-        assert rcj == 0 and outj == out
-        assert errj == "warning: --jobs is deprecated and has no effect\n"
+def test_verify_jobs_is_a_usage_error(capsys):
+    for jobs in ("0", "2"):
+        rc, out, err = run(capsys, "verify", "thm3.7", "-q", "5", "--jobs", jobs)
+        assert rc == 2 and out == "" and "--jobs" in err
 
 
 def test_verify_human_format(capsys):
@@ -311,6 +305,14 @@ def test_table_row_order_lexicographic(capsys):
 def test_missing_field_is_usage_error(capsys):
     rc, _, err = run(capsys, "verify", "thm1.1")
     assert rc == 2
+
+
+def test_r_next_to_q_is_usage_error(capsys):
+    for command in (["field-info"], ["verify", "thm1.1"]):
+        rc, out, err = run(capsys, *command, "-q", "9", "-r", "3")
+        assert rc == 2 and out == "" and "either -q or -p/-r" in err
+    rc, out, _ = run(capsys, "field-info", "-p", "3")
+    assert rc == 0 and json.loads(out)["q"] == 3
 
 
 def test_table_cap_flag(capsys):
