@@ -1,19 +1,20 @@
 """Command-line front end: field info, single evaluations, value tables,
 and the identity verification suite, with machine-readable JSON output.
 
-Exit codes: 0 all good, 1 at least one counterexample, 2 usage error (bad
-arguments: the field, the table cap, an element, a missing flag, a
---samples or --max-counterexamples below 1), 3 an evaluation
-failed: an evaluator raised, or refused the request (an exhaustive check
-of more than 2^34 bindings, refused before any work; a check whose
-counts could pass int64; or a table of any kind whose line count could
-pass int64, whose reduction rows pass their memory budget or whose
-values could pass int64, refused before any row is written). A missing
-parameter flag of `eval` is reported as "eval <kind> requires -<flag>",
-and a warning of the field (q = 2) as one "warning:" line. A closed
-stdout (a reader such as `head` that went away) ends the output silently,
-and the command exits as it would have. A field is given by -q Q or by
--p P [-r R] (R defaults to 1), never by both.
+Exit codes: 0 all good, 1 at least one counterexample, 2 usage error
+(bad arguments: the field, the table cap, an element, a missing flag, a
+--samples or --max-counterexamples below 1, an --out that cannot be
+opened), 3 an evaluation failed: an evaluator raised, or refused the
+request (an exhaustive check of more than 2^34 bindings, refused before
+any work; a check whose counts could pass int64; or a table of any kind
+whose line count could pass int64, whose reduction rows pass their
+memory budget or whose values could pass int64, refused before any row
+is written). A missing parameter flag of `eval` is reported as "eval
+<kind> requires -<flag>", and a warning of the field (q = 2) as one
+"warning:" line. A closed stdout (a reader such as `head` that went
+away) ends the output silently, and the command exits as it would have.
+A field is given by -q Q or by -p P [-r R] (R defaults to 1), never by
+both.
 
 Elements on the command line are addressed by enumeration index (0 is the
 zero element, index i > 0 is generator^(i-1)); an explicit coefficient
@@ -183,11 +184,16 @@ def _parse_element(ft: FieldTable, text: str, flag: str):
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """The --out file, opened for writing, or stdout, flushed at the end; a
-    reader that closed stdout (as `| head` does) ends the output silently,
-    and the command exits as it would have."""
+    """The --out file, opened for writing (a usage error if it cannot be),
+    or stdout, flushed at the end; a reader that closed stdout (as
+    `| head` does) ends the output silently, and the command exits as it
+    would have."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as out:
+        try:
+            out = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot open --out {out_path}: {exc.strerror}") from exc
+        with out:
             yield out
         return
     try:
@@ -278,24 +284,25 @@ def _cmd_verify(args) -> int:
     lines = []
     any_cex = False
     any_error = False
-    for ident in ids:
-        for ft in fields:
-            [rep] = verify_all(ft, [ident], mode=mode, sample_count=args.samples,
-                               seed=args.seed,
-                               max_counterexamples=args.max_counterexamples)
-            any_error |= rep.error is not None
-            any_cex |= bool(rep.counterexamples)
-            if args.fmt == "json":
-                lines.append(json.dumps(rep.to_json()))
-            else:
-                status = "ERROR" if rep.error else "PASS" if rep.passed else "FAIL"
-                note = rep.error or f"{rep.wall_ms:.1f} ms"
-                lines.append(
-                    f"{rep.identity_id} q={rep.q} {rep.mode} "
-                    f"cases={rep.cases} counterexamples="
-                    f"{len(rep.counterexamples)} {status} ({note})"
-                )
-    _emit_once("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:  # an --out that cannot be opened is refused here
+        for ident in ids:
+            for ft in fields:
+                [rep] = verify_all(ft, [ident], mode=mode, sample_count=args.samples,
+                                   seed=args.seed,
+                                   max_counterexamples=args.max_counterexamples)
+                any_error |= rep.error is not None
+                any_cex |= bool(rep.counterexamples)
+                if args.fmt == "json":
+                    lines.append(json.dumps(rep.to_json()))
+                else:
+                    status = "ERROR" if rep.error else "PASS" if rep.passed else "FAIL"
+                    note = rep.error or f"{rep.wall_ms:.1f} ms"
+                    lines.append(
+                        f"{rep.identity_id} q={rep.q} {rep.mode} "
+                        f"cases={rep.cases} counterexamples="
+                        f"{len(rep.counterexamples)} {status} ({note})"
+                    )
+        _emit("\n".join(lines) + "\n", out)
     if any_error:
         return EXIT_INTERNAL
     return EXIT_COUNTEREXAMPLE if any_cex else EXIT_PASS

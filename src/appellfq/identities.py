@@ -7,9 +7,10 @@ x/(x-1) is undefined or the equality genuinely fails on a boundary slice).
 
 Identities whose statements carry a 1/(q-1)^k factor are registered in
 cleared form: the summed side stays undivided and the closed side is
-multiplied by (q-1)^k, with exact divisibility of the sum asserted
-separately. Right sides are encoded term by term, including eps() and
-delta() factors, with no algebraic simplification.
+multiplied by (q-1)^k; the verifier checks equality alone, and the tests
+check each summed side against its literal sum over characters. Right
+sides are encoded term by term, including eps() and delta() factors,
+with no algebraic simplification.
 
 Each side is written once, as a Python expression over `c` (a
 `BatchContext`) and the binding names, and compiled when this module is
@@ -317,8 +318,6 @@ class IdentityCase:
     lhs: Callable
     rhs: Callable
     excluded: dict[str, frozenset[int]] | None = None
-    clearing_factor: int = 0  # power of (q-1) cleared into the closed side
-    div_power: int = 0  # power of (q-1) asserted to divide the summed side
     mutation: Mutation | None = None
 
     def elem_domain(self, ft: FieldTable, name: str) -> list[int]:
@@ -339,8 +338,7 @@ def _side(id, names, expr):
     return ns["side"]
 
 
-def _entry(id, statement, chars, elems, lhs, rhs, mutation,
-           excluded=None, clearing_factor=0, div_power=0):
+def _entry(id, statement, chars, elems, lhs, rhs, mutation, excluded=None):
     description, old, new = mutation
     if rhs.count(old) != 1:
         raise ValueError(
@@ -357,8 +355,6 @@ def _entry(id, statement, chars, elems, lhs, rhs, mutation,
         lhs=_side(id, names, lhs),
         rhs=_side(id, names, rhs),
         excluded=excluded,
-        clearing_factor=clearing_factor,
-        div_power=div_power,
         mutation=Mutation(description, _side(id, names, rhs.replace(old, new))),
     )
 
@@ -376,7 +372,6 @@ _REGISTRY: list[IdentityCase] = [
         "ABC", "x", "c.f21_sum(A, B, C, x)",
         "c.f21(A, B, C, x) * c.qm1",
         ("swap A and B on the point-sum side", "(A, B", "(B, A"),
-        clearing_factor=1, div_power=1,
     ),
     _entry(
         "thm1.2",
@@ -392,7 +387,6 @@ _REGISTRY: list[IdentityCase] = [
         _F1_CHARS, ("x", "y"), "c.f1_sum(A, B, Bp, C, x, y)",
         _F1 + " * (c.qm1 * c.qm1)",
         ("swap x and y on the point-sum side", "x, y", "y, x"),
-        clearing_factor=2, div_power=2,
     ),
     _entry(
         "cor1.1-sym",
@@ -438,7 +432,6 @@ _REGISTRY: list[IdentityCase] = [
         "A", "x", "c.cp((-A, c.om[x])) * c.qm1",
         "c.intv(c.delta(x) * c.qm1) + c.binthm(A, x)",
         ("d(x) -> d(1-x)", "c.delta(x)", "c.delta(c.om[x])"),
-        clearing_factor=1,
     ),
     _entry(
         "prop2.3-a",
@@ -601,7 +594,7 @@ _REGISTRY: list[IdentityCase] = [
         " - c.eps(x) * c.eps(y) * c.cp((C - A, c.ng[t]))"
         " * c.cp((-B, c.om[x]), (-Bp, c.om[y]))) * c.qm1",
         ("A~C(-t) -> A~C(t)", "(C - A, c.ng[t])", "(C - A, t)"),
-        excluded={"t": _NOT_ONE}, clearing_factor=1, div_power=1,
+        excluded={"t": _NOT_ONE},
     ),
     _entry(
         "thm4.2",
@@ -613,7 +606,7 @@ _REGISTRY: list[IdentityCase] = [
         " - c.eps(y) * c.cp((-B, c.ng[t]), (Bp - C, x), (C - A, c.om[x]),"
         " (-Bp, c.sub(x, y)))) * c.qm1",
         ("B~(1-t) -> B(1-t)", "(-B, c.om[t])", "(B, c.om[t])"),
-        excluded={"t": _NOT_ONE}, clearing_factor=1, div_power=1,
+        excluded={"t": _NOT_ONE},
     ),
     _entry(
         "thm4.3-a",
@@ -624,7 +617,7 @@ _REGISTRY: list[IdentityCase] = [
         "(c.eps(t) * c.cp((-A, c.om[t])) * c.f21(B, A, C, c.div(x, c.om[t]))"
         " - c.eps(x) * c.cp((C - A, c.ng[t]), (-B, c.om[x]))) * c.qm1",
         ("A~C(-t) -> A~C(t)", "(C - A, c.ng[t])", "(C - A, t)"),
-        excluded={"t": _NOT_ONE}, clearing_factor=1, div_power=1,
+        excluded={"t": _NOT_ONE},
     ),
     _entry(
         "thm4.3-b",
@@ -635,7 +628,7 @@ _REGISTRY: list[IdentityCase] = [
         "(c.eps(t) * c.cp((-B, c.om[t])) * c.f21(B, A, C, c.div(x, c.om[t]))"
         " - c.cp((-B, c.ng[t]), (C - A, c.om[x]), (-C, x))) * c.qm1",
         ("C~(x) -> C(x)", "(-C, x)", "(C, x)"),
-        excluded={"t": _NOT_ONE}, clearing_factor=1, div_power=1,
+        excluded={"t": _NOT_ONE},
     ),
 ]
 

@@ -7,36 +7,33 @@ sample i depends only on (seed, i). Both modes therefore produce
 identical reports for identical inputs.
 
 Both modes run in one process and feed one loop int64 columns, a chunk
-of bindings at a time: exhaustive mode decodes a range of its domain,
-and sampled mode draws with the stream vectorized in numpy uint64. The
-loop calls each compiled side once per chunk on an
-`identities.BatchContext`, whose values are unreduced zeta-power counts,
-and decides every binding on those counts with a zero test that needs
-no reduction (`cyclotomic._Ring.vanishes`). A failing binding's report
-values are its counts reduced exactly in Python ints, so nothing is
-evaluated twice. A chunk whose counts could pass the int64 bound of that
-test is refused with a ValueError naming q, in both modes, and an
-exhaustive check of more than `_EXHAUSTIVE_CASES` bindings is refused
-before any work.
+of bindings at a time: exhaustive mode decodes them from their domain
+positions (`_orbit_columns`, the one walk of a domain), and sampled mode
+draws with the stream vectorized in numpy uint64. The loop calls each
+compiled side once per chunk on an `identities.BatchContext`, whose
+values are unreduced zeta-power counts, and decides every binding on
+those counts with a zero test that needs no reduction
+(`cyclotomic._Ring.vanishes`). A failing binding's report values are its
+counts reduced exactly in Python ints, so nothing is evaluated twice. A
+chunk whose counts could pass the int64 bound of that test is refused
+with a ValueError naming q, in both modes, and an exhaustive check of
+more than `_EXHAUSTIVE_CASES` bindings is refused before any work.
 
 Exhaustive mode scans by orbits. Every side is equivariant under the
-automorphisms sigma_k: zeta -> zeta^k, k a unit of Z/n: multiplying every
-character exponent by k applies sigma_k to both sides, which keeps
-equality and divisibility by (q-1)^d (tests/test_orbits.py guards this
-for every side). So a binding fails iff the binding with the least
-character tuple of its orbit, and the same elements, fails; and that
-one comes no later in domain order. The scan first evaluates only those
-representatives, about domain / phi(n) bindings. If none fails, that is
-the report of the whole domain. If one fails, it is the first failing
-binding of the domain: at a cap of 1 its record is the report, and
-otherwise the ordinary scan resumes at the chunk that holds it. Either
-way the report is the one a scan of every binding gives, and `cases`
-is the domain size.
+automorphisms sigma_k: zeta -> zeta^k, k a unit of Z/n: multiplying
+every character exponent by k applies sigma_k to both sides, which keeps
+equality (tests/test_orbits.py guards this for every side). So a binding
+fails iff the binding with the least character tuple of its orbit, and
+the same elements, fails; and that one comes no later in domain order.
+The scan first evaluates only those representatives, about domain /
+phi(n) bindings. If none fails, that is the report of the whole domain.
+If one fails, it is the first failing binding of the domain: at a cap of
+1 its record is the report, and otherwise the same walk, with no units,
+resumes at that binding. Either way the report is the one a scan of
+every binding gives, and `cases` is the domain size.
 
-Comparison is exact equality in Z[zeta_{q-1}] after clearing. Entries
-registered with a div_power additionally assert that every coefficient of
-the summed side is divisible by (q-1)^div_power; a remainder is recorded
-as a counterexample marked "divisibility".
+Comparison is exact equality in Z[zeta_{q-1}] after clearing, and it is
+the only condition a binding is checked for.
 """
 
 from __future__ import annotations
@@ -125,7 +122,6 @@ class VerifyReport:
                     "binding": ce["binding"],
                     "lhs": ce["lhs"].to_json(),
                     "rhs": ce["rhs"].to_json(),
-                    **({"note": ce["note"]} if "note" in ce else {}),
                 }
                 for ce in self.counterexamples
             ],
@@ -134,16 +130,10 @@ class VerifyReport:
         }
 
 
-def _columns(domains: list[np.ndarray], shape: list[int], start: int,
-             stop: int) -> tuple[np.ndarray, ...]:
-    """The bindings start .. stop - 1 in domain order, as one int64 column
-    per parameter (the last parameter varies fastest)."""
-    return _decode(domains, shape, np.arange(start, stop))
-
-
 def _decode(domains: list[np.ndarray], shape: list[int],
             index: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The bindings at the domain positions `index`, as in `_columns`."""
+    """The bindings at the domain positions `index`, as one int64 column
+    per parameter (in domain order the last parameter varies fastest)."""
     cols = [None] * len(shape)
     for pos in range(len(shape) - 1, -1, -1):
         index, digit = np.divmod(index, shape[pos])
@@ -179,41 +169,27 @@ def _scan(entry, ft, chunks, cap):
     entry per binding.
 
     A binding fails where the counts of lhs - rhs are not zero in
-    Z[zeta_n] (`_Ring.vanishes`), or where the lhs leaves a remainder mod
-    (q-1)^div_power: its counts are tested entrywise, and a row that
-    fails that test is reduced exactly before it is recorded. The
-    records hold the sides' counts reduced by `CycInt.from_powers`. A
-    chunk where the mass of lhs - rhs times 2^omega(n) could reach 2^63
-    raises ValueError naming q.
+    Z[zeta_n] (`_Ring.vanishes`). The records hold the sides' counts
+    reduced by `CycInt.from_powers`. A chunk where the mass of lhs - rhs
+    times 2^omega(n) could reach 2^63 raises ValueError naming q.
     """
     q, n, names = ft.q, ft.n, (*entry.chars, *entry.elems)
     ring, batch = _ring(n), BatchContext(ft)
-    divisor = (q - 1) ** entry.div_power if entry.div_power else None
     cex: list[dict] = []
     for cols in chunks:
-        size = len(cols[0])
         lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
         diff = lhs - rhs
         bound = diff.mass << len(ring.shifts)
         if bound >= 2**63:
             raise ValueError(f"q = {q}: the zero test can reach {bound}, past "
                              f"the int64 limit 2^63 - 1")
-        unequal = np.broadcast_to(~ring.vanishes(diff.a), size)
-        undivided = np.zeros(size, dtype=bool)
-        if divisor is not None:
-            undivided = np.broadcast_to((lhs.a % divisor).any(axis=1), size)
-        for r in np.flatnonzero(unequal | undivided):
-            if len(cex) >= cap:
-                break
-            record = {"binding": dict(zip(names, (int(c[r]) for c in cols))),
-                      "lhs": _value(lhs.a, r, n), "rhs": _value(rhs.a, r, n)}
-            if unequal[r]:
-                cex.append(record)
-            if undivided[r] and any(c % divisor for c in record["lhs"].coeffs):
-                cex.append({**record, "note": "divisibility"})
+        unequal = np.broadcast_to(~ring.vanishes(diff.a), len(cols[0]))
+        for r in np.flatnonzero(unequal)[:cap - len(cex)]:
+            cex.append({"binding": dict(zip(names, (int(c[r]) for c in cols))),
+                        "lhs": _value(lhs.a, r, n), "rhs": _value(rhs.a, r, n)})
         if len(cex) >= cap:
             break
-    return cex[:cap]
+    return cex
 
 
 def _value(a: np.ndarray, r: int, n: int) -> CycInt:
@@ -221,44 +197,44 @@ def _value(a: np.ndarray, r: int, n: int) -> CycInt:
     return CycInt.from_powers(n, a[min(r, len(a) - 1)].tolist())
 
 
-def _scan_range(entry, ft, domains, cases, cap, start=0, units=()):
-    """`_scan` over the bindings start .. cases - 1 in domain order, in
-    chunks of `_step(q)` from `start`; with `units`, over the bindings
-    whose character tuple is least of its orbit under them
-    (`_orbit_columns`) instead."""
+def _scan_range(entry, ft, domains, cap, start=0, units=()):
+    """`_scan` over the bindings of `_orbit_columns`, in chunks of
+    `_step(q)`: every binding from the domain position `start` on, or with
+    `units`, those whose character tuple is least of its orbit under
+    them."""
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    shape = [len(d) for d in doms]
-    step = _step(ft.q)
-    if units:
-        chunks = _orbit_columns(doms, shape, len(entry.chars), units, step)
-    else:
-        chunks = (_columns(doms, shape, lo, min(lo + step, cases))
-                  for lo in range(start, cases, step))
+    chunks = _orbit_columns(doms, [len(d) for d in doms], len(entry.chars),
+                            units, _step(ft.q), start)
     return _scan(entry, ft, chunks, cap)
 
 
-def _orbit_columns(doms, shape, width, units, step):
-    """Chunks of at most `step` bindings, as `_columns` gives them, in
-    domain order, of the bindings whose character tuple (the first `width`
-    parameters, exponents mod n) is least of its orbit under multiplying
-    every exponent by each of `units`.
+def _orbit_columns(doms, shape, width, units, step, start=0):
+    """Chunks of `step` bindings (the last one may be shorter), as int64
+    columns (`_decode`), in domain order from the position `start`, of the
+    bindings whose character tuple (the first `width` parameters,
+    exponents mod n) is least of its orbit under multiplying every
+    exponent by each of `units`: of every binding if there are none. The
+    tuple of the binding at `start` must be such a least one.
 
     A tuple is compared by its code, its exponents read as base-n digits,
     which orders tuples as the domain does; each code stands for the
     element bindings that follow it. Codes are tested a block at a time
-    against every unit at once, in blocks of at most `_CHUNK_CELLS`
-    (code, unit, digit) cells, and a kept code's bindings are decoded as
-    they fill chunks, so memory stays O(chunk) at any domain size and
-    the test costs width * len(units) cells a code.
+    against every unit at once, in blocks whose digits and their
+    multiples by the units take at most `_CHUNK_CELLS` cells, and a kept
+    code's bindings are decoded as they fill chunks, so memory stays
+    O(chunk) at any domain size and the test costs width * len(units)
+    cells a code.
     """
     n = shape[0]  # the domain of a character exponent is 0 .. n - 1
     total, per_code = n**width, math.prod(shape[width:])
+    if not per_code:  # an empty element domain has no bindings
+        return
     place = n ** np.arange(width - 1, -1, -1)
-    units = np.array(units).reshape(-1, 1)
-    block = max(1, _CHUNK_CELLS // (len(units) * width))
+    units = np.array(units, dtype=np.int64).reshape(-1, 1)
+    block = max(1, _CHUNK_CELLS // ((len(units) + 1) * max(width, 1)))
     kept = np.empty(0, dtype=np.int64)  # codes with bindings still to yield
-    done = 0  # bindings of kept[0] already yielded
-    for lo in range(0, total, block):
+    first, done = divmod(start, per_code)  # done: bindings of kept[0] yielded
+    for lo in range(first, total, block):
         codes = np.arange(lo, min(lo + block, total))
         digits = codes[:, None, None] // place % n  # (codes, 1, width)
         least = (codes[:, None] <= digits * units % n @ place).all(axis=1)
@@ -273,12 +249,12 @@ def _orbit_columns(doms, shape, width, units, step):
 
 
 # The registered thm1.3 is scanned under this name only so that the
-# benchmark's span wrappers (perfbench/spans.py, ROADMAP item 5) can time
+# benchmark's span wrappers (perfbench/spans.py, ROADMAP item 2) can time
 # it on their own; it is `_scan_range` itself, not a second algorithm.
 _thm13_exhaustive_batch = _scan_range
 
 
-def _scan_exhaustive(scan, entry, ft, domains, cases, cap):
+def _scan_exhaustive(scan, entry, ft, domains, cap):
     """The records of `scan` over the whole domain, found first over one
     character tuple per orbit of the units of Z/n (see the module
     docstring)."""
@@ -286,20 +262,12 @@ def _scan_exhaustive(scan, entry, ft, domains, cases, cap):
     units = [k for k in range(2, n) if math.gcd(k, n) == 1] if entry.chars else []
     start = 0
     if units:
-        first = scan(entry, ft, domains, cases, 1, units=units)
+        first = scan(entry, ft, domains, 1, units=units)
         if not first or cap == 1:
             return first
-        step = _step(ft.q)
-        start = _position(domains, first[0]["binding"].values()) // step * step
-    return scan(entry, ft, domains, cases, cap, start=start)
-
-
-def _position(domains: list[list[int]], values) -> int:
-    """The domain position of the binding with these parameter values."""
-    pos = 0
-    for dom, v in zip(domains, values):
-        pos = pos * len(dom) + dom.index(v)
-    return pos
+        digits = [d.index(v) for d, v in zip(domains, first[0]["binding"].values())]
+        start = int(np.ravel_multi_index(digits, [len(d) for d in domains]))
+    return scan(entry, ft, domains, cap, start=start)
 
 
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
@@ -390,7 +358,7 @@ def verify(
                 f"of {_EXHAUSTIVE_CASES}; check this field with --sampled")
         scan = (_thm13_exhaustive_batch if entry is get_identity("thm1.3")
                 else _scan_range)
-        cex = _scan_exhaustive(scan, entry, field, domains, cases, cap)
+        cex = _scan_exhaustive(scan, entry, field, domains, cap)
     else:
         cases, seed = sample_count, seed or 0
         cex = _scan_samples(entry, field, domains, seed, cases, cap)
@@ -442,10 +410,8 @@ def find_counterexample(
     Used by mutation-sensitivity tests: pass a mutated side to confirm the
     encoding is not vacuous.
     """
-    probe = dataclasses.replace(
-        entry, lhs=lhs or entry.lhs, rhs=rhs or entry.rhs, div_power=0)
-    domains = _entry_domains(entry, field)
-    cex = _scan_range(probe, field, domains, entry.domain_size(field), 1)
+    probe = dataclasses.replace(entry, lhs=lhs or entry.lhs, rhs=rhs or entry.rhs)
+    cex = _scan_range(probe, field, _entry_domains(entry, field), 1)
     return tuple(cex[0]["binding"].values()) if cex else None
 
 

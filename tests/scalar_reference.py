@@ -9,6 +9,11 @@ package's column kernels (`hypergeometric._point_counts`,
 `characters.binom_counts`); its roots of unity are `root_of_unity`,
 reduced one at a time. At q <= 9 a loop is several times faster than a
 one-row call of a column kernel, which is why the reference keeps them.
+
+`LiteralSums` is the same evaluator with the sums over characters of the
+summed sides (f21_sum, f1_sum, theta) written as their literal loops over
+chi, (chi, lambda) and theta, from these loops alone; `EvalContext` takes
+them from the package's character-sum kernels.
 """
 
 from __future__ import annotations
@@ -40,17 +45,27 @@ def jacobi(ft: FieldTable, a: int, b: int) -> CycInt:
     return CycInt.from_powers(ft.n, _jacobi_counts(ft, a, b))
 
 
-def binom(ft: FieldTable, a: int, b: int) -> CycInt:
-    """[chi_a|chi_b] = chi_b(-1) J(chi_a, chi_b-inverse)."""
+def _binom_counts(ft: FieldTable, a: int, b: int) -> list[int]:
+    """[chi_a|chi_b] = chi_b(-1) J(chi_a, chi_b-inverse), as weights."""
     n = ft.n
-    return CycInt.from_powers(n, _jacobi_counts(ft, a, -b % n, (b * ft.log_minus_one) % n))
+    return _jacobi_counts(ft, a, -b % n, (b * ft.log_minus_one) % n)
+
+
+def binom(ft: FieldTable, a: int, b: int) -> CycInt:
+    """[chi_a|chi_b], reduced."""
+    return CycInt.from_powers(ft.n, _binom_counts(ft, a, b))
 
 
 def f21_point_idx(ft: FieldTable, a, b, c, xi):
     """The 2F1 point sum at exponents a, b, c and element index xi."""
-    n = ft.n
     if xi == 0:
-        return cyc_zero(n)
+        return cyc_zero(ft.n)
+    return CycInt.from_powers(ft.n, _f21_point_counts(ft, a, b, c, xi))
+
+
+def _f21_point_counts(ft: FieldTable, a, b, c, xi) -> list[int]:
+    """The root-of-unity weights of the 2F1 point sum, for xi != 0."""
+    n = ft.n
     om = ft.one_minus_idx
     pref = ((b + c) * ft.log_minus_one) % n
     e2 = (c - b) % n
@@ -65,15 +80,20 @@ def f21_point_idx(ft: FieldTable, a, b, c, xi):
         if i2 == 0:
             continue
         counts[(pref + b * lu + e2 * (i1 - 1) + e3 * (i2 - 1)) % n] += 1
-    return CycInt.from_powers(n, counts)
+    return counts
 
 
 def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     """The Appell F1 point sum at exponents a, b, b', c and element indices
     xi, yi."""
-    n = ft.n
     if xi == 0 or yi == 0:
-        return cyc_zero(n)
+        return cyc_zero(ft.n)
+    return CycInt.from_powers(ft.n, _f1_point_counts(ft, a, b, bp, c, xi, yi))
+
+
+def _f1_point_counts(ft: FieldTable, a, b, bp, c, xi, yi) -> list[int]:
+    """The root-of-unity weights of the F1 point sum, for xi, yi != 0."""
+    n = ft.n
     om = ft.one_minus_idx
     pref = ((a + c) * ft.log_minus_one) % n
     e2 = (c - a) % n
@@ -95,7 +115,7 @@ def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
         counts[
             (pref + a * lu + e2 * (i1 - 1) + e3 * (i2 - 1) + e4 * (i3 - 1)) % n
         ] += 1
-    return CycInt.from_powers(n, counts)
+    return counts
 
 
 class _Roots(dict):
@@ -201,3 +221,94 @@ class EvalContext:
 
     def theta(self, t, X, coeffs, k, *xis):
         return _reduced(self.n, theta_counts(self.ft, t, X, coeffs, k, *xis)) * self.n
+
+
+def _times(u: list[int], v: list[int]) -> list[int]:
+    """The product of two weight vectors of powers of zeta_n, cyclically."""
+    n = len(u)
+    out = [0] * n
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[(i + j) % n] += a * b
+    return out
+
+
+class LiteralSums(EvalContext):
+    """`EvalContext` whose sums over characters are their literal loops.
+
+    Each term is a product of the reference's binomials (`_binom_counts`,
+    the `_jacobi_counts` loop), values chi_k(x) = zeta^(k log x) (0 at
+    x = 0, for the trivial character too) and point sums (the loops over
+    u above), all as weight vectors multiplied by `_times`; the terms are
+    added up over every character and the sum is reduced once. No
+    package kernel takes part. Binomials, products of binomials and point
+    sums are memoized by their arguments, since a sum over a domain reads
+    each of them many times.
+    """
+
+    def __init__(self, ft: FieldTable):
+        super().__init__(ft)
+        self._memo: dict = {}
+
+    def _memoized(self, key, fn):
+        if key not in self._memo:
+            self._memo[key] = fn()
+        return self._memo[key]
+
+    def _binoms(self, *pairs) -> list[int]:
+        """The product of the binomials [chi_a|chi_b] over `pairs` (a, b)."""
+        key = tuple((a % self.n, b % self.n) for a, b in pairs)
+        if len(key) == 1:
+            return self._memoized(key, lambda: _binom_counts(self.ft, *key[0]))
+        return self._memoized(key, lambda: _times(self._binoms(*key[:-1]),
+                                                  self._binoms(key[-1])))
+
+    def _sum(self, terms) -> CycInt:
+        """The sum of (weights, character pairs) terms, each weight vector
+        times prod chi_e(x) over its pairs (e, x)."""
+        n = self.n
+        total = [0] * n
+        for weights, pairs in terms:
+            if any(x == 0 for _, x in pairs):  # chi(0) = 0
+                continue
+            shift = sum(e * (x - 1) for e, x in pairs)
+            for j, w in enumerate(weights):
+                total[(j + shift) % n] += w
+        return CycInt.from_powers(n, total)
+
+    def f21_sum(self, a, b, c, x):
+        """sum over chi of [A chi|chi] [B chi|C chi] chi(x)."""
+        return self._sum((self._binoms((a + k, k), (b + k, c + k)), [(k, x)])
+                         for k in range(self.n))
+
+    def f1_sum(self, a, b, bp, c, x, y):
+        """sum over chi, lam of [A chi lam|C chi lam] [B chi|chi] [B' lam|lam]
+        chi(x) lam(y)."""
+        n = self.n
+        return self._sum(
+            (_times(self._binoms((a + k + m, c + k + m)),
+                    self._binoms((b + k, k), (bp + m, m))), [(k, x), (m, y)])
+            for k in range(n) for m in range(n))
+
+    def theta(self, t, X, coeffs, k, *xis):
+        """sum over theta of [X theta|theta] theta(t) S(theta), where S(theta)
+        is the point sum whose exponents, in the order of
+        `hypergeometric.point_rows` ((B, C, A) of a 2F1[A, B; C; x], (A, C,
+        B, B') of an F1), are `coeffs` with the one in position k shifted
+        by theta."""
+        n = self.n
+        if 0 in xis:  # every point sum at an element 0 is 0
+            return self.zero
+        terms = []
+        for th in range(n):
+            e = [c % n for c in coeffs]
+            e[k] = (e[k] + th) % n
+            if len(xis) == 1:
+                args = (e[2], e[0], e[1], *xis)
+                point = self._memoized(args, lambda: _f21_point_counts(self.ft, *args))
+            else:
+                args = (e[0], e[2], e[3], e[1], *xis)
+                point = self._memoized(args, lambda: _f1_point_counts(self.ft, *args))
+            terms.append((_times(self._binoms((X + th, th)), point), [(th, t)]))
+        return self._sum(terms)

@@ -5,18 +5,22 @@ Criteria:
   1  foundation identities exhaustive, q in {3,4,5,7,8,9}
   2  transformation/reduction identities exhaustive, q in {3,4,5,7,8,9}
   3  generating-function identities exhaustive, q in {3,4,5,7}
-  4  exact divisibility of every character-sum side by its (q-1) power
+  4  every summed side equals its literal sum over characters, and every
+     coefficient of it is divisible by its (q-1) power
   5  sampled large-q suite, 10k seeded bindings, byte-identical reports
   6  convention validation (Jacobi sum definition, chi(0)=0)
   7  mutation sensitivity of every registry encoding at q=5
   8  point-sum vs character-sum route agreement (implementation redundancy)
 and one run beyond them: the generating-function identities exhaustive at
 q in {8, 9}, about 2.7 million bindings each for thm4.1 and thm4.2 at q = 9.
+Every test but criterion 4 is slow: they share module fixtures that take
+minutes to build.
 """
 
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import appellfq as afq
@@ -33,11 +37,10 @@ from appellfq import (
     trivial_character,
     verify,
 )
-from appellfq.identities import registry
-from appellfq.verifier import find_counterexample, mutated_case
-
-# the criteria share module fixtures that take minutes to build
-pytestmark = pytest.mark.slow
+from appellfq.cyclotomic import CycInt
+from appellfq.identities import BatchContext, registry
+from appellfq.verifier import _entry_domains, find_counterexample, mutated_case
+from scalar_reference import LiteralSums
 
 FOUNDATION_IDS = [
     "prop2.1-a", "prop2.1-b", "prop2.2", "prop2.3-a", "prop2.3-b",
@@ -99,6 +102,7 @@ def _assert_all_pass(reports):
     assert failures == []
 
 
+@pytest.mark.slow
 def test_criterion_1_foundation_suite(foundation_reports):
     _assert_all_pass(foundation_reports)
     # spot-check the enumerated domain sizes
@@ -108,6 +112,7 @@ def test_criterion_1_foundation_suite(foundation_reports):
     print("\nACCEPTANCE criterion 1 (foundation suite, q in 3..9): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_2_section3_suite(sec3_reports):
     _assert_all_pass(sec3_reports)
     # domains exclude exactly the boundary slices where a printed
@@ -118,12 +123,14 @@ def test_criterion_2_section3_suite(sec3_reports):
     print("ACCEPTANCE criterion 2 (transformation/reduction suite): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_3_section4_suite(sec4_reports):
     _assert_all_pass(sec4_reports)
     assert sec4_reports[("thm4.1", 7)].cases == 6**4 * 7 * 7 * 6
     print("ACCEPTANCE criterion 3 (generating-function suite): PASS")
 
 
+@pytest.mark.slow
 def test_section4_exhaustive_at_q8_q9(fields):
     reports = _run_suite(SEC4_IDS, [8, 9], fields)
     _assert_all_pass(reports)
@@ -132,26 +139,48 @@ def test_section4_exhaustive_at_q8_q9(fields):
     print("ACCEPTANCE generating-function suite exhaustive at q in {8, 9}: PASS")
 
 
-def test_criterion_4_divisibility(foundation_reports, sec4_reports):
-    # the six summed-side entries carry their clearing power and the
-    # verifier asserts coefficient-wise divisibility on every binding of
-    # criteria 1-3; any remainder would have surfaced as a counterexample
-    powers = {
-        "thm1.1": 1, "thm1.3": 2,
-        "thm4.1": 1, "thm4.2": 1, "thm4.3-a": 1, "thm4.3-b": 1,
-    }
-    for ident, power in powers.items():
-        assert afq.get_identity(ident).div_power == power
-    for key in [("thm1.1", q) for q in (3, 4, 5, 7, 8, 9)] + [
-        ("thm1.3", q) for q in (3, 4, 5, 7, 8, 9)
-    ]:
-        assert foundation_reports[key].passed
-    for ident in SEC4_IDS:
-        for q in (3, 4, 5, 7):
-            assert sec4_reports[(ident, q)].passed
-    print("ACCEPTANCE criterion 4 (exact divisibility): PASS")
+# the summed sides and the power of q - 1 their statements divide them by
+SUMMED = {"thm1.1": 1, "thm1.3": 2, "thm4.1": 1, "thm4.2": 1, "thm4.3-a": 1,
+          "thm4.3-b": 1}
 
 
+def _literal_check(ident, ft, sample=None):
+    """The bindings of `ident` over `ft` (every one, or `sample` seeded
+    ones) where the verifier's lhs differs from the literal sum over
+    characters (`scalar_reference.LiteralSums`), or where a coefficient of
+    the literal sum leaves a remainder mod (q-1)^power."""
+    entry, power = afq.get_identity(ident), SUMMED[ident]
+    bindings = list(itertools.product(*_entry_domains(entry, ft)))
+    if sample is not None:
+        rng = np.random.default_rng(ft.q)
+        bindings = [bindings[i] for i in rng.choice(len(bindings), sample, replace=False)]
+    cols = tuple(np.array(col, dtype=np.int64) for col in zip(*bindings))
+    got = np.broadcast_to(entry.lhs(BatchContext(ft), cols).a, (len(bindings), ft.n))
+    literal = LiteralSums(ft)
+    bad = []
+    for binding, row in zip(bindings, got.tolist()):
+        want = entry.lhs(literal, binding)
+        if (CycInt.from_powers(ft.n, row) != want
+                or any(c % (ft.q - 1) ** power for c in want.coeffs)):
+            bad.append(binding)
+    return bad
+
+
+def test_criterion_4_divisibility():
+    # each summed side, at every binding, is its literal sum over chi (and
+    # lam, or theta) from the reference's own loops, and is divisible by
+    # (q-1)^power coefficientwise: so the cleared form that the registry
+    # checks by equality alone is the statement's divided form
+    fields = {p**r: build_field(p, r) for p, r in SEC4_PR}
+    checks = [(ident, q, None) for q in (3, 4, 5) for ident in SUMMED]
+    for ident, q, sample in checks + [("thm1.1", 7, None), ("thm1.3", 7, 3000)]:
+        bad = _literal_check(ident, fields[q], sample)
+        assert bad == [], (ident, q, bad[:3])
+    print("ACCEPTANCE criterion 4 (summed sides are their literal sums, "
+          "divisible by their (q-1) power): PASS")
+
+
+@pytest.mark.slow
 def test_criterion_5_sampled_large_q(fields):
     ids = [e.id for e in registry()]
     for p, r in SAMPLED_PR:
@@ -179,6 +208,7 @@ def test_criterion_5_sampled_large_q(fields):
     print("ACCEPTANCE criterion 5 (sampled large-q suite): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_6_convention_validation(fields):
     # J(eps, eps) = q - 2 at every tested q
     for ft in fields.values():
@@ -200,6 +230,7 @@ def test_criterion_6_convention_validation(fields):
     print("ACCEPTANCE criterion 6 (convention validation): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_7_mutation_sensitivity(fields):
     ft5 = fields[5]
     vacuous = []
@@ -211,6 +242,7 @@ def test_criterion_7_mutation_sensitivity(fields):
     print("ACCEPTANCE criterion 7 (mutation sensitivity, 28 entries): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_8_route_cross_check(fields, foundation_reports):
     # the thm1.1/thm1.3 reports of criterion 1 compare the two routes on
     # the full sweep; restate through the public API as well

@@ -426,3 +426,33 @@ def test_bad_q_list_and_element_vector_are_usage_errors(capsys):
     rc, _, err = run(capsys, "eval", "f21", "-q", "9", "-A", "0", "-B", "0",
                      "-C", "0", "-x", "1,2,3")
     assert rc == 2 and "bad element" in err
+
+
+def test_an_out_that_cannot_be_opened_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # every command refuses it with exit 2 before it evaluates anything;
+    # verify opens its output after checking its arguments and before the
+    # first report, so it never runs a check whose output has nowhere to go
+    import appellfq.cli as cli
+
+    monkeypatch.setattr(cli, "verify_all", lambda *a, **k: pytest.fail("verified"))
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (["verify", "--all", "-q", "9", "--exhaustive"],
+                 ["field-info", "-q", "5"],
+                 ["eval", "binom", "-q", "5", "-A", "1", "-B", "2"],
+                 ["table", "binom", "-q", "5"]):
+        rc, out, err = run(capsys, *argv, "--out", missing)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot open --out {missing}: "), argv
+    # an argument error is still reported first
+    rc, _, err = run(capsys, "verify", "--all", "-q", "9", "--max-counterexamples",
+                     "0", "--out", missing)
+    assert rc == 2 and "--max-counterexamples" in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_verify_writes_the_same_bytes_to_out(capsys, tmp_path):
+    path = tmp_path / "reports.jsonl"
+    argv = ["verify", "thm1.2", "prop2.1-a", "-q", "3,4", "--exhaustive"]
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, run(capsys, *argv, "--out", str(path))) == (0, (0, "", ""))
+    assert path.read_text() == out and out.count("\n") == 4
