@@ -304,7 +304,8 @@ class CycInt:
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        v = self.as_integer()  # an integer value hashes as the int it equals
+        return hash((self.n, self.coeffs)) if v is None else hash(v)
 
     def __repr__(self):
         v = self.as_integer()

@@ -165,9 +165,10 @@ class FieldElement:
 class FieldTable:
     """Materialized F_q: canonical elements plus exp/log/one-minus tables.
 
-    Immutable after construction; safe for concurrent reads. Enumeration
-    order is zero first, then powers of the generator (exp-table order),
-    so element index i > 0 has discrete log i - 1.
+    Its tables are fixed at construction; `_caches` holds tables derived
+    from them, each filled on first use and never changed after.
+    Enumeration order is zero first, then powers of the generator
+    (exp-table order), so element index i > 0 has discrete log i - 1.
     """
 
     def __init__(self, params: FieldParams):

@@ -8,11 +8,11 @@ character; "~" below means character inversion):
 
 The point sums above are the canonical Theta(q) evaluators
 (`f21_point_idx`, `f1_point_idx`). One `np.bincount` over u gives the
-(S, n) zeta-power counts of S bindings given as int64 columns,
-unreduced: the kernel of `identities.BatchContext` and of the f21/f1
-`table`. With int arguments the same body counts one row and reduces it
-to a `CycInt`. The character sum forms are independent routes used for
-cross-validation:
+(S, n) zeta-power counts of S bindings given as int64 columns (an int
+stands for every row), unreduced: the kernel of `identities.BatchContext`
+and of the f21/f1 `table`. The public functions reduce its one row of
+ints to a `CycInt` (`_reduced`). The character sum forms are independent
+routes used for cross-validation:
 
     2F1 = 1/(q-1)   sum_chi     [A chi | chi] [B chi | C chi] chi(x)
     F1  = 1/(q-1)^2 sum_chi,lam [A chi lam | C chi lam] [B chi | chi]
@@ -28,7 +28,7 @@ sum_k zeta^(kD) = n [D = 0 mod n]. A pair's slope is injective, so for
 each pair of one factor the sum over k keeps at most one pair of the
 other, the one whose slope cancels it (`characters._slope_index`). Each
 character sum is thus one gather and one `np.bincount` of the summed
-intercepts, O(q) per binding, in one body for ints and for columns. Each
+intercepts, O(q) per binding, in the column form of the point sums. Each
 kept term occurs n times over k (n^2 times over k, l for F1), so the
 counts of each kept term once are the sum divided by q - 1 (or (q-1)^2).
 """
@@ -75,29 +75,23 @@ class AppellF1Params:
 
 # ----------------------------------------------------------------------
 # Point-sum evaluators on raw indices (exponents mod n, enumeration
-# indices for elements), as ints or as int64 columns.
+# indices for elements), as int64 columns.
 # ----------------------------------------------------------------------
 
-def f21_point_idx(ft: FieldTable, a, b, c, xi):
-    """The 2F1 point sum at exponents a, b, c and element index xi.
+def f21_point_idx(ft: FieldTable, a, b, c, xi) -> np.ndarray:
+    """The 2F1 point sums at exponents a, b, c and element index xi.
 
-    If any argument is an int64 column, the others stand for every row
-    and the result is the (S, n) int64 array of zeta-power counts of
-    each row, unreduced (`_point_counts`); with int arguments, its one
-    row reduced to a `CycInt`.
+    Each argument is an int64 column with one entry per binding, or an
+    int that stands for every row; the result is the (S, n) int64 array
+    of zeta-power counts of each row, unreduced (`_point_counts`), with
+    one row if every argument is an int.
     """
-    counts = _point_counts(ft, (b, c, a), (xi,))
-    if any(isinstance(v, np.ndarray) for v in (a, b, c, xi)):
-        return counts
-    return _reduced(ft.n, counts)
+    return _point_counts(ft, (b, c, a), (xi,))
 
 
-def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
-    """The Appell F1 point sum; ints or int64 columns as `f21_point_idx`."""
-    counts = _point_counts(ft, (a, c, b, bp), (xi, yi))
-    if any(isinstance(v, np.ndarray) for v in (a, b, bp, c, xi, yi)):
-        return counts
-    return _reduced(ft.n, counts)
+def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi) -> np.ndarray:
+    """The Appell F1 point sums; columns and counts as `f21_point_idx`."""
+    return _point_counts(ft, (a, c, b, bp), (xi, yi))
 
 
 def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
@@ -161,17 +155,17 @@ def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
 
 # ----------------------------------------------------------------------
 # Character-sum evaluators (with their 1/(q-1)^k factor), on raw indices
-# as ints or as int64 columns, as the point sums.
+# as int64 columns, as the point sums.
 # ----------------------------------------------------------------------
 
-def f21_charsum_idx(ft: FieldTable, a, b, c, xi):
+def f21_charsum_idx(ft: FieldTable, a, b, c, xi) -> np.ndarray:
     """1/(q-1) sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
 
     At binomial pairs (l1, l2), with chi = chi_k and s = l1 + l2, the two
     factors have exponents a l1 + k (s + log x) and b l1 + c l2 + k s, so
     the sum over k keeps, for each pair i of the first, the pair j (if
     any) whose slope cancels that of i (`_slope_index`), n times; each is
-    counted once. Ints or int64 columns as `f21_point_idx`.
+    counted once. Columns and counts as `f21_point_idx`.
     """
     n = ft.n
     inv, m1, m2 = _slope_index(ft)
@@ -179,13 +173,10 @@ def f21_charsum_idx(ft: FieldTable, a, b, c, xi):
     x = _col(xi)
     j = inv[-(l1 + l2 + x - 1) % n]
     e = _col(a) * l1 + _col(b) * m1[j] + _col(c) * m2[j]
-    counts = _row_counts(n, e, (j >= 0) & (x != 0))
-    if any(isinstance(v, np.ndarray) for v in (a, b, c, xi)):
-        return counts
-    return _reduced(n, counts)
+    return _row_counts(n, e, (j >= 0) & (x != 0))
 
 
-def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
+def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi) -> np.ndarray:
     """1/(q-1)^2 sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam]
     chi(x) lam(y).
 
@@ -197,7 +188,7 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     pair of the lam(y) factor whose slope cancels that of j: n^2 times at
     most one term per i, O(q) work. So the (q-1)^2 division is exact by
     construction; the tests' `_f1_charsum_reference`, which enumerates
-    (chi, lam), checks it. Ints or int64 columns as `f21_point_idx`.
+    (chi, lam), checks it. Columns and counts as `f21_point_idx`.
     """
     n = ft.n
     inv, m1, m2 = _slope_index(ft)
@@ -207,10 +198,7 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     j = inv[-t % n]
     k = inv[(t - y + 1) % n]
     e = _col(b) * l1 + _col(a) * m1[j] + _col(c) * m2[j] + _col(bp) * m1[k]
-    counts = _row_counts(n, e, (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
-    if any(isinstance(v, np.ndarray) for v in (a, b, bp, c, xi, yi)):
-        return counts
-    return _reduced(n, counts)
+    return _row_counts(n, e, (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
 
 
 def _reduced(n: int, counts: np.ndarray) -> CycInt:
@@ -224,29 +212,29 @@ def _reduced(n: int, counts: np.ndarray) -> CycInt:
 
 def f21_point_sum(params: Hyp2F1Params) -> CycInt:
     """The 2F1 point sum; zero whenever x = 0."""
-    return f21_point_idx(
+    return _reduced(params.A.field.n, f21_point_idx(
         params.A.field,
         params.A.exponent,
         params.B.exponent,
         params.C.exponent,
         params.x.index,
-    )
+    ))
 
 
 def f21_char_sum(params: Hyp2F1Params) -> CycInt:
     """The 2F1 character-sum route, with its 1/(q - 1)."""
-    return f21_charsum_idx(
+    return _reduced(params.A.field.n, f21_charsum_idx(
         params.A.field,
         params.A.exponent,
         params.B.exponent,
         params.C.exponent,
         params.x.index,
-    )
+    ))
 
 
 def appell_f1_point_sum(params: AppellF1Params) -> CycInt:
     """The two-variable point sum; zero whenever x = 0 or y = 0."""
-    return f1_point_idx(
+    return _reduced(params.A.field.n, f1_point_idx(
         params.A.field,
         params.A.exponent,
         params.B.exponent,
@@ -254,12 +242,12 @@ def appell_f1_point_sum(params: AppellF1Params) -> CycInt:
         params.C.exponent,
         params.x.index,
         params.y.index,
-    )
+    ))
 
 
 def appell_f1_char_sum(params: AppellF1Params) -> CycInt:
     """The double character-sum route, with its 1/(q - 1)^2."""
-    return f1_charsum_idx(
+    return _reduced(params.A.field.n, f1_charsum_idx(
         params.A.field,
         params.A.exponent,
         params.B.exponent,
@@ -267,4 +255,4 @@ def appell_f1_char_sum(params: AppellF1Params) -> CycInt:
         params.C.exponent,
         params.x.index,
         params.y.index,
-    )
+    ))

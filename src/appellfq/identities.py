@@ -275,16 +275,16 @@ class BatchContext:
         return Counts(a.reshape(-1, self.n), self.q - 2)
 
     def f21(self, a, b, c, x):
-        return Counts(f21_point_idx(self.ft, a, b, c, _col(x)), self.q - 2)
+        return Counts(f21_point_idx(self.ft, a, b, c, x), self.q - 2)
 
     def f1(self, a, b, bp, c, x, y):
-        return Counts(f1_point_idx(self.ft, a, b, bp, c, x, _col(y)), self.q - 2)
+        return Counts(f1_point_idx(self.ft, a, b, bp, c, x, y), self.q - 2)
 
     def f21_sum(self, a, b, c, x):
-        return Counts(f21_charsum_idx(self.ft, a, b, c, _col(x)), self.q - 2) * self.n
+        return Counts(f21_charsum_idx(self.ft, a, b, c, x), self.q - 2) * self.n
 
     def f1_sum(self, a, b, bp, c, x, y):
-        counts = f1_charsum_idx(self.ft, a, b, bp, c, x, _col(y))
+        counts = f1_charsum_idx(self.ft, a, b, bp, c, x, y)
         return Counts(counts, self.q - 2) * (self.n * self.n)
 
     def power_sum(self, step):

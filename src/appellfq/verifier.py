@@ -60,28 +60,6 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class _CounterStream:
-    """Word stream that is a pure function of (seed, counter). A numpy uint64
-    array of counters gives one stream per entry with the same words, since
-    uint64 arithmetic wraps modulo 2^64 as the masked ints do."""
-
-    def __init__(self, seed: int, counter: int):
-        self._base = _splitmix64(_splitmix64(seed & _U64) ^ ((counter + 1) & _U64))
-        self._i = 0
-
-    def word(self) -> int:
-        self._i += 1
-        return _splitmix64((self._base + (self._i * _GOLDEN & _U64)) & _U64)
-
-    def below(self, bound: int) -> int:
-        # unbiased draw in [0, bound)
-        lim = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            w = self.word()
-            if w < lim:
-                return w % bound
-
-
 @dataclass
 class VerifyReport:
     """Outcome of checking one identity over one field."""
@@ -110,7 +88,7 @@ class VerifyReport:
 
     def to_json(self) -> dict:
         # "ms" is rendered null: reports are required to be byte-identical
-        # across reruns and worker counts, which wall-clock time is not.
+        # across reruns, which wall-clock time is not.
         return {
             "id": self.identity_id,
             "q": self.q,
@@ -271,40 +249,37 @@ def _scan_exhaustive(scan, entry, ft, domains, cap):
 
 
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
-    stream = _CounterStream(seed, i)
-    return tuple(dom[stream.below(len(dom))] for dom in domains)
+    """Sample i: one column of `_draws`, as a tuple of domain values."""
+    draws = _draws(seed, i, i + 1, [len(d) for d in domains])
+    return tuple(dom[int(d[0])] for dom, d in zip(domains, draws))
 
 
 def _draws(seed, start, stop, bounds):
-    """`_CounterStream(seed, i).below(b)` for each bound b in turn, drawn
-    from one word each, for i = start .. stop - 1, in one `_splitmix64`
-    pass: one uint64 row per bound, and the mask of samples where a word
-    fell in `below`'s rejection zone (words past 2^64 - 1 - (2^64 mod b),
-    none for a power of two), whose draws are therefore not these."""
-    base = _CounterStream(seed, np.arange(start, stop, dtype=np.uint64))._base
-    step = np.arange(1, len(bounds) + 1, dtype=np.uint64).reshape(-1, 1)
-    words = _splitmix64(base + step * np.uint64(_GOLDEN))
+    """Samples start .. stop - 1 as one uint64 row per bound b: for each
+    sample i, a draw in [0, b) for each bound in turn, the next word of the
+    stream of (seed, i) mod b, every word from one `_splitmix64` pass. A
+    word past 2^64 - 1 - (2^64 mod b) is rejected, so the draws are
+    unbiased: its draw and every later draw of its sample move on by one
+    word, and the words are computed again (at odds below b / 2^64)."""
+    counter = np.arange(start, stop, dtype=np.uint64) + np.uint64(1)
+    base = _splitmix64(_splitmix64(seed & _U64) ^ counter)
     b = np.array(bounds, dtype=np.uint64).reshape(-1, 1)
     top = np.array([_U64 - (1 << 64) % bound for bound in bounds], dtype=np.uint64)
-    return words % b, (words > top.reshape(-1, 1)).any(axis=0)
-
-
-def _sample_columns(entry, domains, seed, start, stop):
-    """The samples start .. stop - 1 of `_sample_binding` as int64 columns,
-    from the domains as int64 arrays."""
-    draws, rejected = _draws(seed, start, stop, [len(d) for d in domains])
-    cols = tuple(dom[d] for dom, d in zip(domains, draws))
-    for r in np.flatnonzero(rejected):
-        for col, v in zip(cols, _sample_binding(entry, domains, seed, start + int(r))):
-            col[r] = v
-    return cols
+    word = np.arange(1, len(bounds) + 1, dtype=np.uint64).reshape(-1, 1)
+    while True:
+        w = _splitmix64(base + word * np.uint64(_GOLDEN))
+        bad = w > top.reshape(-1, 1)
+        if not bad.any():
+            return w % b
+        word = word + (np.cumsum(bad, axis=0) > 0)
 
 
 def _scan_samples(entry, ft, domains, seed, cases, cap):
     """`_scan` over the samples 0 .. cases - 1."""
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    step = _step(ft.q)
-    chunks = (_sample_columns(entry, doms, seed, lo, min(lo + step, cases))
+    bounds, step = [len(d) for d in doms], _step(ft.q)
+    chunks = (tuple(dom[d] for dom, d in
+                    zip(doms, _draws(seed, lo, min(lo + step, cases), bounds)))
               for lo in range(0, cases, step))
     return _scan(entry, ft, chunks, cap)
 

@@ -2,29 +2,49 @@
 computes in columns.
 
 `EvalContext` evaluates a compiled side (`identities`) at one binding of
-plain ints and returns a `CycInt`, reducing each term as it goes. Its
+plain ints and returns a `CycInt`. No package kernel takes part: its
 point sums (`f21_point_idx`, `f1_point_idx`) and the Jacobi and binomial
 weights (`_jacobi_counts`) are Python loops over u, independent of the
 package's column kernels (`hypergeometric._point_counts`,
-`characters.binom_counts`); its roots of unity are `root_of_unity`,
-reduced one at a time. At q <= 9 a loop is several times faster than a
-one-row call of a column kernel, which is why the reference keeps them.
+`characters.binom_counts`), and its roots of unity are `root_of_unity`,
+reduced one at a time. Its sums over characters (binthm, power_sum,
+f21_sum, f1_sum, theta) are their literal loops over chi, (chi, lambda)
+and theta, of terms built from those loops alone, where the package
+gathers the few terms that survive (`characters._slope_index`).
 
-`LiteralSums` is the same evaluator with the sums over characters of the
-summed sides (f21_sum, f1_sum, theta) written as their literal loops over
-chi, (chi, lambda) and theta, from these loops alone; `EvalContext` takes
-them from the package's character-sum kernels.
+`_CounterStream` is the scalar word stream of the sampler, one word and
+one draw at a time, which `verifier._draws` computes in columns.
 """
 
 from __future__ import annotations
 
 import functools
 
-from appellfq.characters import binomial_table
 from appellfq.cyclotomic import CycInt, cyc_zero, root_of_unity
 from appellfq.fields import FieldTable
-from appellfq.hypergeometric import _reduced, f1_charsum_idx, f21_charsum_idx
-from appellfq.identities import binthm_counts, power_sum_counts, theta_counts
+from appellfq.verifier import _GOLDEN, _U64, _splitmix64
+
+
+class _CounterStream:
+    """Word stream that is a pure function of (seed, counter). A numpy uint64
+    array of counters gives one stream per entry with the same words, since
+    uint64 arithmetic wraps modulo 2^64 as the masked ints do."""
+
+    def __init__(self, seed: int, counter: int):
+        self._base = _splitmix64(_splitmix64(seed & _U64) ^ ((counter + 1) & _U64))
+        self._i = 0
+
+    def word(self) -> int:
+        self._i += 1
+        return _splitmix64((self._base + (self._i * _GOLDEN & _U64)) & _U64)
+
+    def below(self, bound: int) -> int:
+        # unbiased draw in [0, bound)
+        lim = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            w = self.word()
+            if w < lim:
+                return w % bound
 
 
 def _jacobi_counts(ft: FieldTable, a: int, b: int, shift: int = 0) -> list[int]:
@@ -141,6 +161,15 @@ class EvalContext:
 
     Element arguments are enumeration indices (0 is the zero element,
     index i > 0 has discrete log i - 1); characters are exponents mod q-1.
+
+    A sum over characters adds up, over every character, terms that are
+    products of the reference's binomials (`_binom_counts`, the
+    `_jacobi_counts` loop), values chi_k(x) = zeta^(k log x) (0 at x = 0,
+    for the trivial character too) and point sums (the loops over u
+    above), all as weight vectors multiplied by `_times`, and reduces the
+    sum once. Binomials, products of binomials and point sums are
+    memoized by their arguments, since a sum over a domain reads each of
+    them many times.
     """
 
     def __init__(self, ft: FieldTable):
@@ -153,7 +182,12 @@ class EvalContext:
         self.lm1 = ft.log_minus_one
         self.zero = cyc_zero(ft.n)
         self.roots = all_roots(ft.n)  # filled on first read
-        self.bt = binomial_table(ft)
+        self._memo: dict = {}
+
+    def _memoized(self, key, fn):
+        if key not in self._memo:
+            self._memo[key] = fn()
+        return self._memo[key]
 
     # element ops on enumeration indices
     def sub(self, i, j):
@@ -197,64 +231,16 @@ class EvalContext:
         return CycInt.from_int(self.n, v)
 
     def binom(self, i, j):
-        return self.bt[i % self.n][j % self.n]
+        """[chi_i|chi_j], reduced."""
+        key = ("binom", i % self.n, j % self.n)
+        return self._memoized(
+            key, lambda: CycInt.from_powers(self.n, self._binoms(key[1:])))
 
     def f21(self, a, b, c, x):
         return f21_point_idx(self.ft, a, b, c, x)
 
     def f1(self, a, b, bp, c, x, y):
         return f1_point_idx(self.ft, a, b, bp, c, x, y)
-
-    # the sums over characters, uncleared: the kernels give them divided
-    # by n (n^2 for f1_sum)
-    def f21_sum(self, a, b, c, x):
-        return f21_charsum_idx(self.ft, a, b, c, x) * self.n
-
-    def f1_sum(self, a, b, bp, c, x, y):
-        return f1_charsum_idx(self.ft, a, b, bp, c, x, y) * (self.n * self.n)
-
-    def power_sum(self, step):
-        return CycInt.from_powers(self.n, power_sum_counts(self.ft, step)[0].tolist())
-
-    def binthm(self, A, x):
-        return _reduced(self.n, binthm_counts(self.ft, A, x)) * self.n
-
-    def theta(self, t, X, coeffs, k, *xis):
-        return _reduced(self.n, theta_counts(self.ft, t, X, coeffs, k, *xis)) * self.n
-
-
-def _times(u: list[int], v: list[int]) -> list[int]:
-    """The product of two weight vectors of powers of zeta_n, cyclically."""
-    n = len(u)
-    out = [0] * n
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[(i + j) % n] += a * b
-    return out
-
-
-class LiteralSums(EvalContext):
-    """`EvalContext` whose sums over characters are their literal loops.
-
-    Each term is a product of the reference's binomials (`_binom_counts`,
-    the `_jacobi_counts` loop), values chi_k(x) = zeta^(k log x) (0 at
-    x = 0, for the trivial character too) and point sums (the loops over
-    u above), all as weight vectors multiplied by `_times`; the terms are
-    added up over every character and the sum is reduced once. No
-    package kernel takes part. Binomials, products of binomials and point
-    sums are memoized by their arguments, since a sum over a domain reads
-    each of them many times.
-    """
-
-    def __init__(self, ft: FieldTable):
-        super().__init__(ft)
-        self._memo: dict = {}
-
-    def _memoized(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
 
     def _binoms(self, *pairs) -> list[int]:
         """The product of the binomials [chi_a|chi_b] over `pairs` (a, b)."""
@@ -276,6 +262,18 @@ class LiteralSums(EvalContext):
             for j, w in enumerate(weights):
                 total[(j + shift) % n] += w
         return CycInt.from_powers(n, total)
+
+    # the sums over characters, uncleared
+    def power_sum(self, step):
+        """sum over k = 0 .. n-1 of zeta^(k step)."""
+        counts = [0] * self.n
+        for k in range(self.n):
+            counts[k * step % self.n] += 1
+        return CycInt.from_powers(self.n, counts)
+
+    def binthm(self, A, x):
+        """sum over chi of [A chi|chi] chi(x)."""
+        return self._sum((self._binoms((A + k, k)), [(k, x)]) for k in range(self.n))
 
     def f21_sum(self, a, b, c, x):
         """sum over chi of [A chi|chi] [B chi|C chi] chi(x)."""
@@ -312,3 +310,14 @@ class LiteralSums(EvalContext):
                 point = self._memoized(args, lambda: _f1_point_counts(self.ft, *args))
             terms.append((_times(self._binoms((X + th, th)), point), [(th, t)]))
         return self._sum(terms)
+
+
+def _times(u: list[int], v: list[int]) -> list[int]:
+    """The product of two weight vectors of powers of zeta_n, cyclically."""
+    n = len(u)
+    out = [0] * n
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[(i + j) % n] += a * b
+    return out

@@ -40,7 +40,7 @@ from appellfq import (
 from appellfq.cyclotomic import CycInt
 from appellfq.identities import BatchContext, registry
 from appellfq.verifier import _entry_domains, find_counterexample, mutated_case
-from scalar_reference import LiteralSums
+from scalar_reference import EvalContext
 
 FOUNDATION_IDS = [
     "prop2.1-a", "prop2.1-b", "prop2.2", "prop2.3-a", "prop2.3-b",
@@ -147,7 +147,7 @@ SUMMED = {"thm1.1": 1, "thm1.3": 2, "thm4.1": 1, "thm4.2": 1, "thm4.3-a": 1,
 def _literal_check(ident, ft, sample=None):
     """The bindings of `ident` over `ft` (every one, or `sample` seeded
     ones) where the verifier's lhs differs from the literal sum over
-    characters (`scalar_reference.LiteralSums`), or where a coefficient of
+    characters (`scalar_reference.EvalContext`), or where a coefficient of
     the literal sum leaves a remainder mod (q-1)^power."""
     entry, power = afq.get_identity(ident), SUMMED[ident]
     bindings = list(itertools.product(*_entry_domains(entry, ft)))
@@ -156,7 +156,7 @@ def _literal_check(ident, ft, sample=None):
         bindings = [bindings[i] for i in rng.choice(len(bindings), sample, replace=False)]
     cols = tuple(np.array(col, dtype=np.int64) for col in zip(*bindings))
     got = np.broadcast_to(entry.lhs(BatchContext(ft), cols).a, (len(bindings), ft.n))
-    literal = LiteralSums(ft)
+    literal = EvalContext(ft)
     bad = []
     for binding, row in zip(bindings, got.tolist()):
         want = entry.lhs(literal, binding)

@@ -20,7 +20,7 @@ import pytest
 import appellfq.verifier as V
 from appellfq import build_field, get_identity, registry, verify
 from appellfq.characters import Character
-from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
+from appellfq.cyclotomic import CycInt, _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import f1_point_idx, f21_point_idx
 from appellfq.identities import BatchContext, Counts, _const, _convolve, _norms
@@ -87,8 +87,9 @@ def test_point_columns_equal_int_loop(q, kernel, chars, elems):
     `table`) against the reference's int loop, row by row: every binding
     at q <= 7, and at larger q random columns, exponents outside
     0 .. n-1 included, with the rows x = 0, x = 1, y = 0 and x = y, also
-    with some arguments given as ints, and there the int form (one row
-    of the kernel, reduced) at each row's binding."""
+    with some arguments given as ints, and there the kernel at each row's
+    binding of ints (its one row, reduced: two rows of counts can be the
+    same element of Z[zeta_n])."""
     ft = _field(q)
     loop = getattr(ref, kernel.__name__)
     rows = _ring(ft.n).np_rows
@@ -115,7 +116,9 @@ def test_point_columns_equal_int_loop(q, kernel, chars, elems):
             want = loop(ft, *binding)
             assert tuple(row) == want.coeffs, (at, binding)
             if not at and q > 7:
-                assert kernel(ft, *binding) == want, binding
+                one = kernel(ft, *binding)
+                assert one.shape == (1, ft.n), binding
+                assert CycInt.from_powers(ft.n, one[0].tolist()) == want, binding
 
 
 def _binthm_oracle(ft, a, x):
@@ -481,7 +484,13 @@ def test_const_is_column_zero():
         assert _const(n, np.array([], dtype=np.int64)).a.shape == (0, n)
 
 
-SEEDS =(0, 2**64 - 1, 20240811)
+SEEDS = (0, 2**64 - 1, 20240811)
+
+
+def _stream_draws(seed, i, bounds):
+    """The draws of sample i, one bound at a time, by the scalar stream."""
+    stream = ref._CounterStream(seed, i)
+    return [stream.below(b) for b in bounds]
 
 
 @pytest.mark.parametrize("q", [2, 5, 13, 25, 101])
@@ -493,51 +502,32 @@ def test_vectorized_samples_equal_sample_binding(q):
         domains = _entry_domains(entry, ft)
         if not all(domains):
             continue  # sampled mode refuses an empty domain
-        doms = [np.array(d, dtype=np.int64) for d in domains]
+        bounds = [len(d) for d in domains]
         for seed in SEEDS:
-            for start in (0, 2**62 - 5):
-                cols = V._sample_columns(entry, doms, seed, start, start + 12)
-                got = list(zip(*(c.tolist() for c in cols)))
-                want = [V._sample_binding(entry, domains, seed, i)
-                        for i in range(start, start + 12)]
-                assert got == want, (entry.id, seed, start)
+            for start in (0, 2**62 - 5, 2**64 - 12):
+                draws = V._draws(seed, start, start + 12, bounds)
+                assert draws.shape == (len(bounds), 12)
+                for r in range(12):
+                    want = _stream_draws(seed, start + r, bounds)
+                    assert draws[:, r].tolist() == want, (entry.id, seed, start + r)
+                    assert V._sample_binding(entry, domains, seed, start + r) == \
+                        tuple(d[w] for d, w in zip(domains, want))
 
 
 def test_draws_flag_the_words_that_below_rejects():
-    # 2^64 mod (2^63 + 1) = 2^63 - 1, so about half of all words are rejected
+    # 2^64 mod (2^63 + 1) = 2^63 - 1, so about half of all words are
+    # rejected: every row, rejected ones included, is the scalar stream's
     bound = 2**63 + 1
-    for seed in SEEDS:
-        start = 2**62 - 100
-        draws, rejected = V._draws(seed, start, start + 200, [bound, 7])
-        assert 50 < rejected.sum() < 150
-        for r in range(200):
-            stream = V._CounterStream(seed, start + r)
-            if rejected[r]:
-                continue
-            assert int(draws[0][r]) == stream.below(bound)
-            assert int(draws[1][r]) == stream.below(7)
-        # a rejected row's first word is past the limit
-        for r in np.flatnonzero(rejected):
-            assert V._CounterStream(seed, start + int(r)).word() >= 2**64 - (2**63 - 1)
-
-
-def test_rejected_samples_are_redrawn(monkeypatch):
-    # the scalar redraw, which a word in the rejection zone of `below`
-    # triggers at odds of about q / 2^64, replaces every flagged row
-    ft = _field(13)
-    entry = get_identity("thm3.7")
-    domains = _entry_domains(entry, ft)
-    doms = [np.array(d, dtype=np.int64) for d in domains]
-    draws = V._draws
-
-    def all_rejected(seed, start, stop, bounds):
-        out, _ = draws(seed, start, stop, bounds)
-        return [np.zeros_like(d) for d in out], np.ones(stop - start, dtype=bool)
-
-    monkeypatch.setattr(V, "_draws", all_rejected)
-    cols = V._sample_columns(entry, doms, 3, 10, 40)
-    assert list(zip(*(c.tolist() for c in cols))) == [
-        V._sample_binding(entry, domains, 3, i) for i in range(10, 40)]
+    for bounds in ([bound, 7, bound], [1, 2, 3, 5, 16, 101], [9]):
+        for seed in SEEDS + (77,):
+            for start in (0, 2**62 - 100, 2**64 - 200):
+                draws = V._draws(seed, start, start + 200, bounds)
+                for r in range(200):
+                    assert draws[:, r].tolist() == \
+                        _stream_draws(seed, start + r, bounds), (bounds, seed, start + r)
+    # about half of the rows have a first word past the limit
+    first = [ref._CounterStream(7, r).word() for r in range(200)]
+    assert 50 < sum(w >= 2**64 - (2**63 - 1) for w in first) < 150
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 101])

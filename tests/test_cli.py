@@ -337,14 +337,15 @@ def test_module_invocation_end_to_end():
 def test_closed_stdout_ends_a_table_with_exit_0():
     # the reader goes away after 100 bytes, as `| head -c 100` does: the
     # table stops and exits 0, and no error is printed
-    proc = subprocess.Popen(
+    # (leaving the block closes the stderr pipe too)
+    with subprocess.Popen(
         [sys.executable, "-m", "appellfq.cli", "table", "f21", "-q", "17"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0 and err == b""
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0 and err == b""
 
 
 def test_evaluator_refusal_exits_3_from_every_command(capsys, monkeypatch):

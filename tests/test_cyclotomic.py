@@ -158,6 +158,18 @@ def test_int_coercion():
     assert (2 - cyc_one(4)).as_integer() == 1
 
 
+def test_hash_agrees_with_eq_on_ints():
+    # a value equal to an int is the same dict key and set member as it
+    for n in (1, 4, 6, 12):
+        for v in (-3, 0, 1, 3, 2**70):
+            c = CycInt.from_int(n, v)
+            assert c == v and hash(c) == hash(v)
+            assert {v: "x"}.get(c) == "x" and len({v, c}) == 1
+    v = root_of_unity(3, 1) + root_of_unity(3, 2)  # -1, reduced
+    assert v == -1 and hash(v) == hash(-1)
+    assert len({root_of_unity(6, 1), root_of_unity(6, 1) + 0}) == 1
+
+
 def test_json_roundtrip_huge_coefficients():
     big = 10**40
     v = CycInt(8, (big, -big - 1, 3, 0))

@@ -2,10 +2,11 @@
 
 Each left side is `identities.theta_counts`: at each point u of the
 point sum, the sum over theta keeps only the binomial pair whose slope
-cancels theta's coefficient at u, found by one gather. Here its value
-on the reference `EvalContext` (`scalar_reference`) and its column form
-on `BatchContext` are checked against the sum over theta of scalar
-binomials times the reference's point-sum loops.
+cancels theta's coefficient at u, found by one gather. Here the left
+side on the reference `EvalContext` (`scalar_reference`, a literal loop
+over theta) and in its column form on `BatchContext` are checked against
+the sum over theta of scalar binomials times the reference's point-sum
+loops.
 """
 
 import functools
