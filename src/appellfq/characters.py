@@ -14,8 +14,6 @@ Jacobi sum is the binomial of B-inverse times B(-1).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .cyclotomic import CycInt, cyc_zero, root_of_unity
@@ -114,13 +112,19 @@ def binom(A: Character, B: Character) -> CycInt:
     return binomial_table(A.field)[A.exponent][B.exponent]
 
 
+def _mod(e, n: int):
+    """e mod n in [0, n) by floor division, which numpy runs by libdivide,
+    about 4 times faster than `%`; exact for int64 e and n >= 1 (mod 2^64)."""
+    return e - n * (e // n)
+
+
 def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
-    """l1 = log u and l2 = log(-1) - log(1 - u) over u outside {0, 1}, so
-    that binom(chi_a, chi_b) = sum_u zeta^(a l1 + b l2); cached."""
+    """l1 = log u and l2 = log(-1) - log(1 - u), (q - 2, 1) columns over u
+    outside {0, 1}: binom(chi_a, chi_b) = sum_u zeta^(a l1 + b l2); cached."""
     logs = ft._caches.get("binom_logs")
     if logs is None:
         om = np.array(ft.one_minus_idx, dtype=np.int64)
-        us = np.flatnonzero(om[1:]) + 1  # indices of the u outside {0, 1}
+        us = np.flatnonzero(om[1:])[:, None] + 1  # indices of the u outside {0, 1}
         logs = ft._caches["binom_logs"] = (us - 1, ft.log_minus_one + 1 - om[us])
     return logs
 
@@ -137,7 +141,7 @@ def _slope_index(ft: FieldTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if tab is None:
         l1, l2 = _binom_logs(ft)
         inv = np.full(ft.n, -1, dtype=np.int64)
-        inv[(l1 + l2) % ft.n] = np.arange(len(l1))
+        inv[_mod(l1 + l2, ft.n).ravel()] = np.arange(len(l1))
         tab = ft._caches["slope_index"] = (inv, np.append(l1, 0), np.append(l2, 0))
     return tab
 
@@ -146,16 +150,15 @@ def binom_counts(ft: FieldTable, a, b) -> np.ndarray:
     """Unreduced zeta-power weights of binom(chi_a, chi_b).
 
     `a` and `b` are broadcastable integer arrays; the result has their
-    shape plus an axis of length n, from one bincount over all pairs.
+    shape plus an axis of length n, from one bincount over all pairs, of
+    exponents laid out (q - 2, pairs).
     """
     n = ft.n
     l1, l2 = _binom_logs(ft)
-    e = (np.asarray(a, dtype=np.int64)[..., None] * l1
-         + np.asarray(b, dtype=np.int64)[..., None] * l2) % n  # (pairs..., q-2)
-    shape = e.shape[:-1]
-    pairs = math.prod(shape)
-    e += n * np.arange(pairs).reshape(shape + (1,))
-    return np.bincount(e.ravel(), minlength=pairs * n).reshape(shape + (n,))
+    a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (a, b)))
+    pairs = a.size
+    e = _mod(l1 * a.reshape(1, -1) + l2 * b.reshape(1, -1), n) + n * np.arange(pairs)
+    return np.bincount(e.ravel(), minlength=pairs * n).reshape(a.shape + (n,))
 
 
 class _BinomRow(dict):

@@ -361,7 +361,7 @@ def _table_chunks(kind: str, ft: FieldTable):
     if total >= 2**63:
         raise ValueError(f"q = {ft.q}: the {kind} table has {total} lines, "
                          f"past the int64 limit 2^63 - 1")
-    rows, c, radius = _admit_rows(ft), BatchContext(ft), 0
+    rows, c, radius = _admit_rows(ft), BatchContext.of(ft), 0
     for lo in range(0, total, _TABLE_CHUNK):
         cols = np.unravel_index(np.arange(lo, min(lo + _TABLE_CHUNK, total)), shape)
         counts = value(c, *cols)

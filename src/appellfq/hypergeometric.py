@@ -11,8 +11,12 @@ The point sums above are the canonical Theta(q) evaluators
 (S, n) zeta-power counts of S bindings given as int64 columns (an int
 stands for every row), unreduced: the kernel of `identities.BatchContext`
 and of the f21/f1 `table`. The public functions reduce its one row of
-ints to a `CycInt` (`_reduced`). The character sum forms are independent
-routes used for cross-validation:
+ints to a `CycInt` (`_reduced`). Every kernel is u-major: bindings are
+(1, S) rows (`_col`) and the u, or binomial pairs, (m, 1) columns, so
+each numpy pass over the (m, S) exponents runs along the S bindings of a
+chunk, not along n (2 to 4 at q <= 5); the bincount index mod(e) + n *
+binding still gives (S, n) counts. The character sum forms are
+independent routes used for cross-validation:
 
     2F1 = 1/(q-1)   sum_chi     [A chi | chi] [B chi | C chi] chi(x)
     F1  = 1/(q-1)^2 sum_chi,lam [A chi lam | C chi lam] [B chi | chi]
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, _binom_logs, _slope_index
+from .characters import Character, _binom_logs, _mod, _slope_index
 from .cyclotomic import CycInt
 from .fields import FieldElement, FieldTable
 
@@ -103,14 +107,14 @@ def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
     that of F1(A;B,B';C;x,y) has A L0 + C L1 + B L2 + B' L3, with
     L0 = log(-1) + log u - log(1-u), L1 = log(-1) + log(1-u) and
     L2, L3 = -log(1-ux), -log(1-uy). No u contributes when some x is 0.
-    Each x is an int or an int64 column; its row and the mask have one
-    row per binding (one row for an int).
+    Each x is an int or an int64 column. Rows and mask are u-major, (n, 1)
+    or (n, S): one column per binding (one for an int).
     """
     n = ft.n
     base, neg = _point_table(ft)
-    ar = np.arange(n)
-    ls = [neg[(_col(xi) - 1) % n + ar] for xi in xis]
-    ok = neg[:n] <= 0
+    ar = np.arange(n)[:, None]
+    ls = [neg[_mod(_col(xi) - 1, n) + ar] for xi in xis]
+    ok = neg[:n, None] <= 0
     for xi, row in zip(xis, ls):
         ok = ok & (row <= 0) & (_col(xi) != 0)
     return [base[0], base[1], *ls], ok
@@ -126,30 +130,30 @@ def _point_counts(ft: FieldTable, coeffs, xis) -> np.ndarray:
 
 
 def _col(v) -> np.ndarray:
-    """An int column (S,) as (S, 1), or an int as (1, 1), to broadcast
-    against a row of length m."""
-    return np.asarray(v, dtype=np.int64).reshape(-1, 1)
+    """An int column (S,) as a (1, S) row, or an int as (1, 1), to
+    broadcast against an (m, 1) column of u or of binomial pairs."""
+    return np.asarray(v, dtype=np.int64).reshape(1, -1)
 
 
 def _row_counts(n: int, e: np.ndarray, keep=True) -> np.ndarray:
-    """(S, n) counts of the exponents e (S, m) mod n in each row, over the
-    entries where `keep`, with one `np.bincount`."""
+    """(S, n) counts of the exponents e (m, S) mod n of each binding (a
+    column of e), over the entries where `keep`, with one `np.bincount`."""
     e, keep = np.broadcast_arrays(e, keep)
-    rows = e.shape[0]
-    e = e % n + n * np.arange(rows)[:, None]
+    rows = e.shape[1]
+    e = _mod(e, n) + n * np.arange(rows)
     return np.bincount(e[keep], minlength=rows * n).reshape(rows, n)
 
 
 def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
-    """(L0, L1) by lu = log u, and -log(1 - g^k) for k = 0 .. 2n-1, where
-    1 marks 1 - g^k = 0 (valid values are <= 0); cached."""
+    """(L0, L1) as (n, 1) columns by lu = log u, and -log(1 - g^k) for
+    k = 0 .. 2n-1, where 1 marks 1 - g^k = 0 (valid values <= 0); cached."""
     tab = ft._caches.get("point_table")
     if tab is None:
         n, lm1 = ft.n, ft.log_minus_one
         ar = np.arange(n)
         l1 = np.array(ft.one_minus_idx[1:], dtype=np.int64) - 1
         tab = ft._caches["point_table"] = (
-            np.stack((lm1 + ar - l1, lm1 + l1)), np.concatenate((-l1, -l1)))
+            np.stack((lm1 + ar - l1, lm1 + l1))[:, :, None], np.concatenate((-l1, -l1)))
     return tab
 
 
@@ -171,7 +175,7 @@ def f21_charsum_idx(ft: FieldTable, a, b, c, xi) -> np.ndarray:
     inv, m1, m2 = _slope_index(ft)
     l1, l2 = _binom_logs(ft)
     x = _col(xi)
-    j = inv[-(l1 + l2 + x - 1) % n]
+    j = inv[_mod((1 - x) - (l1 + l2), n)]
     e = _col(a) * l1 + _col(b) * m1[j] + _col(c) * m2[j]
     return _row_counts(n, e, (j >= 0) & (x != 0))
 
@@ -194,9 +198,9 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi) -> np.ndarray:
     inv, m1, m2 = _slope_index(ft)
     l1, l2 = _binom_logs(ft)
     x, y = _col(xi), _col(yi)
-    t = l1 + l2 + x - 1
-    j = inv[-t % n]
-    k = inv[(t - y + 1) % n]
+    t = (l1 + l2) + (x - 1)
+    j = inv[_mod(-t, n)]
+    k = inv[_mod(t - (y - 1), n)]
     e = _col(b) * l1 + _col(a) * m1[j] + _col(c) * m2[j] + _col(bp) * m1[k]
     return _row_counts(n, e, (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
 

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 import numpy.fft  # noqa: F401 (np.fft is lazy: load it at import, not mid-verify)
 
-from .characters import _slope_index, binom_counts
+from .characters import _mod, _slope_index, binom_counts
 from .characters import binomial_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .fields import FieldTable
 from .hypergeometric import (
@@ -55,12 +55,13 @@ from .hypergeometric import (
 # ----------------------------------------------------------------------
 # The sums over characters of Sections 2 and 4 other than f21/f1, as
 # (S, n) zeta-power counts of int64 columns (an int stands for every
-# row), by the gather of `hypergeometric.f21_charsum_idx`.
+# row), by the gather of `hypergeometric.f21_charsum_idx`, u-major as the
+# kernels there.
 # ----------------------------------------------------------------------
 
 def power_sum_counts(ft: FieldTable, step) -> np.ndarray:
     """sum over k = 0 .. n-1 of zeta^(k step)."""
-    return _row_counts(ft.n, _col(step) * np.arange(ft.n))
+    return _row_counts(ft.n, _col(step) * np.arange(ft.n)[:, None])
 
 
 def binthm_counts(ft: FieldTable, A, x) -> np.ndarray:
@@ -72,7 +73,7 @@ def binthm_counts(ft: FieldTable, A, x) -> np.ndarray:
     n = ft.n
     inv, m1, _ = _slope_index(ft)
     x = _col(x)
-    i = inv[-(x - 1) % n]
+    i = inv[_mod(1 - x, n)]
     return _row_counts(n, _col(A) * m1[i], (i >= 0) & (x != 0))
 
 
@@ -90,24 +91,24 @@ def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis) -> np.ndarray:
     L, ok = point_rows(ft, *xis)
     inv, m1, _ = _slope_index(ft)
     t = _col(t)
-    i = inv[-(L[k] + t - 1) % n]
+    i = inv[_mod((1 - t) - L[k], n)]
     e = _col(X) * m1[i] + sum(_col(c) * row for c, row in zip(coeffs, L))
     return _row_counts(n, e, ok & (i >= 0) & (t != 0))
 
 
 class Counts:
-    """S values of Z[zeta_n] as an (S, n) int64 array of unreduced
-    zeta-power counts; a (1, n) array stands for one value in every row.
+    """S values of Z[zeta_n] as an (S, n) int64 array `a` of unreduced
+    zeta-power counts; a (1, n) array stands for one value in every row,
+    and `_OneHot` holds k zeta^j a row as the columns (k, j) instead.
 
     `mass` is a Python-int bound on sum |count| in any row, carried through
     every operation. int64 arithmetic is exact modulo 2^64 and these are
     ring operations, so a result known from `mass` to stay below 2^63 is
     exact even if an intermediate wrapped: the counts themselves while
     mass < 2^63, the verifier's zero test while mass * 2^omega(n) is, and
-    a `table`'s reduced coefficients while mass * max|row| is. A mass
-    <= 1 means one-hot rows (0 or +-zeta^j), which `_convolve` gathers;
-    two wider factors are multiplied by one float64 FFT, which is exact
-    under the bound `_convolve` checks (with mass(u) mass(v) < 2^52).
+    a `table`'s reduced coefficients while mass * max|row| is. Two dense
+    factors are multiplied by one float64 FFT, which is exact under the
+    bound `_convolve` checks (with mass(u) mass(v) < 2^52).
     """
 
     __slots__ = ("a", "mass")
@@ -137,20 +138,64 @@ class Counts:
         column (one factor per row)."""
         if isinstance(other, Counts):
             return _convolve(self, other)
-        if isinstance(other, np.ndarray) and other.ndim:
-            k = other.reshape(-1, 1)
-            return Counts(self.a * k, self.mass * int(np.abs(k).max(initial=0)))
-        return Counts(self.a * int(other), self.mass * abs(int(other)))
+        k, mass = _scale(other)
+        return Counts(self.a * k, self.mass * mass)
 
     __rmul__ = __mul__
 
 
+class _OneHot(Counts):
+    """k zeta^j in each row, from int64 columns k and j, (S, 1) or (1, 1)
+    for every row, j in [0, n): a character value (`sign`, `cp`) or an int
+    (`intv`), times ints and int columns. `mass` bounds max |k|.
+
+    By another such factor the k's multiply and the j's add mod n; by an
+    int or a column the k's scale; by dense counts b, a row is the gather
+    k b[(m - j) mod n], its index made per chunk (an (n, n) table of
+    rotations takes 2 GB at n = 16380), also for a dense left factor, as
+    Python calls a subclass's reflected operator first. `a` is built only
+    where it is read.
+    """
+
+    __slots__ = ("k", "j", "n")
+
+    def __init__(self, k, j, n: int, mass: int):
+        self.k = np.asarray(k, dtype=np.int64).reshape(-1, 1)
+        self.j = np.asarray(j, dtype=np.int64).reshape(-1, 1)
+        self.n, self.mass = n, mass
+
+    @property
+    def a(self) -> np.ndarray:
+        rows = np.broadcast_shapes(self.k.shape, self.j.shape)[0]
+        a = np.zeros((rows, self.n), dtype=np.int64)
+        a[np.arange(rows)[:, None], self.j] = self.k
+        return a
+
+    def __mul__(self, other):
+        n = self.n
+        if isinstance(other, _OneHot):
+            return _OneHot(self.k * other.k, _mod(self.j + other.j, n), n,
+                           self.mass * other.mass)
+        if isinstance(other, Counts):
+            b = other.a
+            m = _mod(np.arange(n) - self.j, n) + n * np.arange(len(b))[:, None]
+            return Counts(self.k * b.ravel()[m], self.mass * other.mass)
+        k, mass = _scale(other)
+        return _OneHot(self.k * k, self.j, n, self.mass * mass)
+
+    __rmul__ = __mul__
+
+
+def _scale(v) -> tuple:
+    """An int, or an int column as (S, 1), and the bound on its |v|."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return v.reshape(-1, 1), int(np.abs(v).max(initial=0))
+    return int(v), abs(int(v))
+
+
 def _const(n: int, v) -> Counts:
     """v zeta^0 in each row, for an int or an int column v."""
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
-    a = np.zeros((len(v), n), dtype=np.int64)
-    a[:, 0] = v
-    return Counts(a, int(np.abs(v).max(initial=0)))
+    return _OneHot(v, 0, n, int(np.abs(v).max(initial=0)))
 
 
 def _norms(c: Counts) -> np.ndarray:
@@ -161,9 +206,9 @@ def _norms(c: Counts) -> np.ndarray:
 
 
 def _convolve(u: Counts, v: Counts) -> Counts:
-    """Row-wise product in Z[C_n]: out[m] = sum_j u[j] v[m - j]. By a
-    factor of mass <= 1, whose rows are k zeta^j with k in {0, +-1}, it is
-    the gather k v[(m - j) mod n]; else one float64 FFT product, rounded.
+    """Row-wise product in Z[C_n], out[m] = sum_j u[j] v[m - j], by one
+    float64 FFT product, rounded: the product of two dense factors (a
+    `_OneHot` factor is gathered instead).
 
     That is exact while every output is an integer float64 holds and its
     rounding error stays below 1/2. For a radix-2 FFT the error is at most
@@ -176,13 +221,8 @@ def _convolve(u: Counts, v: Counts) -> Counts:
     rows have ||.||_2 <= q - 2, so the registry's one such product,
     binomial times binomial, stays below 3e-5 at n = 16380.
     """
-    u, v = (v, u) if v.mass <= 1 else (u, v)
-    a, b, n = u.a, v.a, u.a.shape[1]
-    mass = u.mass * v.mass
-    if u.mass <= 1:
-        j = np.abs(a).argmax(axis=1)[:, None]
-        k, m = np.take_along_axis(a, j, axis=1), (np.arange(n) - j) % n
-        return Counts(k * np.take_along_axis(b, m, axis=1), mass)
+    a, b = u.a, v.a
+    n, mass = a.shape[1], u.mass * v.mass
     bound = (_norms(u) * _norms(v)).max(initial=0) * 2.0**-53 * 64 * (math.log2(n) + 1)
     if mass >= 2**52 or bound >= 0.25:
         raise ValueError(f"an FFT product at n = {n} is exact only while mass < 2^52 and "
@@ -203,10 +243,11 @@ class BatchContext:
     side evaluates a whole chunk of bindings in one call. The point sums
     and the five sums over characters (f21, f1, theta, binthm, power_sum)
     are the column kernels, wrapped in `Counts` with a bound on their mass
-    (a point sum counts the q - 2 u outside {0, 1}). The verifier tests
-    the counts for zero without reducing them, and reduces only a failing
-    binding's row, in Python ints; `table` reduces every row by the
-    (n, phi) int64 rows.
+    (a point sum counts the q - 2 u outside {0, 1}); `sign`, `cp` and
+    `intv` are `_OneHot`. The verifier tests the counts for zero without
+    reducing them, and reduces only a failing binding's row, in Python
+    ints; `table` reduces every row by the (n, phi) int64 rows. `of` keeps
+    one context a field, so `om`, `ng` and `_vectors` are built once.
     """
 
     def __init__(self, ft: FieldTable):
@@ -215,7 +256,13 @@ class BatchContext:
         self.q = ft.q
         self.qm1 = ft.q - 1
         self.lm1 = ft.log_minus_one
-        self.zero = _const(ft.n, 0)
+
+    @classmethod
+    def of(cls, ft: FieldTable) -> BatchContext:
+        """The context of `ft`, made once and kept in its caches."""
+        if "batch_context" not in ft._caches:
+            ft._caches["batch_context"] = cls(ft)
+        return ft._caches["batch_context"]
 
     @functools.cached_property
     def om(self) -> np.ndarray:
@@ -236,19 +283,15 @@ class BatchContext:
         index[coeffs @ place] = np.arange(ft.q)
         return coeffs, place, index
 
-    def _onehot(self, t, keep=True) -> Counts:
-        """zeta^t in each row where `keep`, else 0."""
-        return Counts(_row_counts(self.n, _col(t), _col(keep).astype(bool)), 1)
-
     def sub(self, i, j):
         """x_i - x_j by coefficient vectors, O(r) per binding."""
         coeffs, place, index = self._vectors
-        return index[((coeffs[i] - coeffs[j]) % self.ft.p) @ place]
+        return index[_mod(coeffs[i] - coeffs[j], self.ft.p) @ place]
 
     def div(self, i, j):
         if np.any(np.asarray(j) == 0):
             raise ZeroDivisionError("inverse of 0 in F_q")
-        return np.where(np.asarray(i) == 0, 0, (i - j) % self.n + 1)
+        return np.where(np.asarray(i) == 0, 0, _mod(np.asarray(i - j), self.n) + 1)
 
     def eps(self, i):
         return (np.asarray(i) != 0).astype(np.int64)
@@ -257,22 +300,21 @@ class BatchContext:
         return (np.asarray(i) == 0).astype(np.int64)
 
     def dchar(self, e):
-        return (np.asarray(e) % self.n == 0).astype(np.int64)
+        return (_mod(np.asarray(e), self.n) == 0).astype(np.int64)
 
     def sign(self, e):
-        return self._onehot(e * self.lm1)
+        return _OneHot(1, _mod(e * self.lm1, self.n), self.n, 1)
 
     def cp(self, *pairs):
         t = sum(e * (i - 1) for e, i in pairs)
         keep = np.logical_and.reduce([np.asarray(i) != 0 for _, i in pairs])
-        return self._onehot(t, keep)
+        return _OneHot(keep, _mod(t, self.n), self.n, 1)
 
     def intv(self, v):
         return _const(self.n, v)
 
     def binom(self, i, j):
-        a = binom_counts(self.ft, _col(i) % self.n, _col(j) % self.n)
-        return Counts(a.reshape(-1, self.n), self.q - 2)
+        return Counts(binom_counts(self.ft, i, j).reshape(-1, self.n), self.q - 2)
 
     def f21(self, a, b, c, x):
         return Counts(f21_point_idx(self.ft, a, b, c, x), self.q - 2)

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characters import _mod
 from .cyclotomic import CycInt, _ring
 from .fields import FieldTable
 from .identities import BatchContext, IdentityCase, get_identity, registry
@@ -114,8 +115,8 @@ def _decode(domains: list[np.ndarray], shape: list[int],
     per parameter (in domain order the last parameter varies fastest)."""
     cols = [None] * len(shape)
     for pos in range(len(shape) - 1, -1, -1):
-        index, digit = np.divmod(index, shape[pos])
-        cols[pos] = domains[pos][digit]
+        cols[pos] = domains[pos][_mod(index, shape[pos])]
+        index = index // shape[pos]
     return tuple(cols)
 
 
@@ -125,7 +126,7 @@ def _entry_domains(entry: IdentityCase, ft: FieldTable) -> list[list[int]]:
     return doms
 
 
-# int64 cells of a chunk's widest temporaries, which are (bindings, q):
+# int64 cells of a chunk's widest temporaries, which are (q, bindings):
 # 128 KB each; a whole verify peaks at 1.1-1.4 MB (tracemalloc, q <= 25)
 _CHUNK_CELLS = 1 << 14
 
@@ -152,7 +153,7 @@ def _scan(entry, ft, chunks, cap):
     times 2^omega(n) could reach 2^63 raises ValueError naming q.
     """
     q, n, names = ft.q, ft.n, (*entry.chars, *entry.elems)
-    ring, batch = _ring(n), BatchContext(ft)
+    ring, batch = _ring(n), BatchContext.of(ft)
     cex: list[dict] = []
     for cols in chunks:
         lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
@@ -214,15 +215,15 @@ def _orbit_columns(doms, shape, width, units, step, start=0):
     first, done = divmod(start, per_code)  # done: bindings of kept[0] yielded
     for lo in range(first, total, block):
         codes = np.arange(lo, min(lo + block, total))
-        digits = codes[:, None, None] // place % n  # (codes, 1, width)
-        least = (codes[:, None] <= digits * units % n @ place).all(axis=1)
+        digits = _mod(codes[:, None, None] // place, n)  # (codes, 1, width)
+        least = (codes[:, None] <= _mod(digits * units, n) @ place).all(axis=1)
         kept = np.concatenate([kept, codes[least]])
         last = lo + block >= total
         while len(kept) * per_code > done and (
                 last or len(kept) * per_code - done >= step):
             stop = min(done + step, len(kept) * per_code)
             j = np.arange(done, stop)
-            yield _decode(doms, shape, kept[j // per_code] * per_code + j % per_code)
+            yield _decode(doms, shape, kept[j // per_code] * per_code + _mod(j, per_code))
             kept, done = kept[stop // per_code:], stop % per_code
 
 

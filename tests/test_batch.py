@@ -12,6 +12,7 @@ equal the `CycInt` of the tests' scalar `EvalContext` (`scalar_reference`).
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,11 +20,11 @@ import pytest
 
 import appellfq.verifier as V
 from appellfq import build_field, get_identity, registry, verify
-from appellfq.characters import Character
+from appellfq.characters import Character, _mod
 from appellfq.cyclotomic import CycInt, _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import f1_point_idx, f21_point_idx
-from appellfq.identities import BatchContext, Counts, _const, _convolve, _norms
+from appellfq.identities import BatchContext, Counts, _OneHot, _const, _convolve, _norms
 from appellfq.verifier import (
     _decode,
     _entry_domains,
@@ -318,16 +319,24 @@ def test_find_counterexample_stops_at_its_first_chunk():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_mass_bounds_every_row(q, monkeypatch):
     """`mass` bounds sum |count| in every row of every `Counts` a verify
-    builds, so a factor of mass <= 1 is one-hot, as `_convolve` trusts."""
+    builds, and |k| of every `_OneHot` factor k zeta^j (with j reduced mod
+    n), as the zero test's int64 bound and `_convolve`'s FFT bound trust."""
     ft = _field(q)
-    init, seen = Counts.__init__, []
+    init, onehot_init, seen = Counts.__init__, _OneHot.__init__, []
 
     def checked(self, a, mass):
         assert np.abs(a).sum(axis=1).max(initial=0) <= mass, (a, mass)
         seen.append(mass)
         init(self, a, mass)
 
+    def checked_onehot(self, k, j, n, mass):
+        onehot_init(self, k, j, n, mass)
+        assert np.abs(self.k).max(initial=0) <= mass, (self.k, mass)
+        assert ((0 <= self.j) & (self.j < n)).all(), self.j
+        seen.append(mass)
+
     monkeypatch.setattr(Counts, "__init__", checked)
+    monkeypatch.setattr(_OneHot, "__init__", checked_onehot)
     kw = (dict(max_counterexamples=10**6) if q <= 5 else
           dict(mode="sampled", sample_count=300, seed=q, max_counterexamples=10**6))
     for entry in registry():
@@ -368,8 +377,9 @@ def test_convolve_equals_reference(n):
         return Counts(a, int(np.abs(a).sum(axis=1).max(initial=0)) + 2)
 
     for rows in (0, 1, 6):
-        # a one-hot factor on either side and of either height, a full one,
-        # both one-hot, and neither (the rotation sum)
+        # dense one-hot rows on either side and of either height, a full
+        # one, both one-hot, and neither: `_convolve` takes every pair to
+        # the FFT (a `_OneHot` factor is gathered before it is reached)
         for u, v in [(_one_hot(rng, rows, n), wide(rows)),
                      (wide(rows), _one_hot(rng, rows, n)),
                      (_one_hot(rng, 1, n), wide(rows)),
@@ -385,6 +395,83 @@ def test_convolve_equals_reference(n):
             got = _convolve(u, v)
             assert got.a.dtype == np.int64 and got.mass == u.mass * v.mass
             assert got.a.tolist() == _convolve_reference(u.a, v.a), (u.a, v.a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 100])
+def test_onehot_times_dense_is_the_rotation(n, monkeypatch):
+    """k zeta^j times dense counts, for every j and k in -2 .. 2, on either
+    side, as S rows, one row or none against S rows, one row or none: a
+    gather, with no FFT."""
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: pytest.fail("an FFT ran"))
+    rng = np.random.default_rng(n)
+    k, j = (g.ravel() for g in np.meshgrid(np.arange(-2, 3), np.arange(n)))
+    rows = len(k)
+    dense = [Counts(rng.integers(-50, 50, (h, n)), 50 * n) for h in (rows, 1, 0)]
+    pairs = [(_OneHot(k, j, n, 2), dense[0]), (_OneHot(k, j, n, 2), dense[1]),
+             (_OneHot(k[:0], j[:0], n, 2), dense[1]), (_OneHot(1, 0, n, 1), dense[2])]
+    pairs += [(_OneHot(ki, ji, n, abs(ki)), dense[0]) for ki, ji in zip(k, j)]
+    for u, v in pairs:
+        want = _roll_sum(u.a, v.a)
+        if n <= 7:
+            assert want.tolist() == _convolve_reference(u.a, v.a)
+        for got in (u * v, v * u):
+            assert type(got) is Counts and got.mass == u.mass * v.mass
+            assert got.a.dtype == np.int64 and np.array_equal(got.a, want)
+
+
+def test_onehot_products_and_dense_form():
+    """`sign` and `cp` are `_OneHot` factors whose dense `a` is the bincount
+    of their exponents that they replace; a product of two, or of one by
+    an int or an int column, stays one."""
+    c = BatchContext(_field(25))
+    n, rng = c.n, np.random.default_rng(25)
+    e = np.concatenate([rng.integers(-10**12, 10**12, 40), [0, -1, n, -n, 10**15]])
+    i = rng.integers(0, c.q, len(e))  # enumeration indices, 0 included
+    i[:3] = 0
+
+    def bincount(t, keep):  # the former one-hot form: one bincount of t mod n
+        idx = (t % n + n * np.arange(len(t)))[keep]
+        return np.bincount(idx, minlength=len(t) * n).reshape(len(t), n)
+
+    u, v = c.cp((e, i)), c.sign(e[::-1])
+    assert np.array_equal(u.a, bincount(e * (i - 1), i != 0))
+    assert np.array_equal(v.a, bincount(e[::-1] * c.lm1, np.ones(len(e), dtype=bool)))
+    assert np.array_equal(c.sign(3).a, bincount(np.array([3 * c.lm1]), np.array([True])))
+    col = rng.integers(-3, 4, len(e))
+    for got, mass, want in [
+            (u * v, 1, _convolve_reference(u.a, v.a)),
+            (u * c.sign(5), 1, _convolve_reference(u.a, c.sign(5).a)),
+            (u * -3, 3, (u.a * -3).tolist()),
+            (u * col, 3, (u.a * col[:, None]).tolist()),
+            (col * u, 3, (u.a * col[:, None]).tolist()),
+            (c.intv(col) * u, 3, (u.a * col[:, None]).tolist())]:
+        assert type(got) is _OneHot and got.mass == mass
+        assert got.a.tolist() == want
+
+
+def test_mod_is_the_remainder_at_int64_extremes():
+    top = np.iinfo(np.int64).max
+    e = np.concatenate([-top - 1 + np.arange(70000), top - np.arange(70000),
+                        np.arange(-70000, 70000)]).astype(np.int64)
+    for n in (1, 2, 3, 7918, 65520):
+        got = _mod(e, n)
+        assert got.dtype == np.int64 and np.array_equal(got, e % n), n
+    assert _mod(-7, 3) == -7 % 3 and _mod(2**70 + 5, 7) == (2**70 + 5) % 7
+
+
+def test_onehot_product_at_large_n_keeps_one_row():
+    # no (n, n) table of rotations: one product at n = 16380 stays O(n)
+    n = 16380
+    b = Counts(np.arange(n, dtype=np.int64)[None, :], n * n)
+    u = _OneHot(-1, 7, n, 1)
+    tracemalloc.start()
+    try:
+        got = u * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert np.array_equal(got.a, -np.roll(b.a, 7, axis=1))
 
 
 def _roll_sum(a, b):
