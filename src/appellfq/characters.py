@@ -8,15 +8,16 @@ Z[zeta_{q-1}].
 The binomial coefficient here is the q-scaled variant
 binom(A, B) = B(-1) * J(A, B-inverse), where J(A, B) is the Jacobi sum
 sum over u in F_q of A(u) * B(1 - u). Both are one row of the column
-kernel `binom_counts`, reduced once and kept in `binomial_table`; a
-Jacobi sum is the binomial of B-inverse times B(-1).
+kernel `binom_counts`, reduced once by the package's one checked int64
+division (`cyclotomic._Ring.reduce_rows`) and kept in `binomial_table`;
+a Jacobi sum is the binomial of B-inverse times B(-1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import CycInt, cyc_zero, root_of_unity
+from .cyclotomic import CycInt, _ring, cyc_zero, root_of_unity
 from .fields import FieldElement, FieldTable
 
 
@@ -168,8 +169,9 @@ class _BinomRow(dict):
         self.ft, self.a = ft, a
 
     def __missing__(self, b: int) -> CycInt:
-        v = self[b] = CycInt.from_powers(
-            self.ft.n, binom_counts(self.ft, self.a, b).tolist())
+        ft = self.ft  # mass q - 2: a count of 1 for each u outside {0, 1}
+        counts = binom_counts(ft, self.a, b).reshape(1, -1)
+        v = self[b] = CycInt(ft.n, _ring(ft.n).reduce_rows(counts, ft.q - 2)[0].tolist())
         return v
 
 

@@ -7,9 +7,8 @@ Exit codes: 0 all good, 1 at least one counterexample, 2 usage error
 opened), 3 an evaluation failed: an evaluator raised, or refused the
 request (an exhaustive check of more than 2^34 bindings, refused before
 any work; a check whose counts could pass int64; or a table of any kind
-whose line count could pass int64, whose reduction rows pass their
-memory budget or whose values could pass int64, refused before any row
-is written). A missing parameter flag of `eval` is reported as "eval
+whose line count or values could pass int64, refused before any line is
+written). A missing parameter flag of `eval` is reported as "eval
 <kind> requires -<flag>", and a warning of the field (q = 2) as one
 "warning:" line. A closed stdout (a reader such as `head` that went
 away) ends the output silently, and the command exits as it would have.
@@ -45,7 +44,7 @@ from .hypergeometric import (
     f21_point_sum,
 )
 from .identities import BatchContext, registry
-from .verifier import verify_all
+from .verifier import _step, verify_all
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -308,29 +307,6 @@ def _cmd_verify(args) -> int:
     return EXIT_COUNTEREXAMPLE if any_cex else EXIT_PASS
 
 
-# lines per chunk of a table, whose (lines, n) and (lines, q) int64
-# temporaries stay small next to the process (64 KB each at q = 17)
-_TABLE_CHUNK = 512
-
-# bytes of the (n, phi) rows a table may build, which stay cached with
-# `_ring(n)`: 44.7 MB at q = 4099, 113 MB at 8191, 17.2 GB at 65536
-_ROWS_BYTES = 1 << 27
-
-
-def _admit_rows(ft: FieldTable) -> np.ndarray:
-    """`_ring(n).np_rows`, or a ValueError naming q if the rows would pass
-    `_ROWS_BYTES` (checked before they are built) or int64."""
-    ring = _ring(ft.n)
-    need = 8 * ft.n * ring.phi
-    try:
-        if need > _ROWS_BYTES:
-            raise ValueError(f"the (n, phi) reduction rows need {need} bytes, "
-                             f"over the budget of {_ROWS_BYTES}")
-        return ring.np_rows
-    except ValueError as exc:
-        raise ValueError(f"q = {ft.q}: {exc}") from None
-
-
 def _cmd_table(args) -> int:
     [ft] = _fields(args)
     chunks = _table_chunks(args.kind, ft)
@@ -343,17 +319,17 @@ def _cmd_table(args) -> int:
 
 
 def _table_chunks(kind: str, ft: FieldTable):
-    """The text of a table, `_TABLE_CHUNK` lines at a time, in
+    """The text of a table, `verifier._step(q)` lines at a time, in
     lexicographic order of its parameters: each chunk's columns decoded
     from its line numbers, its values evaluated once on a `BatchContext`
-    and reduced by the (n, phi) rows, and each line gathered from
-    `_line_tokens`, built again at twice the radius when a chunk holds a
-    larger |field|: sized by what is written.
+    and reduced by one checked int64 division (`_Ring.reduce_rows`), and
+    each line gathered from `_line_tokens`, built again at twice the
+    radius when a chunk holds a larger |field|: sized by what is written.
 
     Refused with a ValueError naming q, before the first chunk, if the
-    number of lines would pass int64 (as for f1 at q = 1451), if the rows
-    would pass `_ROWS_BYTES` or int64, or if a reduced value could pass
-    int64 (every chunk of a kind has the same mass, q - 2).
+    number of lines would pass int64 (as for f1 at q = 1451), or if a
+    reduced value could (`reduce_rows`; every chunk of a kind has the same
+    mass, q - 2).
     """
     names, chars, value, *_ = _KINDS[kind]
     shape = (ft.n,) * chars + (ft.q,) * (len(names) - chars)
@@ -361,20 +337,16 @@ def _table_chunks(kind: str, ft: FieldTable):
     if total >= 2**63:
         raise ValueError(f"q = {ft.q}: the {kind} table has {total} lines, "
                          f"past the int64 limit 2^63 - 1")
-    rows, c, radius = _admit_rows(ft), BatchContext.of(ft), 0
-    for lo in range(0, total, _TABLE_CHUNK):
-        cols = np.unravel_index(np.arange(lo, min(lo + _TABLE_CHUNK, total)), shape)
+    ring, c, radius, step = _ring(ft.n), BatchContext.of(ft), 0, _step(ft.q)
+    for lo in range(0, total, step):
+        cols = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
         counts = value(c, *cols)
-        # the reduced values are exact iff mass * max|row| < 2^63
-        if (bound := counts.mass * _ring(ft.n).row_max) >= 2**63:
-            raise ValueError(f"q = {ft.q}: reduced values can reach {bound}, "
-                             f"past the int64 limit 2^63 - 1")
-        values = counts.a @ rows
+        values = ring.reduce_rows(counts.a, counts.mass)
         # each line's fields in order, and its coefficient 0 again
         fields = np.column_stack((*cols, values, values[:, 0]))
         if (need := int(np.abs(fields).max()) + 1) > radius:
             radius = max(need, 2 * radius)
-            tokens, offsets = _line_tokens(names, ft.n, rows.shape[1], radius)
+            tokens, offsets = _line_tokens(names, ft.n, ring.phi, radius)
         fields[values[:, 1:].any(axis=1), -1] = -radius  # "integer": null
         yield "".join(tokens.take((fields + offsets).ravel()).tolist())
 

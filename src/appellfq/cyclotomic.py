@@ -7,7 +7,9 @@ ever lost. Character sums accumulate root-of-unity counts in a length-n
 vector and reduce once at the end. Reduction folds with z^n = 1 and then
 divides by Phi_n over its nonzero terms only, and multiplication skips the
 zero coefficients of its sparser operand, so the cost follows the number
-of nonzero terms rather than phi(n).
+of nonzero terms rather than phi(n). The package's numpy callers reduce
+their rows of counts by the same division in int64 (`_Ring.reduce_rows`),
+under a bound checked before it runs.
 """
 
 from __future__ import annotations
@@ -149,35 +151,54 @@ class _Ring:
             vec += [0] * (phi - len(vec))
         return tuple(vec[:phi])
 
-    @functools.cached_property
-    def np_rows(self) -> np.ndarray:
-        """(n, phi) int64 matrix whose row j is z^j reduced, for numpy callers.
+    def reduce_rows(self, a: np.ndarray, mass: int) -> np.ndarray:
+        """The (S, phi) int64 reduction of each row of (S, n) int64 counts
+        whose sum |count| in a row is at most `mass`: the division of
+        `reduce`, as one slice add a degree down their (n, S) transpose.
 
-        Past the unit rows, row j is z * row(j-1): row(j-1) shifted up one
-        place plus its top coefficient c times the tail. `top` bounds every
-        |entry| so far and grows by at most |c| max|tail| a step, so a step
-        that could pass 2^63 raises ValueError naming n before it is taken.
+        int64 arithmetic is exact mod 2^64 and the division is a ring map,
+        so only its result needs a bound: count times a coefficient of some
+        reduced z^j, summed over a row, at most mass * `row_max`. Where that
+        can reach 2^63, a ValueError naming q = n + 1 is raised before any
+        work.
         """
+        if (bound := mass * self.row_max) >= 2**63:
+            raise ValueError(f"q = {self.n + 1}: reduced values can reach {bound}, "
+                             f"past the int64 limit 2^63 - 1")
         n, phi = self.n, self.phi
-        tail = np.zeros(phi, dtype=np.int64)
-        tail[[i for i, _ in self.tail]] = [t for _, t in self.tail]
-        rows = np.eye(n, phi, dtype=np.int64)
-        top, widest = 1, int(np.abs(tail).max())
-        for j in range(phi, n):
-            c = int(rows[j - 1, -1])
-            top += abs(c) * widest
-            if top >= 2**63:
-                raise ValueError(f"n = {n}: reducing z^{j} can reach {top}, "
-                                 f"past the int64 limit 2^63 - 1")
-            rows[j, 1:] = rows[j - 1, :-1]
-            rows[j] += c * tail
-        return rows
+        at, tail = zip(*self.tail)
+        col = np.zeros((phi, 1), dtype=np.int64)
+        col[at, 0] = tail
+        t = np.array(a.T, dtype=np.int64, order="C")
+        for k in range(n - 1, phi - 1, -1):
+            t[k - phi:k] += col * t[k]
+        return t[:phi].T
 
     @functools.cached_property
     def row_max(self) -> int:
-        """max |entry| of `np_rows`, found without an (n, phi) temporary."""
-        rows = self.np_rows
-        return max(int(rows.max()), -int(rows.min()))
+        """max |coefficient| of z^j reduced over 0 <= j < n, keeping one row.
+
+        Past the unit rows, row j is z * row(j-1): row(j-1) shifted up one
+        place plus its top coefficient c times the tail. Row j is the window
+        of phi from buf[n-1-j], so the shift moves the window and only the
+        tail's terms change. `top` bounds every |coefficient| so far and
+        grows by at most |c| max|tail| a step, so a step that could pass
+        2^63 raises ValueError naming q = n + 1 before it is taken.
+        """
+        n, phi = self.n, self.phi
+        at, tail = (np.array(v, dtype=np.int64) for v in zip(*self.tail))
+        buf = np.zeros(n, dtype=np.int64)
+        buf[-1] = best = top = 1  # row phi - 1, the last unit row
+        widest = int(np.abs(tail).max())
+        for s in range(n - 1 - phi, -1, -1):  # row n - 1 - s
+            if c := int(buf[s + phi]):
+                top += abs(c) * widest
+                if top >= 2**63:
+                    raise ValueError(f"q = {n + 1}: reducing z^{n - 1 - s} can reach "
+                                     f"{top}, past the int64 limit 2^63 - 1")
+                buf[s + at] += c * tail
+                best = max(best, int(np.abs(buf[s + at]).max()))
+        return best
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,13 +10,13 @@ The point sums above are the canonical Theta(q) evaluators
 (`f21_point_idx`, `f1_point_idx`). One `np.bincount` over u gives the
 (S, n) zeta-power counts of S bindings given as int64 columns (an int
 stands for every row), unreduced: the kernel of `identities.BatchContext`
-and of the f21/f1 `table`. The public functions reduce its one row of
-ints to a `CycInt` (`_reduced`). Every kernel is u-major: bindings are
-(1, S) rows (`_col`) and the u, or binomial pairs, (m, 1) columns, so
-each numpy pass over the (m, S) exponents runs along the S bindings of a
-chunk, not along n (2 to 4 at q <= 5); the bincount index mod(e) + n *
-binding still gives (S, n) counts. The character sum forms are
-independent routes used for cross-validation:
+and of the f21/f1 `table`. The public functions reduce its one row to a
+`CycInt` by one checked int64 division (`_reduced`). Every kernel is
+u-major: bindings are (1, S) rows (`_col`) and the u, or binomial pairs,
+(m, 1) columns, so each numpy pass over the (m, S) exponents runs along
+the S bindings of a chunk, not along n (2 to 4 at q <= 5); the bincount
+index mod(e) + n * binding still gives (S, n) counts. The character sum
+forms are independent routes used for cross-validation:
 
     2F1 = 1/(q-1)   sum_chi     [A chi | chi] [B chi | C chi] chi(x)
     F1  = 1/(q-1)^2 sum_chi,lam [A chi lam | C chi lam] [B chi | chi]
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import Character, _binom_logs, _mod, _slope_index
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _ring
 from .fields import FieldElement, FieldTable
 
 
@@ -206,8 +206,10 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi) -> np.ndarray:
 
 
 def _reduced(n: int, counts: np.ndarray) -> CycInt:
-    """Row 0 of `counts` as a `CycInt`."""
-    return CycInt.from_powers(n, counts[0].tolist())
+    """Row 0 of int64 counts as a `CycInt`, by one checked int64 division
+    (`_Ring.reduce_rows`), with the row's sum |count| as its mass."""
+    row = counts[:1]
+    return CycInt(n, _ring(n).reduce_rows(row, int(np.abs(row).sum()))[0].tolist())
 
 
 # ----------------------------------------------------------------------

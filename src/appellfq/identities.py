@@ -106,7 +106,7 @@ class Counts:
     ring operations, so a result known from `mass` to stay below 2^63 is
     exact even if an intermediate wrapped: the counts themselves while
     mass < 2^63, the verifier's zero test while mass * 2^omega(n) is, and
-    a `table`'s reduced coefficients while mass * max|row| is. Two dense
+    the reduced coefficients while mass * `_Ring.row_max` is. Two dense
     factors are multiplied by one float64 FFT, which is exact under the
     bound `_convolve` checks (with mass(u) mass(v) < 2^52).
     """
@@ -245,8 +245,8 @@ class BatchContext:
     are the column kernels, wrapped in `Counts` with a bound on their mass
     (a point sum counts the q - 2 u outside {0, 1}); `sign`, `cp` and
     `intv` are `_OneHot`. The verifier tests the counts for zero without
-    reducing them, and reduces only a failing binding's row, in Python
-    ints; `table` reduces every row by the (n, phi) int64 rows. `of` keeps
+    reducing them, and reduces only a failing binding's row; `table`
+    reduces every row; both by `_Ring.reduce_rows`. `of` keeps
     one context a field, so `om`, `ng` and `_vectors` are built once.
     """
 

@@ -14,7 +14,8 @@ compiled side once per chunk on an `identities.BatchContext`, whose
 values are unreduced zeta-power counts, and decides every binding on
 those counts with a zero test that needs no reduction
 (`cyclotomic._Ring.vanishes`). A failing binding's report values are its
-counts reduced exactly in Python ints, so nothing is evaluated twice. A
+counts reduced by one checked int64 division (`_Ring.reduce_rows`), so
+nothing is evaluated twice and a passing check reduces nothing. A
 chunk whose counts could pass the int64 bound of that test is refused
 with a ValueError naming q, in both modes, and an exhaustive check of
 more than `_EXHAUSTIVE_CASES` bindings is refused before any work.
@@ -48,6 +49,7 @@ import numpy as np
 from .characters import _mod
 from .cyclotomic import CycInt, _ring
 from .fields import FieldTable
+from .hypergeometric import _reduced
 from .identities import BatchContext, IdentityCase, get_identity, registry
 
 _U64 = (1 << 64) - 1
@@ -149,8 +151,8 @@ def _scan(entry, ft, chunks, cap):
 
     A binding fails where the counts of lhs - rhs are not zero in
     Z[zeta_n] (`_Ring.vanishes`). The records hold the sides' counts
-    reduced by `CycInt.from_powers`. A chunk where the mass of lhs - rhs
-    times 2^omega(n) could reach 2^63 raises ValueError naming q.
+    reduced by `hypergeometric._reduced`. A chunk where the mass of lhs -
+    rhs times 2^omega(n) could reach 2^63 raises ValueError naming q.
     """
     q, n, names = ft.q, ft.n, (*entry.chars, *entry.elems)
     ring, batch = _ring(n), BatchContext.of(ft)
@@ -173,7 +175,7 @@ def _scan(entry, ft, chunks, cap):
 
 def _value(a: np.ndarray, r: int, n: int) -> CycInt:
     """Row r of counts `a` (a single row stands for every row), reduced."""
-    return CycInt.from_powers(n, a[min(r, len(a) - 1)].tolist())
+    return _reduced(n, a[min(r, len(a) - 1):])
 
 
 def _scan_range(entry, ft, domains, cap, start=0, units=()):

@@ -7,7 +7,7 @@ point sums (`f21_point_idx`, `f1_point_idx`) and the Jacobi and binomial
 weights (`_jacobi_counts`) are Python loops over u, independent of the
 package's column kernels (`hypergeometric._point_counts`,
 `characters.binom_counts`), and its roots of unity are `root_of_unity`,
-reduced one at a time. Its sums over characters (binthm, power_sum,
+reduced one at a time (`root_rows` stacks them, to reduce rows of counts). Its sums over characters (binthm, power_sum,
 f21_sum, f1_sum, theta) are their literal loops over chi, (chi, lambda)
 and theta, of terms built from those loops alone, where the package
 gathers the few terms that survive (`characters._slope_index`).
@@ -19,6 +19,8 @@ one draw at a time, which `verifier._draws` computes in columns.
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from appellfq.cyclotomic import CycInt, cyc_zero, root_of_unity
 from appellfq.fields import FieldTable
@@ -154,6 +156,15 @@ def all_roots(n: int) -> _Roots:
     """The roots zeta_n^0 .. zeta_n^(n-1) by exponent; cached, and each root
     is reduced on its first read."""
     return _Roots(n)
+
+
+@functools.lru_cache(maxsize=None)
+def root_rows(n: int) -> np.ndarray:
+    """The (n, phi) int64 matrix whose row j is zeta_n^j reduced by the
+    Python division (`root_of_unity`): counts @ root_rows(n) reduces rows
+    of counts independently of `_Ring.reduce_rows`; cached."""
+    return np.array([all_roots(n)[j].coeffs for j in range(n)],
+                    dtype=np.int64).reshape(n, -1)
 
 
 class EvalContext:

@@ -62,7 +62,7 @@ def _bindings(entry, ft, rng):
 def test_batch_values_equal_scalar_values(q):
     ft = _field(q)
     ctx, batch = EvalContext(ft), BatchContext(ft)
-    rows = _ring(ft.n).np_rows
+    rows = ref.root_rows(ft.n)
     rng = np.random.default_rng(q)
     for entry in registry():
         cols = _bindings(entry, ft, rng)
@@ -93,7 +93,7 @@ def test_point_columns_equal_int_loop(q, kernel, chars, elems):
     same element of Z[zeta_n])."""
     ft = _field(q)
     loop = getattr(ref, kernel.__name__)
-    rows = _ring(ft.n).np_rows
+    rows = ref.root_rows(ft.n)
     shape = (ft.n,) * chars + (ft.q,) * elems
     if q <= 7:
         cols = list(np.unravel_index(np.arange(np.prod(shape)), shape))
@@ -150,7 +150,7 @@ def test_sums_over_characters_equal_oracle(q):
     ft = _field(q)
     n = ft.n
     ctx, batch = EvalContext(ft), BatchContext(ft)
-    rows = _ring(n).np_rows
+    rows = ref.root_rows(n)
     if q <= 9:
         a, x = (col.ravel() for col in np.mgrid[-n:2 * n, 0:q])
         step = np.arange(-2 * n, 2 * n)
@@ -243,28 +243,31 @@ def test_int64_bound_is_checked_and_names_q():
         assert (g["lhs"], g["rhs"]) == (w["lhs"] * 2**57, w["rhs"] * 2**57)
 
 
-def test_verify_never_builds_rows(monkeypatch):
+def test_passing_verify_never_reduces(monkeypatch):
     ft = _field(13)
-    cases = [get_identity("thm4.1"), get_identity("cor3.3"), _mutant("thm4.3-a")]
+    cases = [get_identity("thm4.1"), get_identity("cor3.3")]
     kw = dict(mode="sampled", sample_count=200, seed=7, max_counterexamples=10**6)
     sampled = [json.dumps(verify(e, ft, **kw).to_json()) for e in cases]
-    assert "counterexamples\": [{" in sampled[2]
-    exhaustive = json.dumps(verify(_mutant("cor3.3"), ft).to_json())
-    assert "counterexamples\": [{" in exhaustive
+    exhaustive = json.dumps(verify(get_identity("cor3.3"), ft).to_json())
+    assert all('"counterexamples": []' in r for r in [*sampled, exhaustive])
 
-    def unbuilt(ring):
-        raise AssertionError(f"rows built for n = {ring.n}")
+    def reduced(*args):
+        raise AssertionError("reduced")
 
     # a property is a data descriptor, so it wins over any value cached on
     # the instance
     ring = _ring(ft.n)
-    monkeypatch.setattr(type(ring), "np_rows", property(unbuilt))
-    monkeypatch.setattr(type(ring), "row_max", property(unbuilt))
+    monkeypatch.setattr(type(ring), "reduce_rows", reduced)
+    monkeypatch.setattr(type(ring), "row_max", property(reduced))
     assert [json.dumps(verify(e, ft, **kw).to_json()) for e in cases] == sampled
-    assert json.dumps(verify(_mutant("cor3.3"), ft).to_json()) == exhaustive
+    assert json.dumps(verify(get_identity("cor3.3"), ft).to_json()) == exhaustive
+    # a failing binding's record is reduced, so the patch is live
+    mutant = _mutant("thm4.3-a")
+    with pytest.raises(AssertionError, match="reduced"):
+        verify(mutant, ft, **kw)
+    monkeypatch.undo()
     # the reported values are the scalar sides' at each failing binding
     ctx = EvalContext(ft)
-    mutant = _mutant("thm4.3-a")
     for ce in verify(mutant, ft, **kw).counterexamples:
         binding = tuple(ce["binding"].values())
         assert ce["lhs"] == mutant.lhs(ctx, binding), binding

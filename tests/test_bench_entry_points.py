@@ -5,8 +5,10 @@ for the traced pass (`perfbench/run.py --trace 1`). A renamed one would
 break only that pass, so this test runs the same instrumentation on a
 fresh import of the package, in its own interpreter, on two verifies.
 Both modes are batched: the sampled verify of thm4.3-a's documented
-mutant reduces its failing bindings' counts (`CycInt.from_powers`), and
-the exhaustive verify of the registered entry reaches the scan only.
+mutant reduces its failing bindings' counts (`_Ring.reduce_rows`, which
+the benchmark does not wrap: its `cyclotomic.reduce` span still wraps
+`CycInt.from_powers`, which no package path calls any more), and the
+exhaustive verify of the registered entry reaches the scan only.
 `identities.EvalContext` is `BatchContext` under the name the benchmark
 wraps, so its build is counted once per verify, and the binomial table
 is no longer read through `identities`. The script also evaluates the
@@ -34,11 +36,16 @@ sys.path.insert(0, str(root / "tests"))
 from scalar_reference import EvalContext
 tracer = Tracer()
 instrument(tracer, afq)
+reduced = []
+ring_type = afq.cyclotomic._Ring
+reduce_rows = ring_type.reduce_rows
+ring_type.reduce_rows = lambda *a: reduced.append(1) or reduce_rows(*a)
 ft = afq.fields.build_field(5, 1)
 entry = afq.get_identity("thm4.3-a")
 mutant = dataclasses.replace(entry, rhs=entry.mutation.fn)
 rep = afq.verifier.verify(mutant, ft, mode="sampled", sample_count=40, seed=1)
 verify_calls = {name: agg[0] for name, agg in tracer.totals.items()}
+verify_reduced = len(reduced)
 ctx = EvalContext(ft)
 first = rep.counterexamples[0]
 binding = tuple(first["binding"].values())
@@ -48,6 +55,8 @@ calls = {name: agg[0] for name, agg in tracer.totals.items()}
 full = afq.verifier.verify("thm4.3-a", ft)
 print(json.dumps({"passed": rep.passed, "cases": rep.cases, "calls": calls,
                   "verify_calls": verify_calls, "scalar_equal": scalar,
+                  "records": len(rep.counterexamples), "verify_reduced": verify_reduced,
+                  "exhaustive_reduced": len(reduced) - verify_reduced,
                   "exhaustive_passed": full.passed, "exhaustive_cases": full.cases,
                   "scans": tracer.totals["verifier.scan"][0]}))
 """
@@ -61,10 +70,12 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert not out["passed"] and out["cases"] == 40
-    # the verify reduces the failing bindings' counts, and the context it
-    # builds is the one `BatchContext`
+    # the verify reduces the failing bindings' counts (two values a
+    # record), not through the wrapped `CycInt.from_powers`, and the
+    # context it builds is the one `BatchContext`
     verify_calls = out["verify_calls"]
-    assert verify_calls["cyclotomic.reduce"] > 0
+    assert out["records"] > 0 and out["verify_reduced"] == 2 * out["records"]
+    assert verify_calls["cyclotomic.reduce"] == 0
     assert verify_calls["identities.ctx_build"] == 1
     assert out["scalar_equal"]
     calls = out["calls"]
@@ -75,4 +86,5 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
                  "cyclotomic.mul"):
         assert calls[name] > 0, name
     assert out["exhaustive_passed"] and out["exhaustive_cases"] == 4**3 * 5 * 4
+    assert out["exhaustive_reduced"] == 0
     assert out["scans"] > calls["verifier.scan"]

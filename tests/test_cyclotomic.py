@@ -15,6 +15,7 @@ from appellfq import (
     root_of_unity,
 )
 from appellfq.cyclotomic import _ring, _Ring
+from scalar_reference import root_rows
 
 
 def _naive_cyclotomic(n, _cache={}):
@@ -238,24 +239,48 @@ def test_kernel_matches_sympy_oracle(n):
         assert CycInt(n, a).galois(g).coeffs == _sympy_rem(sympy, n, poly(image))
 
 
-# the recurrence against one exact reduction per row; n = 1155 = 3*5*7*11
-# has max |row| = 9, and 252 and 1020 have repeated prime factors
-@pytest.mark.parametrize("n", list(range(1, 201)) + [252, 1020, 1155])
+# the int64 division of each z^j against the Python division, row by row;
+# n = 1155 = 3*5*7*11 has max |row| = 9, and 252 and 1020 have repeated
+# prime factors
+@pytest.mark.parametrize("n", list(range(1, 301)) + [1020, 1155])
 def test_np_rows_are_reduced_roots(n):
-    rows = _ring(n).np_rows
+    rows = root_rows(n)
     assert rows.shape == (n, euler_phi(n))
-    for j in range(n):
-        assert tuple(int(v) for v in rows[j]) == root_of_unity(n, j).coeffs
+    eye = np.eye(n, dtype=np.int64)
+    assert (_ring(n).reduce_rows(eye, 1) == rows).all()
     assert _ring(n).row_max == max(abs(int(v)) for v in rows.flat)
 
 
-def test_np_rows_refuse_to_pass_int64():
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 12, 16, 100, 1020, 1155, 4098, 7918])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_reduce_rows_equals_from_powers(n, rows):
+    rng = np.random.default_rng(n * rows)
+    a = rng.integers(-10**6, 10**6, (rows, n))
+    got = _ring(n).reduce_rows(a, int(np.abs(a).sum(axis=1).max()))
+    assert got.shape == (rows, euler_phi(n)) and got.dtype == np.int64
+    for row, counts in zip(got.tolist(), a.tolist()):
+        assert tuple(row) == CycInt.from_powers(n, counts).coeffs
+
+
+def test_reduce_rows_refuses_past_int64_before_any_work():
+    ring = _Ring(6)
+    assert ring.row_max == 1
+    a = np.array([[2**62, 0, 0, 2**62 - 1, 0, 0]])
+    # mass row_max = 2^63 - 1 is admitted, and exact: z^3 = -1
+    assert ring.reduce_rows(a, 2**63 - 1).tolist() == [[1, 0]]
+    # mass row_max = 2^63 is refused, naming q, before `a` is read
+    ring.row_max = 2
+    with pytest.raises(ValueError, match=r"q = 7: .*2\^63"):
+        ring.reduce_rows(None, 2**62)
+
+
+def test_row_max_refuses_to_pass_int64():
     # phi(30) = 8; with the tail scaled by 2^61, z^8 has entries 2^61 and
     # z^9 could reach 2^122, so the second step refuses before it is taken
     ring = _Ring(30)
     ring.tail = tuple((i, t * 2**61) for i, t in ring.tail)
-    with pytest.raises(ValueError, match=r"n = 30: reducing z\^9 .*2\^63"):
-        ring.np_rows
+    with pytest.raises(ValueError, match=r"q = 31: reducing z\^9 .*2\^63"):
+        ring.row_max
 
 
 def _cyclic(poly, g, n):
@@ -267,9 +292,9 @@ def _cyclic(poly, g, n):
     return out
 
 
-# the zero test against reduction by the rows, at every n up to 79, at
-# n = 100 (squared primes) and at n with three or four primes (105, 210,
-# 1155)
+# the zero test against reduction by the Python division's rows, at every
+# n up to 79, at n = 100 (squared primes) and at n with three or four
+# primes (105, 210, 1155)
 @pytest.mark.parametrize("n", list(range(1, 80)) + [100, 105, 210, 1155])
 def test_vanishes_agrees_with_the_reduction_rows(n):
     ring, rng = _ring(n), np.random.default_rng(n)
@@ -281,7 +306,7 @@ def test_vanishes_agrees_with_the_reduction_rows(n):
     off[np.arange(10), rng.integers(0, n, 10)] += rng.choice([-2, -1, 1, 2], 10)
     a = np.concatenate((np.zeros((1, n), dtype=np.int64), multiples, off,
                         rng.integers(-3, 4, (20, n))))
-    want = ~(a @ ring.np_rows).any(axis=1)
+    want = ~(a @ root_rows(n)).any(axis=1)
     assert want[:11].all() and not want[11:21].any()
     assert (ring.vanishes(a) == want).all()
     # (x^n - 1) / Phi_n, the product of every other Phi_d with d | n, is

@@ -23,22 +23,23 @@ from appellfq import (
     f21_char_sum,
     f21_point_sum,
 )
-from appellfq.cyclotomic import CycInt, _ring
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import (
+    _reduced,
     f1_charsum_idx,
     f1_point_idx,
     f21_charsum_idx,
     f21_point_idx,
 )
-from scalar_reference import all_roots
+from scalar_reference import all_roots, root_rows
 
 
 def _value(kernel, ft, *args):
     """A kernel's value at one binding of ints: its one row of counts,
-    reduced. Two rows of counts can be the same element of Z[zeta_n], so
-    values are compared reduced."""
-    return CycInt.from_powers(ft.n, kernel(ft, *args)[0].tolist())
+    reduced as the public functions reduce it (`_reduced`). Two rows of
+    counts can be the same element of Z[zeta_n], so values are compared
+    reduced."""
+    return _reduced(ft.n, kernel(ft, *args))
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +324,7 @@ def test_charsum_columns_vs_reference(name, q):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # q = 2 warns
         ft = build_field(*prime_power_decompose(q))
-    rows = _ring(ft.n).np_rows
+    rows = root_rows(ft.n)
     few = (name, q) == ("f1", 101)
     if few:
         count = 5
@@ -351,8 +352,8 @@ def _char_routes_match_point_routes(ft):
 
 def test_char_routes_match_point_routes_in_time_at_q7919():
     ft = build_field(7919, 1)
-    # the character routes count in O(q) and reduce in Python ints, so no
-    # int64 bound applies to them
+    # the character routes count in O(q) and reduce by one checked int64
+    # division, whose bound (q - 2) row_max is far below 2^63
     t0 = time.perf_counter()
     _char_routes_match_point_routes(ft)
     assert time.perf_counter() - t0 < 4
@@ -365,11 +366,19 @@ def test_char_routes_match_point_routes_in_time_at_q7919():
 
 def test_char_routes_match_point_routes_in_time_at_q6199():
     ft = build_field(6199, 1)
-    # the character routes need O(q) memory and never build reduction rows
+    # the character routes need O(q) memory, and so does reducing a value:
+    # an (n, phi) matrix of reduced roots would take 102 MB here
     t0 = time.perf_counter()
     _char_routes_match_point_routes(ft)
     assert time.perf_counter() - t0 < 4
-    assert "np_rows" not in vars(_ring(ft.n)) and "rows" not in ft._caches
+    counts = f21_point_idx(ft, 1, 2, 4, 2)
+    tracemalloc.start()
+    try:
+        _reduced(ft.n, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_params_validation():

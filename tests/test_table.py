@@ -101,7 +101,7 @@ def test_table_bytes_are_golden(tmp_path, kind, q):
 def test_chunk_edges_inside_blocks_keep_the_bytes(tmp_path, monkeypatch, kind, q):
     # 7 lines a chunk: chunk edges fall inside every block of x and y, and
     # of B (8 lines at q = 9)
-    monkeypatch.setattr(cli, "_TABLE_CHUNK", 7)
+    monkeypatch.setattr(cli, "_step", lambda q: 7)
     assert table_digest(tmp_path, kind, q) == GOLDEN[kind, q]
 
 
@@ -110,7 +110,7 @@ def test_chunk_edges_inside_blocks_keep_the_bytes(tmp_path, monkeypatch, kind, q
     "kind,q", [(k, q) for k in ("jacobi", "binom") for q in (3, 4, 5, 8, 16, 25)]
     + [("f21", q) for q in (3, 4, 5, 8, 9)] + [("f1", q) for q in (3, 4, 5)])
 def test_table_lines_equal_the_scalar_reference(tmp_path, monkeypatch, kind, q, chunk):
-    monkeypatch.setattr(cli, "_TABLE_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_step", lambda q: chunk)
     sizes = token_table_sizes(monkeypatch)
     path = tmp_path / f"{kind}-{q}.jsonl"
     assert main(["table", kind, "-q", str(q), "--out", str(path)]) == 0
@@ -125,8 +125,7 @@ def test_table_lines_equal_the_scalar_reference(tmp_path, monkeypatch, kind, q, 
 
 
 def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monkeypatch):
-    ft = build_field(5, 1)
-    ring = _ring(ft.n)
+    ring = _ring(4)
     path = tmp_path / "f21.jsonl"
 
     def refused(*argv):
@@ -137,18 +136,12 @@ def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monke
         assert not path.exists()
         return err
 
-    # the reduction rows over the budget, by one byte
-    monkeypatch.setattr(cli, "_ROWS_BYTES", 8 * ft.n * ring.phi - 1)
-    assert "budget" in refused("f1", "-q", "5")
-    assert "budget" in refused("f21", "-q", "5", "--out", str(path))
-    # every kind reduces its values by the same rows
-    assert "budget" in refused("jacobi", "-q", "5", "--out", str(path))
-    assert "budget" in refused("binom", "-q", "5")
-    monkeypatch.undo()
-    # values that could pass int64: (q - 2) max|row| >= 2^63
+    # values that could pass int64: (q - 2) row_max >= 2^63, for every kind
     monkeypatch.setattr(ring, "row_max", 2**63 // 3 + 1)
+    assert "2^63" in refused("f1", "-q", "5")
     assert "2^63" in refused("f21", "-q", "5", "--out", str(path))
-    assert "2^63" in refused("jacobi", "-q", "5")
+    assert "2^63" in refused("jacobi", "-q", "5", "--out", str(path))
+    assert "2^63" in refused("binom", "-q", "5")
     monkeypatch.setattr(ring, "row_max", 2**63 // 3)
     sizes = token_table_sizes(monkeypatch)
     assert main(["table", "f21", "-q", "5", "--out", str(path)]) == 0
@@ -159,6 +152,14 @@ def test_table_over_its_bounds_is_refused_before_any_row(tmp_path, capsys, monke
     assert sizes and max(sizes) <= (4 + 3) * (2 * max(5, top + 1) + 1)
     path.unlink()
     monkeypatch.undo()
-    # more lines than int64 can count: f1 at q = 1451 has 1450^4 1451^2,
-    # while its reduction rows are within the budget
+    # more lines than int64 can count: f1 at q = 1451 has 1450^4 1451^2
     assert "lines" in refused("f1", "-q", "1451", "--out", str(path))
+
+
+def test_jacobi_table_at_q5807_writes_its_first_lines():
+    # n = 5806 needs no (n, phi) rows: the first chunk's lines are the
+    # scalar reference's, reduced in Python ints
+    ft = build_field(5807, 1)
+    first = next(cli._table_chunks("jacobi", ft)).splitlines(keepends=True)
+    want = reference_lines("jacobi", 5807)
+    assert first and first == [next(want) for _ in first]

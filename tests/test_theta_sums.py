@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from appellfq import build_field, get_identity
-from appellfq.cyclotomic import _ring, cyc_zero, root_of_unity
+from appellfq.cyclotomic import cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.identities import BatchContext
-from scalar_reference import EvalContext, f1_point_idx, f21_point_idx
+from scalar_reference import EvalContext, f1_point_idx, f21_point_idx, root_rows
 
 
 def _field(q):
@@ -101,7 +101,7 @@ def _check(entry, ft, bindings, rng):
     k, n = len(entry.chars), ft.n
     cols = [np.array([v + n * rng.randrange(-2, 2) for v in col]) if i < k
             else np.array(col) for i, col in enumerate(zip(*bindings))]
-    rows = _ring(n).np_rows
+    rows = root_rows(n)
     for at in ((), range(k)):
         args = tuple(int(col[0]) if i in at else col for i, col in enumerate(cols))
         got = entry.lhs(BatchContext(ft), args).a @ rows
