@@ -119,6 +119,38 @@ def _mod(e, n: int):
     return e - n * (e // n)
 
 
+def _col(v) -> np.ndarray:
+    """An int column (S,) as a (1, S) row, or an int as (1, 1), to
+    broadcast against an (m, 1) column of u or of binomial pairs."""
+    return np.asarray(v, dtype=np.int64).reshape(1, -1)
+
+
+def _row_counts(n: int, e: np.ndarray, keep=True) -> np.ndarray:
+    """(S, n) counts of the exponents e (m, S) mod n of each binding (a
+    column of e), over the entries where `keep`, with one `np.bincount`."""
+    e, mask = np.broadcast_arrays(e, keep)
+    rows = e.shape[1]
+    e = _mod(e, n) + n * np.arange(rows)
+    picked = e.ravel() if keep is True else e[mask]
+    return np.bincount(picked, minlength=rows * n).reshape(rows, n)
+
+
+def _counts(n: int, pairs, keep=True) -> np.ndarray:
+    """The default sink of every kernel: (S, n) counts of its linear form,
+    the exponents sum c row over its `pairs` (c, row) where `keep`.
+
+    A kernel hands its form, the coefficient of each exponent row (a
+    character or an int column) with the row, and its mask, to a sink; the
+    verifier's exhaustive check passes a sink that keeps the form whole
+    (`identities.FormContext`), so no exponent is written twice.
+    """
+    (c, row), *rest = pairs
+    e = _col(c) * row
+    for c, row in rest:
+        e = e + _col(c) * row
+    return _row_counts(n, e, keep)
+
+
 def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
     """l1 = log u and l2 = log(-1) - log(1 - u), (q - 2, 1) columns over u
     outside {0, 1}: binom(chi_a, chi_b) = sum_u zeta^(a l1 + b l2); cached."""
@@ -147,19 +179,22 @@ def _slope_index(ft: FieldTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tab
 
 
+def binom_idx(ft: FieldTable, a, b, sink=_counts):
+    """binom(chi_a, chi_b) for int64 columns a and b (an int stands for
+    every row): the form a l1 + b l2 over the q - 2 binomial pairs, to
+    `sink`; by default (S, n) counts, from one bincount."""
+    l1, l2 = _binom_logs(ft)
+    return sink(ft.n, [(a, l1), (b, l2)])
+
+
 def binom_counts(ft: FieldTable, a, b) -> np.ndarray:
     """Unreduced zeta-power weights of binom(chi_a, chi_b).
 
     `a` and `b` are broadcastable integer arrays; the result has their
-    shape plus an axis of length n, from one bincount over all pairs, of
-    exponents laid out (q - 2, pairs).
+    shape plus an axis of length n (`binom_idx` of the flattened pairs).
     """
-    n = ft.n
-    l1, l2 = _binom_logs(ft)
     a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (a, b)))
-    pairs = a.size
-    e = _mod(l1 * a.reshape(1, -1) + l2 * b.reshape(1, -1), n) + n * np.arange(pairs)
-    return np.bincount(e.ravel(), minlength=pairs * n).reshape(a.shape + (n,))
+    return binom_idx(ft, a.ravel(), b.ravel()).reshape(a.shape + (ft.n,))
 
 
 class _BinomRow(dict):
@@ -170,7 +205,7 @@ class _BinomRow(dict):
 
     def __missing__(self, b: int) -> CycInt:
         ft = self.ft  # mass q - 2: a count of 1 for each u outside {0, 1}
-        counts = binom_counts(ft, self.a, b).reshape(1, -1)
+        counts = binom_idx(ft, self.a, b)
         v = self[b] = CycInt(ft.n, _ring(ft.n).reduce_rows(counts, ft.q - 2)[0].tolist())
         return v
 

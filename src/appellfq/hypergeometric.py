@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, _binom_logs, _mod, _slope_index
+from .characters import Character, _binom_logs, _col, _counts, _mod, _slope_index
 from .cyclotomic import CycInt, _ring
 from .fields import FieldElement, FieldTable
 
@@ -82,20 +82,21 @@ class AppellF1Params:
 # indices for elements), as int64 columns.
 # ----------------------------------------------------------------------
 
-def f21_point_idx(ft: FieldTable, a, b, c, xi) -> np.ndarray:
+def f21_point_idx(ft: FieldTable, a, b, c, xi, sink=_counts):
     """The 2F1 point sums at exponents a, b, c and element index xi.
 
     Each argument is an int64 column with one entry per binding, or an
-    int that stands for every row; the result is the (S, n) int64 array
-    of zeta-power counts of each row, unreduced (`_point_counts`), with
-    one row if every argument is an int.
+    int that stands for every row; by default the result is the (S, n)
+    int64 array of zeta-power counts of each row, unreduced
+    (`_point_counts`), with one row if every argument is an int. Every
+    kernel hands its linear form to `sink` (`characters._counts`).
     """
-    return _point_counts(ft, (b, c, a), (xi,))
+    return _point_counts(ft, (b, c, a), (xi,), sink)
 
 
-def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi) -> np.ndarray:
+def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi, sink=_counts):
     """The Appell F1 point sums; columns and counts as `f21_point_idx`."""
-    return _point_counts(ft, (a, c, b, bp), (xi, yi))
+    return _point_counts(ft, (a, c, b, bp), (xi, yi), sink)
 
 
 def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
@@ -120,28 +121,11 @@ def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
     return [base[0], base[1], *ls], ok
 
 
-def _point_counts(ft: FieldTable, coeffs, xis) -> np.ndarray:
-    """(S, n) zeta-power counts of the point sums whose exponent at u is
-    coeffs . L (L = `point_rows`), one `np.bincount` for every row."""
-    n = ft.n
+def _point_counts(ft: FieldTable, coeffs, xis, sink):
+    """The point sums whose exponent at u is coeffs . L (L = `point_rows`)
+    over its mask, to `sink`: by default one `np.bincount` for every row."""
     L, ok = point_rows(ft, *xis)
-    e = sum(_col(c) * row for c, row in zip(coeffs, L))
-    return _row_counts(n, e, ok)
-
-
-def _col(v) -> np.ndarray:
-    """An int column (S,) as a (1, S) row, or an int as (1, 1), to
-    broadcast against an (m, 1) column of u or of binomial pairs."""
-    return np.asarray(v, dtype=np.int64).reshape(1, -1)
-
-
-def _row_counts(n: int, e: np.ndarray, keep=True) -> np.ndarray:
-    """(S, n) counts of the exponents e (m, S) mod n of each binding (a
-    column of e), over the entries where `keep`, with one `np.bincount`."""
-    e, keep = np.broadcast_arrays(e, keep)
-    rows = e.shape[1]
-    e = _mod(e, n) + n * np.arange(rows)
-    return np.bincount(e[keep], minlength=rows * n).reshape(rows, n)
+    return sink(ft.n, list(zip(coeffs, L)), ok)
 
 
 def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +146,7 @@ def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
 # as int64 columns, as the point sums.
 # ----------------------------------------------------------------------
 
-def f21_charsum_idx(ft: FieldTable, a, b, c, xi) -> np.ndarray:
+def f21_charsum_idx(ft: FieldTable, a, b, c, xi, sink=_counts):
     """1/(q-1) sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
 
     At binomial pairs (l1, l2), with chi = chi_k and s = l1 + l2, the two
@@ -176,11 +160,10 @@ def f21_charsum_idx(ft: FieldTable, a, b, c, xi) -> np.ndarray:
     l1, l2 = _binom_logs(ft)
     x = _col(xi)
     j = inv[_mod((1 - x) - (l1 + l2), n)]
-    e = _col(a) * l1 + _col(b) * m1[j] + _col(c) * m2[j]
-    return _row_counts(n, e, (j >= 0) & (x != 0))
+    return sink(n, [(a, l1), (b, m1[j]), (c, m2[j])], (j >= 0) & (x != 0))
 
 
-def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi) -> np.ndarray:
+def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi, sink=_counts):
     """1/(q-1)^2 sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam]
     chi(x) lam(y).
 
@@ -201,8 +184,8 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi) -> np.ndarray:
     t = (l1 + l2) + (x - 1)
     j = inv[_mod(-t, n)]
     k = inv[_mod(t - (y - 1), n)]
-    e = _col(b) * l1 + _col(a) * m1[j] + _col(c) * m2[j] + _col(bp) * m1[k]
-    return _row_counts(n, e, (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
+    return sink(n, [(b, l1), (a, m1[j]), (c, m2[j]), (bp, m1[k])],
+                (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
 
 
 def _reduced(n: int, counts: np.ndarray) -> CycInt:

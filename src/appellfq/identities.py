@@ -25,7 +25,11 @@ entry per binding (or an int that stands for every row). A compiled side
 returns the values of a whole chunk of bindings as `Counts`, so it is
 written without Python branches on its bindings. `BatchContext` is the
 one evaluator, of the verifier and of `table`; the tests keep a scalar
-`CycInt` evaluator of the same sides as their reference.
+`CycInt` evaluator of the same sides as their reference. The exhaustive
+check calls the same sides once more on `FormContext`, a `BatchContext`
+whose characters are linear forms, for their coefficients as functions
+of the characters (`Terms`): the kernels hand either context their
+linear forms, so no exponent is written twice.
 """
 
 from __future__ import annotations
@@ -38,12 +42,10 @@ from typing import Callable
 import numpy as np
 import numpy.fft  # noqa: F401 (np.fft is lazy: load it at import, not mid-verify)
 
-from .characters import _mod, _slope_index, binom_counts
+from .characters import _col, _counts, _mod, _slope_index, binom_idx
 from .characters import binomial_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .fields import FieldTable
 from .hypergeometric import (
-    _col,
-    _row_counts,
     f1_charsum_idx,
     f1_point_idx,
     f21_charsum_idx,
@@ -56,15 +58,15 @@ from .hypergeometric import (
 # The sums over characters of Sections 2 and 4 other than f21/f1, as
 # (S, n) zeta-power counts of int64 columns (an int stands for every
 # row), by the gather of `hypergeometric.f21_charsum_idx`, u-major as the
-# kernels there.
+# kernels there; each hands its linear form to `sink` as they do.
 # ----------------------------------------------------------------------
 
-def power_sum_counts(ft: FieldTable, step) -> np.ndarray:
+def power_sum_counts(ft: FieldTable, step, sink=_counts):
     """sum over k = 0 .. n-1 of zeta^(k step)."""
-    return _row_counts(ft.n, _col(step) * np.arange(ft.n)[:, None])
+    return sink(ft.n, [(step, np.arange(ft.n)[:, None])])
 
 
-def binthm_counts(ft: FieldTable, A, x) -> np.ndarray:
+def binthm_counts(ft: FieldTable, A, x, sink=_counts):
     """sum over chi of [A chi|chi] chi(x), before a factor n.
 
     chi_k has exponent A l1 + k (l1 + l2 + log x) at the binomial pair
@@ -74,10 +76,10 @@ def binthm_counts(ft: FieldTable, A, x) -> np.ndarray:
     inv, m1, _ = _slope_index(ft)
     x = _col(x)
     i = inv[_mod(1 - x, n)]
-    return _row_counts(n, _col(A) * m1[i], (i >= 0) & (x != 0))
+    return sink(n, [(A, m1[i])], (i >= 0) & (x != 0))
 
 
-def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis) -> np.ndarray:
+def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis, sink=_counts):
     """sum over theta of [X theta|theta] theta(t) S(theta), before a factor n.
 
     S(theta) is the point sum at `xis` whose exponent at u is
@@ -92,8 +94,7 @@ def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis) -> np.ndarray:
     inv, m1, _ = _slope_index(ft)
     t = _col(t)
     i = inv[_mod((1 - t) - L[k], n)]
-    e = _col(X) * m1[i] + sum(_col(c) * row for c, row in zip(coeffs, L))
-    return _row_counts(n, e, ok & (i >= 0) & (t != 0))
+    return sink(n, [(X, m1[i]), *zip(coeffs, L)], ok & (i >= 0) & (t != 0))
 
 
 class Counts:
@@ -258,11 +259,12 @@ class BatchContext:
         self.lm1 = ft.log_minus_one
 
     @classmethod
-    def of(cls, ft: FieldTable) -> BatchContext:
-        """The context of `ft`, made once and kept in its caches."""
-        if "batch_context" not in ft._caches:
-            ft._caches["batch_context"] = cls(ft)
-        return ft._caches["batch_context"]
+    def of(cls, ft: FieldTable, *args) -> BatchContext:
+        """The context of `ft` (and `args`), made once and kept in its caches."""
+        key = (cls.__name__, *args)
+        if key not in ft._caches:
+            ft._caches[key] = cls(ft, *args)
+        return ft._caches[key]
 
     @functools.cached_property
     def om(self) -> np.ndarray:
@@ -302,41 +304,241 @@ class BatchContext:
     def dchar(self, e):
         return (_mod(np.asarray(e), self.n) == 0).astype(np.int64)
 
+    def _sum(self, kernel, mass, *args):
+        """A kernel's counts at `args`, as `Counts` whose rows `mass` bounds."""
+        return Counts(kernel(self.ft, *args), mass)
+
+    def _one(self, pairs, keep=1):
+        """keep zeta^e with e = sum c row over `pairs`: a character value."""
+        return _OneHot(keep, _mod(sum(c * row for c, row in pairs), self.n), self.n, 1)
+
     def sign(self, e):
-        return _OneHot(1, _mod(e * self.lm1, self.n), self.n, 1)
+        return self._one([(e, self.lm1)])
 
     def cp(self, *pairs):
-        t = sum(e * (i - 1) for e, i in pairs)
         keep = np.logical_and.reduce([np.asarray(i) != 0 for _, i in pairs])
-        return _OneHot(keep, _mod(t, self.n), self.n, 1)
+        return self._one([(e, i - 1) for e, i in pairs], keep)
 
     def intv(self, v):
         return _const(self.n, v)
 
     def binom(self, i, j):
-        return Counts(binom_counts(self.ft, i, j).reshape(-1, self.n), self.q - 2)
+        return self._sum(binom_idx, self.q - 2, i, j)
 
     def f21(self, a, b, c, x):
-        return Counts(f21_point_idx(self.ft, a, b, c, x), self.q - 2)
+        return self._sum(f21_point_idx, self.q - 2, a, b, c, x)
 
     def f1(self, a, b, bp, c, x, y):
-        return Counts(f1_point_idx(self.ft, a, b, bp, c, x, y), self.q - 2)
+        return self._sum(f1_point_idx, self.q - 2, a, b, bp, c, x, y)
 
     def f21_sum(self, a, b, c, x):
-        return Counts(f21_charsum_idx(self.ft, a, b, c, x), self.q - 2) * self.n
+        return self._sum(f21_charsum_idx, self.q - 2, a, b, c, x) * self.n
 
     def f1_sum(self, a, b, bp, c, x, y):
-        counts = f1_charsum_idx(self.ft, a, b, bp, c, x, y)
-        return Counts(counts, self.q - 2) * (self.n * self.n)
+        return self._sum(f1_charsum_idx, self.q - 2, a, b, bp, c, x, y) * (self.n * self.n)
 
     def power_sum(self, step):
-        return Counts(power_sum_counts(self.ft, step), self.n)
+        return self._sum(power_sum_counts, self.n, step)
 
     def binthm(self, A, x):
-        return Counts(binthm_counts(self.ft, A, x), 1) * self.n
+        return self._sum(binthm_counts, 1, A, x) * self.n
 
     def theta(self, t, X, coeffs, k, *xis):
-        return Counts(theta_counts(self.ft, t, X, coeffs, k, *xis), self.n) * self.n
+        return self._sum(theta_counts, self.n, t, X, coeffs, k, *xis) * self.n
+
+
+class Form:
+    """A character of `FormContext`: the linear form sum v_i chi_i in the
+    characters chi_i of a binding, held as its int coefficients v.
+
+    Forms add, negate and scale by ints, and the int 0 passed as a
+    character is the trivial one. A constant added to a form, chi_(A+1),
+    raises TypeError: a side is linear in its characters only without one,
+    and the exhaustive check rests on that linearity.
+    """
+
+    __slots__ = ("v",)
+    __array_ufunc__ = None
+
+    def __init__(self, v):
+        self.v = tuple(v)
+
+    def __add__(self, other):
+        if not isinstance(other, Form):
+            raise TypeError(f"a constant {other!r} in a character exponent: a "
+                            f"character is a linear form in the binding's characters")
+        return Form(a + b for a, b in zip(self.v, other.v))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Form(-a for a in self.v)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        return Form(a * k for a in self.v)
+
+    __rmul__ = __mul__
+
+
+# the most (term, element tuple) cells a product of two `Terms` may hold:
+# with the difference of the sides, its keys and their sort, a cell takes
+# about 260 bytes at the check's peak (tracemalloc), so 2^19 cells bound it
+# at about 135 MB; prop2.1-b's binomial times binomial, (q - 2)^2 cells,
+# is refused from q = 727 on
+_PRODUCT_CELLS = 1 << 19
+
+
+def _check_product(n: int, cells: int) -> None:
+    """Refuse a product of `cells` cells, past `_PRODUCT_CELLS`, naming q."""
+    if cells > _PRODUCT_CELLS:
+        raise ValueError(f"q = {n + 1}: a product of term lists would hold {cells} "
+                         f"cells, past the limit of {_PRODUCT_CELLS}")
+
+
+class Terms:
+    """A side as a function of the characters, over S element tuples: the
+    sum over its terms of c zeta^j psi_v(chi) / n^den, psi_v(chi) =
+    zeta^<v, chi>, as one int64 array `t` of (width + 2, terms, S), or
+    (width + 2, terms, 1) for every tuple: the rows of v (one a
+    character), then j, then c. Exponents are not reduced mod n. `mass`
+    bounds sum |c| over the terms of one tuple, as `Counts.mass` bounds a
+    row; `den` counts the `dchar` factors, whose value (1/n) sum_k
+    psi_(k f) is the one fraction a side holds.
+    """
+
+    __slots__ = ("n", "t", "mass", "den")
+    __array_ufunc__ = None  # a numpy column defers to the reflected operators
+
+    def __init__(self, n: int, t: np.ndarray, mass: int, den: int = 0):
+        self.n, self.t, self.mass, self.den = n, t, mass, den
+
+    def _over(self, den: int) -> Terms:
+        """The same value over n^den."""
+        k = self.n ** (den - self.den)
+        return self._scaled(k, self.mass * k, den)
+
+    def _scaled(self, k, mass: int, den: int) -> Terms:
+        """c times k (an int or a (1, S) column), with `mass` and `den`."""
+        t = self.t
+        if np.ndim(k) or k != 1:
+            c = t[-1:] * k
+            t = np.concatenate((_wide(t[:-1], c.shape[2]), c))
+        return Terms(self.n, t, mass, den)
+
+    def __add__(self, other):
+        if not isinstance(other, Terms):
+            other = _constant(self.n, len(self.t) - 2, other)
+        den = max(self.den, other.den)
+        a, b = self._over(den), other._over(den)
+        cols = max(a.t.shape[2], b.t.shape[2])
+        t = np.concatenate((_wide(a.t, cols), _wide(b.t, cols)), axis=1)
+        return Terms(self.n, t, a.mass + b.mass, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._scaled(-1, self.mass, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        """Every term by every term of `other`, or each tuple's terms scaled
+        by an int or by an int column (one factor per element tuple)."""
+        if isinstance(other, Terms):
+            return _product(self, other)
+        k = _col(other) if np.ndim(other) else int(other)
+        return self._scaled(k, self.mass * int(np.max(np.abs(other), initial=0)), self.den)
+
+    __rmul__ = __mul__
+
+
+def _wide(t: np.ndarray, cols: int) -> np.ndarray:
+    """Rows of terms for one tuple, (rows, terms, 1), as `cols` tuples."""
+    return t if t.shape[2] == cols else np.broadcast_to(t, (*t.shape[:2], cols))
+
+
+def _constant(n: int, width: int, v) -> Terms:
+    """v zeta^0 psi_0 for each tuple, for an int or an int column v."""
+    c = _col(v)
+    t = np.zeros((width + 2, 1, c.shape[1]), dtype=np.int64)
+    t[-1] = c
+    return Terms(n, t, int(np.max(np.abs(v), initial=0)))
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    """The m1 m2 terms of two term lists; refused past `_PRODUCT_CELLS`."""
+    (size, m1, s1), (_, m2, s2) = a.t.shape, b.t.shape
+    cols = max(s1, s2)
+    _check_product(a.n, m1 * m2 * cols)
+    t = np.empty((size, m1, m2, cols), dtype=np.int64)
+    t[:-1] = a.t[:-1, :, None] + b.t[:-1, None]
+    t[-1] = a.t[-1, :, None] * b.t[-1, None]
+    return Terms(a.n, t.reshape(size, m1 * m2, cols), a.mass * b.mass, a.den + b.den)
+
+
+class FormContext(BatchContext):
+    """`BatchContext` with each character a `Form`: a compiled side, called
+    once on a chunk of element tuples, returns `Terms`, its coefficients as
+    a function of the `width` characters of a binding (`chars`, the unit
+    forms). The element helpers (sub, div, om, ng, eps, delta) stay
+    numeric columns, and every sum is the kernel's linear form, kept whole
+    by the sink `_terms` instead of bincounted, with the multiplicities
+    and masses of `BatchContext`.
+    """
+
+    def __init__(self, ft: FieldTable, width: int):
+        super().__init__(ft)
+        self.width = width
+        self.chars = tuple(Form(int(i == k) for i in range(width)) for k in range(width))
+
+    def _terms(self, n, pairs, keep=True) -> Terms:
+        """One term, c = 1, per kept entry of a linear form: a `Form`
+        coefficient f adds f_i row to v_i, an int or int column c adds
+        c row to j."""
+        rows = [0] * (self.width + 1) + [keep]
+        for c, row in pairs:
+            if isinstance(c, Form):
+                for i, f in enumerate(c.v):
+                    if f:
+                        rows[i] = rows[i] + f * row
+            else:
+                rows[-2] = rows[-2] + _col(c) * row
+        t = np.empty((len(rows), *np.broadcast_shapes((1, 1), *map(np.shape, rows))),
+                     dtype=np.int64)
+        for dst, row in zip(t, rows):
+            dst[...] = row
+        return Terms(n, t, 1)
+
+    def _sum(self, kernel, mass, *args):
+        terms = kernel(self.ft, *args, sink=self._terms)
+        terms.mass = mass
+        return terms
+
+    def _one(self, pairs, keep=1):
+        return self._terms(self.n, [(c, _col(row)) for c, row in pairs], _col(keep))
+
+    def intv(self, v):
+        return v if isinstance(v, Terms) else _constant(self.n, self.width, v)
+
+    def dchar(self, e):
+        """[e trivial] = (1/n) sum_k psi_(k e) for a form e."""
+        if not isinstance(e, Form):
+            return super().dchar(e)
+        terms = self._terms(self.n, [(e, np.arange(self.n)[:, None])])
+        terms.mass, terms.den = self.n, 1
+        return terms
 
 
 # perfbench/child.py, kernels.py and spans.py build and wrap the context by this name

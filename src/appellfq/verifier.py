@@ -6,32 +6,47 @@ mode draws bindings from a counter-based splitmix64 stream so that
 sample i depends only on (seed, i). Both modes therefore produce
 identical reports for identical inputs.
 
-Both modes run in one process and feed one loop int64 columns, a chunk
-of bindings at a time: exhaustive mode decodes them from their domain
-positions (`_orbit_columns`, the one walk of a domain), and sampled mode
-draws with the stream vectorized in numpy uint64. The loop calls each
-compiled side once per chunk on an `identities.BatchContext`, whose
-values are unreduced zeta-power counts, and decides every binding on
-those counts with a zero test that needs no reduction
-(`cyclotomic._Ring.vanishes`). A failing binding's report values are its
-counts reduced by one checked int64 division (`_Ring.reduce_rows`), so
-nothing is evaluated twice and a passing check reduces nothing. A
-chunk whose counts could pass the int64 bound of that test is refused
-with a ValueError naming q, in both modes, and an exhaustive check of
-more than `_EXHAUSTIVE_CASES` bindings is refused before any work.
+Both modes run in one process. The numeric path feeds one loop int64
+columns, a chunk of bindings at a time: exhaustive mode decodes them
+from their domain positions (`_orbit_columns`, the one walk of a
+domain), and sampled mode draws with the stream vectorized in numpy
+uint64. The loop calls each compiled side once per chunk on an
+`identities.BatchContext`, whose values are unreduced zeta-power counts,
+and decides every binding on those counts with a zero test that needs
+no reduction (`cyclotomic._Ring.vanishes`). A failing binding's report
+values are its counts reduced by one checked int64 division
+(`_Ring.reduce_rows`), so nothing is evaluated twice and a passing check
+reduces nothing. A chunk whose counts could pass the int64 bound of that
+test is refused with a ValueError naming q, in both modes, and an
+exhaustive check of more than `_EXHAUSTIVE_CASES` bindings is refused
+before any work.
 
-Exhaustive mode scans by orbits. Every side is equivariant under the
-automorphisms sigma_k: zeta -> zeta^k, k a unit of Z/n: multiplying
-every character exponent by k applies sigma_k to both sides, which keeps
-equality (tests/test_orbits.py guards this for every side). So a binding
-fails iff the binding with the least character tuple of its orbit, and
-the same elements, fails; and that one comes no later in domain order.
-The scan first evaluates only those representatives, about domain /
-phi(n) bindings. If none fails, that is the report of the whole domain.
-If one fails, it is the first failing binding of the domain: at a cap of
-1 its record is the report, and otherwise the same walk, with no units,
-resumes at that binding. Either way the report is the one a scan of
-every binding gives, and `cases` is the domain size.
+Exhaustive mode first checks by Fourier coefficients
+(`_failing_elements`): at fixed elements each side is a sum of terms
+c zeta^j psi_v(chi) over the character tuples chi, psi_v(chi) =
+zeta^<v, chi>, and by orthogonality of characters lhs = rhs at every chi
+iff the two sides' psi_v coefficients agree in Z[zeta_n]. Each side is
+evaluated once a chunk of element tuples on `identities.FormContext`,
+whose characters are linear forms and whose kernels hand over their
+linear forms instead of counts; the terms of lhs - rhs are summed by
+(element tuple, v, j) and each (element tuple, v) row is zero-tested by
+`_Ring.vanishes`. That is exact equality at all n^k character tuples of
+an element tuple. If no element tuple fails, the report is the whole
+domain's, with no records. If one fails, the check stops at that chunk,
+and the records are those of the numeric scan below.
+
+The numeric scan of an exhaustive domain goes by orbits. Every side is
+equivariant under the automorphisms sigma_k: zeta -> zeta^k, k a unit
+of Z/n: multiplying every character exponent by k applies sigma_k to
+both sides, which keeps equality (tests/test_orbits.py guards this for
+every side). So a binding fails iff the binding with the least
+character tuple of its orbit, and the same elements, fails; and that one
+comes no later in domain order. The scan first evaluates only those
+representatives, about domain / phi(n) bindings. The first that fails
+is the first failing binding of the domain: at a cap of 1 its record is
+the report, and otherwise the same walk, with no units, resumes at that
+binding. Either way the report is the one a scan of every binding
+gives, and `cases` is the domain size.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing, and it is
 the only condition a binding is checked for.
@@ -50,7 +65,7 @@ from .characters import _mod
 from .cyclotomic import CycInt, _ring
 from .fields import FieldTable
 from .hypergeometric import _reduced
-from .identities import BatchContext, IdentityCase, get_identity, registry
+from .identities import BatchContext, FormContext, IdentityCase, get_identity, registry
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -134,8 +149,8 @@ _CHUNK_CELLS = 1 << 14
 
 # the most bindings an exhaustive check is admitted with, counted over the
 # whole domain: thm4.* at q = 25 has 5.0e9, thm1.3 at q = 101 about 1e12.
-# A check that passes evaluates one character tuple per unit orbit, so its
-# work is about domain / phi(n) bindings
+# A check that passes evaluates each element tuple once (the Fourier
+# check), so its work is the element tuples times the sides' terms
 _EXHAUSTIVE_CASES = 2**34
 
 
@@ -160,10 +175,7 @@ def _scan(entry, ft, chunks, cap):
     for cols in chunks:
         lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
         diff = lhs - rhs
-        bound = diff.mass << len(ring.shifts)
-        if bound >= 2**63:
-            raise ValueError(f"q = {q}: the zero test can reach {bound}, past "
-                             f"the int64 limit 2^63 - 1")
+        _check_zero_test(q, diff.mass, ring)
         unequal = np.broadcast_to(~ring.vanishes(diff.a), len(cols[0]))
         for r in np.flatnonzero(unequal)[:cap - len(cex)]:
             cex.append({"binding": dict(zip(names, (int(c[r]) for c in cols))),
@@ -171,6 +183,16 @@ def _scan(entry, ft, chunks, cap):
         if len(cex) >= cap:
             break
     return cex
+
+
+def _check_zero_test(q: int, mass: int, ring) -> None:
+    """Refuse, naming q, counts of row mass `mass` whose zero test
+    (`_Ring.vanishes`, which at most doubles a row's mass a prime of n)
+    could reach 2^63."""
+    bound = mass << len(ring.shifts)
+    if bound >= 2**63:
+        raise ValueError(f"q = {q}: the zero test can reach {bound}, past "
+                         f"the int64 limit 2^63 - 1")
 
 
 def _value(a: np.ndarray, r: int, n: int) -> CycInt:
@@ -229,10 +251,91 @@ def _orbit_columns(doms, shape, width, units, step, start=0):
             kept, done = kept[stop // per_code:], stop % per_code
 
 
-# The registered thm1.3 is scanned under this name only so that the
-# benchmark's span wrappers (perfbench/spans.py, ROADMAP item 2) can time
-# it on their own; it is `_scan_range` itself, not a second algorithm.
-_thm13_exhaustive_batch = _scan_range
+def _check_key(q: int, rows: int, width: int) -> None:
+    """Refuse, naming q, a Fourier check whose keys (element tuple, v, j),
+    for `rows` tuples a chunk and `width` characters, could reach 2^63."""
+    bound = rows * (q - 1) ** (width + 1)
+    if bound >= 2**63:
+        raise ValueError(f"q = {q}: the Fourier check's keys can reach {bound}, "
+                         f"past the int64 limit 2^63 - 1")
+
+
+def _failing_elements(entry, ft, domains):
+    """For each chunk of `_step(q) / 2` element tuples, in domain order, which
+    of them fail: where lhs != rhs at some character tuple.
+
+    As a function of the characters chi in (Z/n)^k, each side is a sum of
+    terms c zeta^j psi_v(chi), psi_v(chi) = zeta^<v, chi>
+    (`identities.Terms`, from one call a chunk on `FormContext`). By
+    orthogonality of characters, lhs = rhs at every chi iff for every v
+    the two sides' coefficients of psi_v are equal in Z[zeta_n]. So the
+    terms of lhs - rhs are summed by the key (element tuple, v, j), v and
+    j mod n, into int64 counts, and each (element tuple, v) row of counts
+    over j is zero-tested by `_Ring.vanishes`: exact equality at all n^k
+    character tuples at once. The key and the zero test are refused where
+    they could pass int64 (`_check_key`, `_check_zero_test`).
+    """
+    q, n, width = ft.q, ft.n, len(entry.chars)
+    ctx, ring = FormContext.of(ft, width), _ring(n)
+    doms = [np.asarray(d, dtype=np.int64) for d in domains[width:]]
+    shape = [len(d) for d in doms]
+    # half a numeric chunk: both sides' terms, and their difference, are
+    # held at once, each about a numeric chunk's widest temporary
+    total, step = math.prod(shape), max(1, _step(q) // 2)
+    _check_key(q, min(step, total), width)
+    for lo in range(0, total, step):
+        rows = min(lo + step, total) - lo
+        b = (*ctx.chars, *_decode(doms, shape, np.arange(lo, lo + rows)))
+        diff = entry.lhs(ctx, b) - entry.rhs(ctx, b)
+        _check_zero_test(q, diff.mass, ring)
+        yield _unequal(diff, rows, ring)
+
+
+def _unequal(diff, rows: int, ring) -> np.ndarray:
+    """Which of `rows` element tuples have some (v, j) row of the terms
+    `diff` whose counts are not zero in Z[zeta_n]."""
+    n, t = ring.n, diff.t
+    t = np.broadcast_to(t, (*t.shape[:2], rows))
+    kept = t[-1] != 0
+    digits = _mod(t[:-1, kept], n)  # (width + 1, kept terms)
+    place = n ** np.arange(len(digits) - 1, -1, -1)
+    key = np.nonzero(kept)[1] * n ** len(digits) + place @ digits
+    order = np.argsort(key)
+    key, c = key[order], t[-1, kept][order]
+    bad = np.zeros(rows, dtype=bool)
+    if not len(key):
+        return bad
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sums = np.add.reduceat(c, first)
+    key, sums = key[first][sums != 0], sums[sums != 0]
+    if not len(key):
+        return bad
+    # the rows (element tuple, v) of the nonzero counts, a block at a time
+    row = key // n
+    new = np.concatenate(([True], row[1:] != row[:-1]))
+    rid, heads = np.cumsum(new) - 1, row[new]
+    block = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, len(heads), block):
+        s, e = np.searchsorted(rid, (lo, lo + block))
+        a = np.zeros((min(block, len(heads) - lo), n), dtype=np.int64)
+        a[rid[s:e] - lo, _mod(key[s:e], n)] = sums[s:e]
+        bad[heads[lo:lo + block][~ring.vanishes(a)] // n ** (len(t) - 2)] = True
+    return bad
+
+
+def _check_exhaustive(entry, ft, domains, cap):
+    """The records of an exhaustive check: none if `_failing_elements`
+    finds no failing element tuple, which settles every binding; else,
+    from the first failing chunk, those of `_scan_exhaustive`."""
+    if not any(bad.any() for bad in _failing_elements(entry, ft, domains)):
+        return []
+    return _scan_exhaustive(_scan_range, entry, ft, domains, cap)
+
+
+# The registered thm1.3 is checked under this name only so that the
+# benchmark's span wrappers (perfbench/spans.py, ROADMAP item 4) can time
+# it on their own; it is `_check_exhaustive` itself, not a second algorithm.
+_thm13_exhaustive_batch = _check_exhaustive
 
 
 def _scan_exhaustive(scan, entry, ft, domains, cap):
@@ -304,8 +407,10 @@ def verify(
 
     Both modes run batched in one process. Exhaustive mode reports the
     whole domain as `cases`, and the first `max_counterexamples` records
-    in domain order, but evaluates one character tuple per orbit of the
-    units of Z/n until a binding fails (see the module docstring).
+    in domain order; it checks every character tuple of an element tuple
+    at once by Fourier coefficients, and scans one character tuple per
+    orbit of the units of Z/n only if that check fails (see the module
+    docstring).
     `jobs` is deprecated and ignored once validated (>= 1), so every
     report is the same at every `jobs`.
     """
@@ -334,9 +439,9 @@ def verify(
             raise ValueError(
                 f"q = {field.q}: {cases} bindings, over the exhaustive limit "
                 f"of {_EXHAUSTIVE_CASES}; check this field with --sampled")
-        scan = (_thm13_exhaustive_batch if entry is get_identity("thm1.3")
-                else _scan_range)
-        cex = _scan_exhaustive(scan, entry, field, domains, cap)
+        check = (_thm13_exhaustive_batch if entry is get_identity("thm1.3")
+                 else _check_exhaustive)
+        cex = check(entry, field, domains, cap)
     else:
         cases, seed = sample_count, seed or 0
         cex = _scan_samples(entry, field, domains, seed, cases, cap)

@@ -302,21 +302,26 @@ def test_find_counterexample_stops_at_its_first_chunk():
     calls = []
 
     def counted(c, b):
-        calls.append(len(b[0]))
+        # the last parameter, t, is an element: a column in both contexts
+        calls.append((type(c).__name__, len(b[-1])))
         return lhs(c, b)
 
     assert find_counterexample(entry, ft, lhs=counted, rhs=rhs) == (0, 0, 0, 1, 2, 2, 2)
-    assert len(calls) == 1
-    # a verify stops once it holds its cap, and still reports the domain
+    assert [name for name, _ in calls] == ["BatchContext"]
+    # a verify stops once it holds its cap, and still reports the domain:
+    # the Fourier check stops at its first failing chunk of element tuples,
+    # and the numeric scan that finds the records at its first chunk
     mutant = dataclasses.replace(entry, lhs=counted, rhs=rhs)
     calls.clear()
     rep = verify(mutant, ft, max_counterexamples=1)
-    assert len(calls) == 1 and len(rep.counterexamples) == 1
+    assert [name for name, _ in calls] == ["FormContext", "BatchContext"]
+    assert len(rep.counterexamples) == 1
     assert rep.cases == entry.domain_size(ft)
     calls.clear()
     rep = verify(mutant, ft, mode="sampled", sample_count=10**5, max_counterexamples=3)
     assert len(rep.counterexamples) == 3 and rep.cases == 10**5
-    assert sum(calls) < 10**5
+    assert {name for name, _ in calls} == {"BatchContext"}
+    assert sum(size for _, size in calls) < 10**5
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -533,11 +538,12 @@ def test_fft_bound_refuses_before_any_fft(monkeypatch):
 
 def test_a_refused_product_is_a_verify_error(monkeypatch):
     # a looser mass bound, 2^26 (q - 2), on each binomial puts prop2.1-b's
-    # product past 2^52: the verify reports the bound as its error
+    # product past 2^52: the verify reports the bound as its error (in
+    # sampled mode, as an exhaustive one multiplies no counts)
     binom = BatchContext.binom
     monkeypatch.setattr(BatchContext, "binom",
                         lambda self, i, j: Counts(binom(self, i, j).a, 2**26 * (self.q - 2)))
-    [rep] = V.verify_all(_field(5), ids=["prop2.1-b"])
+    [rep] = V.verify_all(_field(5), ids=["prop2.1-b"], mode="sampled", sample_count=20)
     assert rep.error.startswith("ValueError: an FFT product at n = 4 is exact only")
     assert not rep.passed
 

@@ -8,13 +8,15 @@ Both modes are batched: the sampled verify of thm4.3-a's documented
 mutant reduces its failing bindings' counts (`_Ring.reduce_rows`, which
 the benchmark does not wrap: its `cyclotomic.reduce` span still wraps
 `CycInt.from_powers`, which no package path calls any more), and the
-exhaustive verify of the registered entry reaches the scan only.
+exhaustive verify of the registered entry reduces nothing.
 `identities.EvalContext` is `BatchContext` under the name the benchmark
 wraps, so its build is counted once per verify, and the binomial table
 is no longer read through `identities`. The script also evaluates the
 mutant at its first failing binding on the tests' scalar `EvalContext`
 (`scalar_reference`), through its point-sum loop and `CycInt` multiply,
-which must give the values the report holds.
+which must give the values the report holds. An exhaustive verify that
+passes is settled by the Fourier check and reaches no scan; the mutant's
+exhaustive verify scans for its records.
 """
 
 import json
@@ -53,12 +55,16 @@ scalar = (mutant.lhs(ctx, binding) == first["lhs"]
           and mutant.rhs(ctx, binding) == first["rhs"])
 calls = {name: agg[0] for name, agg in tracer.totals.items()}
 full = afq.verifier.verify("thm4.3-a", ft)
+exhaustive_reduced = len(reduced) - verify_reduced
+scans = tracer.totals["verifier.scan"][0]
+failing = afq.verifier.verify(mutant, ft)
 print(json.dumps({"passed": rep.passed, "cases": rep.cases, "calls": calls,
                   "verify_calls": verify_calls, "scalar_equal": scalar,
                   "records": len(rep.counterexamples), "verify_reduced": verify_reduced,
-                  "exhaustive_reduced": len(reduced) - verify_reduced,
+                  "exhaustive_reduced": exhaustive_reduced,
                   "exhaustive_passed": full.passed, "exhaustive_cases": full.cases,
-                  "scans": tracer.totals["verifier.scan"][0]}))
+                  "scans": scans, "failing_passed": failing.passed,
+                  "failing_scans": tracer.totals["verifier.scan"][0]}))
 """
 
 
@@ -87,4 +93,7 @@ def test_benchmark_instrumentation_runs_a_traced_verify():
         assert calls[name] > 0, name
     assert out["exhaustive_passed"] and out["exhaustive_cases"] == 4**3 * 5 * 4
     assert out["exhaustive_reduced"] == 0
-    assert out["scans"] > calls["verifier.scan"]
+    # a passing exhaustive verify is settled by the Fourier check and
+    # reaches no scan; a failing one scans for its records
+    assert out["scans"] == calls["verifier.scan"]
+    assert not out["failing_passed"] and out["failing_scans"] > out["scans"]

@@ -1,21 +1,27 @@
 """Exhaustive verification over one character tuple per unit orbit.
 
 For k prime to n = q - 1, the automorphism sigma_k: zeta -> zeta^k of
-Q(zeta_n) sends chi_e to chi_(ke). An exhaustive `verify` first scans
-only the bindings whose character tuple is least of its orbit under
-these k, and scans the whole domain, from the first failing binding
-on, only when one of them fails. That is sound only if every side is
+Q(zeta_n) sends chi_e to chi_(ke). When the Fourier check of an
+exhaustive `verify` (`verifier._failing_elements`, tests/test_fourier.py)
+finds a failing element tuple, the numeric scan that finds its records
+first evaluates only the bindings whose character tuple is least of its
+orbit under these k, and scans the whole domain, from the first failing
+binding on, only past a cap of one. That is sound only if every side is
 equivariant: side(k chars, elems) = sigma_k(side(chars, elems)), which
-on the batch counts means that column j moves to column k j mod n. This
-is the soundness condition any new registry entry (and its documented
-mutant) must meet, and `test_every_side_is_equivariant` checks it; a
-constant inside a character exponent, such as chi_(A+1)(x), breaks it.
+on the batch counts means that column j moves to column k j mod n.
+`test_every_side_is_equivariant` checks it for every registry entry and
+documented mutant. A constant inside a character exponent, such as
+chi_(A+1)(x), would break it; such a side is now refused outright by
+the Fourier check, where characters are linear forms, and
+`test_a_constant_in_a_character_exponent_is_caught` keeps showing that
+the numeric check sees it too.
 
 `verify` in exhaustive mode must also report exactly what one chunk of
 every binding, listed by `itertools.product` in domain order, finds,
 record for record, at every cap: an oracle that shares no code with the
 walk of the domain (`verifier._orbit_columns`, `_decode`). And it must
-hold O(chunk) memory at any domain size.
+hold O(chunk) memory at any domain size, the Fourier check's pass
+included.
 """
 
 import dataclasses
@@ -144,6 +150,9 @@ def test_one_character_scans_zero_and_the_divisors_of_n():
     # with the same gcd(a, n), so its least member is that gcd: at
     # n = 16380 = 2^2 3^2 5 7 13 the scan evaluates 0 and the 71 divisors
     # below n, 72 of 16,380 bindings, testing all phi(n) = 3456 units
+    # (a passing verify now settles every exponent by the Fourier check,
+    # so the walk is called here with the units the scan of a failing
+    # check starts with)
     ft = _field(16381)
     entry = get_identity("prop2.3-b")
     seen = []
@@ -152,6 +161,8 @@ def test_one_character_scans_zero_and_the_divisors_of_n():
         seen.extend(b[0].tolist())
         return entry.lhs(c, b)
 
-    rep = verify(dataclasses.replace(entry, lhs=counted), ft)
-    assert rep.passed and rep.cases == ft.n
+    probe = dataclasses.replace(entry, lhs=counted)
+    assert V._scan_range(probe, ft, _entry_domains(entry, ft), 1, units=_units(ft.n)) == []
     assert seen == [0] + [d for d in range(1, ft.n + 1) if ft.n % d == 0][:-1]
+    rep = verify(entry, ft)
+    assert rep.passed and rep.cases == ft.n
