@@ -8,7 +8,7 @@ Z[zeta_{q-1}].
 The binomial coefficient here is the q-scaled variant
 binom(A, B) = B(-1) * J(A, B-inverse), where J(A, B) is the Jacobi sum
 sum over u in F_q of A(u) * B(1 - u). Both are one row of the column
-kernel `binom_counts`, reduced once by the package's one checked int64
+kernel `binom_idx`, reduced once by the package's one checked int64
 division (`cyclotomic._Ring.reduce_rows`) and kept in `binomial_table`;
 a Jacobi sum is the binomial of B-inverse times B(-1).
 """
@@ -108,7 +108,7 @@ def jacobi_sum(A: Character, B: Character) -> CycInt:
 
 def binom(A: Character, B: Character) -> CycInt:
     """The scaled binomial coefficient B(-1) * J(A, B-inverse): one
-    `binom_counts` row, reduced once and kept in `binomial_table`."""
+    `binom_idx` row, reduced once and kept in `binomial_table`."""
     A._check(B)
     return binomial_table(A.field)[A.exponent][B.exponent]
 
@@ -185,16 +185,6 @@ def binom_idx(ft: FieldTable, a, b, sink=_counts):
     `sink`; by default (S, n) counts, from one bincount."""
     l1, l2 = _binom_logs(ft)
     return sink(ft.n, [(a, l1), (b, l2)])
-
-
-def binom_counts(ft: FieldTable, a, b) -> np.ndarray:
-    """Unreduced zeta-power weights of binom(chi_a, chi_b).
-
-    `a` and `b` are broadcastable integer arrays; the result has their
-    shape plus an axis of length n (`binom_idx` of the flattened pairs).
-    """
-    a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (a, b)))
-    return binom_idx(ft, a.ravel(), b.ravel()).reshape(a.shape + (ft.n,))
 
 
 class _BinomRow(dict):

@@ -1,52 +1,34 @@
 """Exhaustive and seeded-sampling verification of registered identities.
 
-Exhaustive mode enumerates the full declared domain in a fixed order
+Exhaustive mode reports the full declared domain in a fixed order
 (character exponents lexicographically, then element indices); sampled
 mode draws bindings from a counter-based splitmix64 stream so that
 sample i depends only on (seed, i). Both modes therefore produce
 identical reports for identical inputs.
 
-Both modes run in one process. The numeric path feeds one loop int64
-columns, a chunk of bindings at a time: exhaustive mode decodes them
-from their domain positions (`_orbit_columns`, the one walk of a
-domain), and sampled mode draws with the stream vectorized in numpy
-uint64. The loop calls each compiled side once per chunk on an
-`identities.BatchContext`, whose values are unreduced zeta-power counts,
-and decides every binding on those counts with a zero test that needs
-no reduction (`cyclotomic._Ring.vanishes`). A failing binding's report
-values are its counts reduced by one checked int64 division
-(`_Ring.reduce_rows`), so nothing is evaluated twice and a passing check
-reduces nothing. A chunk whose counts could pass the int64 bound of that
-test is refused with a ValueError naming q, in both modes, and an
-exhaustive check of more than `_EXHAUSTIVE_CASES` bindings is refused
-before any work.
-
-Exhaustive mode first checks by Fourier coefficients
-(`_failing_elements`): at fixed elements each side is a sum of terms
-c zeta^j psi_v(chi) over the character tuples chi, psi_v(chi) =
+Both modes run in one process. Exhaustive mode checks by Fourier
+coefficients (`_failing_elements`): at fixed elements each side is a sum
+of terms c zeta^j psi_v(chi) over the character tuples chi, psi_v(chi) =
 zeta^<v, chi>, and by orthogonality of characters lhs = rhs at every chi
 iff the two sides' psi_v coefficients agree in Z[zeta_n]. Each side is
 evaluated once a chunk of element tuples on `identities.FormContext`,
-whose characters are linear forms and whose kernels hand over their
-linear forms instead of counts; the terms of lhs - rhs are summed by
-(element tuple, v, j) and each (element tuple, v) row is zero-tested by
-`_Ring.vanishes`. That is exact equality at all n^k character tuples of
-an element tuple. If no element tuple fails, the report is the whole
-domain's, with no records. If one fails, the check stops at that chunk,
-and the records are those of the numeric scan below.
+whose characters are linear forms, and each (element tuple, v) row of the
+terms of lhs - rhs is zero-tested by `cyclotomic._Ring.vanishes`, which
+needs no reduction. If no element tuple fails, the report is the whole
+domain's, with no records. Where one fails, the same test with the first
+characters fixed finds its failing bindings, prefix by prefix in domain
+order (`_search`), and the first `cap` of them are the records.
 
-The numeric scan of an exhaustive domain goes by orbits. Every side is
-equivariant under the automorphisms sigma_k: zeta -> zeta^k, k a unit
-of Z/n: multiplying every character exponent by k applies sigma_k to
-both sides, which keeps equality (tests/test_orbits.py guards this for
-every side). So a binding fails iff the binding with the least
-character tuple of its orbit, and the same elements, fails; and that one
-comes no later in domain order. The scan first evaluates only those
-representatives, about domain / phi(n) bindings. The first that fails
-is the first failing binding of the domain: at a cap of 1 its record is
-the report, and otherwise the same walk, with no units, resumes at that
-binding. Either way the report is the one a scan of every binding
-gives, and `cases` is the domain size.
+The numeric path evaluates bindings as int64 columns, a chunk at a time:
+the records of an exhaustive check, and the draws of sampled mode, made
+with the stream vectorized in numpy uint64. It calls each compiled side
+once a chunk on an `identities.BatchContext`, whose values are unreduced
+zeta-power counts, and decides every binding by the same zero test. A
+failing binding's report values are its counts reduced by one checked
+int64 division (`_Ring.reduce_rows`), so a passing check reduces
+nothing. Counts or keys that could pass int64 are refused with a
+ValueError naming q, in both modes, and an exhaustive check of more than
+`_EXHAUSTIVE_CASES` bindings is refused before any work.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing, and it is
 the only condition a binding is checked for.
@@ -200,55 +182,12 @@ def _value(a: np.ndarray, r: int, n: int) -> CycInt:
     return _reduced(n, a[min(r, len(a) - 1):])
 
 
-def _scan_range(entry, ft, domains, cap, start=0, units=()):
-    """`_scan` over the bindings of `_orbit_columns`, in chunks of
-    `_step(q)`: every binding from the domain position `start` on, or with
-    `units`, those whose character tuple is least of its orbit under
-    them."""
-    doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    chunks = _orbit_columns(doms, [len(d) for d in doms], len(entry.chars),
-                            units, _step(ft.q), start)
-    return _scan(entry, ft, chunks, cap)
-
-
-def _orbit_columns(doms, shape, width, units, step, start=0):
-    """Chunks of `step` bindings (the last one may be shorter), as int64
-    columns (`_decode`), in domain order from the position `start`, of the
-    bindings whose character tuple (the first `width` parameters,
-    exponents mod n) is least of its orbit under multiplying every
-    exponent by each of `units`: of every binding if there are none. The
-    tuple of the binding at `start` must be such a least one.
-
-    A tuple is compared by its code, its exponents read as base-n digits,
-    which orders tuples as the domain does; each code stands for the
-    element bindings that follow it. Codes are tested a block at a time
-    against every unit at once, in blocks whose digits and their
-    multiples by the units take at most `_CHUNK_CELLS` cells, and a kept
-    code's bindings are decoded as they fill chunks, so memory stays
-    O(chunk) at any domain size and the test costs width * len(units)
-    cells a code.
-    """
-    n = shape[0]  # the domain of a character exponent is 0 .. n - 1
-    total, per_code = n**width, math.prod(shape[width:])
-    if not per_code:  # an empty element domain has no bindings
-        return
-    place = n ** np.arange(width - 1, -1, -1)
-    units = np.array(units, dtype=np.int64).reshape(-1, 1)
-    block = max(1, _CHUNK_CELLS // ((len(units) + 1) * max(width, 1)))
-    kept = np.empty(0, dtype=np.int64)  # codes with bindings still to yield
-    first, done = divmod(start, per_code)  # done: bindings of kept[0] yielded
-    for lo in range(first, total, block):
-        codes = np.arange(lo, min(lo + block, total))
-        digits = _mod(codes[:, None, None] // place, n)  # (codes, 1, width)
-        least = (codes[:, None] <= _mod(digits * units, n) @ place).all(axis=1)
-        kept = np.concatenate([kept, codes[least]])
-        last = lo + block >= total
-        while len(kept) * per_code > done and (
-                last or len(kept) * per_code - done >= step):
-            stop = min(done + step, len(kept) * per_code)
-            j = np.arange(done, stop)
-            yield _decode(doms, shape, kept[j // per_code] * per_code + _mod(j, per_code))
-            kept, done = kept[stop // per_code:], stop % per_code
+def _scan_range(entry, ft, cols):
+    """`_scan` over the bindings `cols`, int64 columns, in chunks of
+    `_step(q)`: the records of those that fail."""
+    step, size = _step(ft.q), len(cols[0])
+    chunks = (tuple(c[lo:lo + step] for c in cols) for lo in range(0, size, step))
+    return _scan(entry, ft, chunks, size)
 
 
 def _check_key(q: int, rows: int, width: int) -> None:
@@ -261,19 +200,16 @@ def _check_key(q: int, rows: int, width: int) -> None:
 
 
 def _failing_elements(entry, ft, domains):
-    """For each chunk of `_step(q) / 2` element tuples, in domain order, which
-    of them fail: where lhs != rhs at some character tuple.
+    """For each chunk of `_step(q) / 2` element tuples, in domain order, the
+    index of its first tuple and the cells of those that fail, where lhs !=
+    rhs at some character tuple (see the module docstring).
 
-    As a function of the characters chi in (Z/n)^k, each side is a sum of
-    terms c zeta^j psi_v(chi), psi_v(chi) = zeta^<v, chi>
-    (`identities.Terms`, from one call a chunk on `FormContext`). By
-    orthogonality of characters, lhs = rhs at every chi iff for every v
-    the two sides' coefficients of psi_v are equal in Z[zeta_n]. So the
-    terms of lhs - rhs are summed by the key (element tuple, v, j), v and
-    j mod n, into int64 counts, and each (element tuple, v) row of counts
-    over j is zero-tested by `_Ring.vanishes`: exact equality at all n^k
-    character tuples at once. The key and the zero test are refused where
-    they could pass int64 (`_check_key`, `_check_zero_test`).
+    Each side is called once a chunk on `FormContext` for its terms
+    (`identities.Terms`); the terms of lhs - rhs are summed by the key
+    (element tuple, v, j), v and j mod n, and each (element tuple, v) row
+    of counts over j is zero-tested (`_unequal`): exact equality at all
+    n^k character tuples at once. The key and the zero test are refused
+    where they could pass int64 (`_check_key`, `_check_zero_test`).
     """
     q, n, width = ft.q, ft.n, len(entry.chars)
     ctx, ring = FormContext.of(ft, width), _ring(n)
@@ -288,70 +224,135 @@ def _failing_elements(entry, ft, domains):
         b = (*ctx.chars, *_decode(doms, shape, np.arange(lo, lo + rows)))
         diff = entry.lhs(ctx, b) - entry.rhs(ctx, b)
         _check_zero_test(q, diff.mass, ring)
-        yield _unequal(diff, rows, ring)
+        yield lo, _unequal(diff, rows, ring)
 
 
-def _unequal(diff, rows: int, ring) -> np.ndarray:
-    """Which of `rows` element tuples have some (v, j) row of the terms
-    `diff` whose counts are not zero in Z[zeta_n]."""
+def _unequal(diff, rows: int, ring):
+    """The cells of the terms `diff` of `rows` element tuples, summed by the
+    key (element tuple, v, j), in the (element tuple, v) rows that are not
+    zero in Z[zeta_n] (`_nonzero`): none if every tuple passes."""
     n, t = ring.n, diff.t
     t = np.broadcast_to(t, (*t.shape[:2], rows))
     kept = t[-1] != 0
     digits = _mod(t[:-1, kept], n)  # (width + 1, kept terms)
     place = n ** np.arange(len(digits) - 1, -1, -1)
     key = np.nonzero(kept)[1] * n ** len(digits) + place @ digits
-    order = np.argsort(key)
-    key, c = key[order], t[-1, kept][order]
-    bad = np.zeros(rows, dtype=bool)
-    if not len(key):
-        return bad
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return _nonzero(key, t[-1, kept], ring)
+
+
+def _nonzero(key, c, ring):
+    """The counts c summed by key, row * n + j, in key order, of the rows
+    whose counts over j are not zero in Z[zeta_n], zero-tested a block of
+    rows at a time."""
+    n, order = ring.n, np.argsort(key)
+    key, c = key[order], c[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))[:len(key)]
     sums = np.add.reduceat(c, first)
     key, sums = key[first][sums != 0], sums[sums != 0]
     if not len(key):
-        return bad
-    # the rows (element tuple, v) of the nonzero counts, a block at a time
+        return key, sums
     row = key // n
-    new = np.concatenate(([True], row[1:] != row[:-1]))
-    rid, heads = np.cumsum(new) - 1, row[new]
-    block = max(1, _CHUNK_CELLS // n)
-    for lo in range(0, len(heads), block):
+    rid = np.cumsum(np.concatenate(([True], row[1:] != row[:-1]))) - 1
+    rows = int(rid[-1]) + 1
+    keep, block = np.zeros(rows, dtype=bool), max(1, _CHUNK_CELLS // n)
+    for lo in range(0, rows, block):
         s, e = np.searchsorted(rid, (lo, lo + block))
-        a = np.zeros((min(block, len(heads) - lo), n), dtype=np.int64)
-        a[rid[s:e] - lo, _mod(key[s:e], n)] = sums[s:e]
-        bad[heads[lo:lo + block][~ring.vanishes(a)] // n ** (len(t) - 2)] = True
-    return bad
+        keep[lo:lo + block] = _failing(rid[s:e] - lo, _mod(key[s:e], n), sums[s:e],
+                                       min(block, rows - lo), ring)
+    keep = keep[rid]
+    return key[keep], sums[keep]
+
+
+def _failing(rid, j, c, rows: int, ring) -> np.ndarray:
+    """Which of `rows` rows of counts over j, each count c added at (rid,
+    j), are not zero in Z[zeta_n]."""
+    a = np.zeros(rows * ring.n, dtype=np.int64)
+    np.add.at(a, rid * ring.n + j, c)
+    return ~ring.vanishes(a.reshape(rows, ring.n))
+
+
+def _search(key, c, ring, width, cap, bound):
+    """The first `cap` failing bindings of a chunk, among those whose
+    character tuple has a code (its exponents read as base-n digits) below
+    `bound`, in domain order, as int64 arrays of codes and of element tuples
+    in the chunk; from the chunk's cells (`_unequal`).
+
+    Fixing the first characters chi_1 .. chi_d to a_1 .. a_d turns each
+    term c zeta^j psi_v(chi) into c zeta^(j + sum v_i a_i) psi_v'(chi'),
+    v' and chi' the rest. So some binding with that prefix fails at an
+    element tuple iff one of its rows of the substituted, regrouped cells
+    is not zero (`_nonzero`), and a zero row stays zero, so it is dropped.
+    The search expands the next character over its values, in blocks of
+    at most `_CHUNK_CELLS` cells, and descends in increasing order only
+    into the prefixes that have a failing binding.
+    """
+    n, found = ring.n, [np.zeros(0, dtype=np.int64)] * 2
+
+    def record(code, at):
+        take = cap - len(found[0])
+        found[:] = np.append(found[0], code[:take]), np.append(found[1], at[:take])
+
+    def visit(key, c, w, prefix):
+        # key = (element tuple * n^w + v) * n + j, v over the w characters left
+        span, low = n ** w, _mod(key, n ** w)
+        v, j, rows = _mod(key // span, n), _mod(key, n), int(key[-1] // (span * n)) + 1
+        top = min(n, -(-bound // (span // n)) - prefix * n)
+        block = max(1, _CHUNK_CELLS // max(len(key), rows * n))
+        for a0 in range(0, top, block):
+            a = np.arange(a0, min(a0 + block, top))[:, None]
+            # each cell at the row (value, element tuple, v'), exponent j + v a
+            at = (np.arange(len(a))[:, None] * rows + key // (span * n)) * (span // n)
+            jj, cs = _mod(j + v * a, n), np.tile(c, len(a))
+            if w == 1:  # whole tuples: the rows are (value, element tuple)
+                bad = np.flatnonzero(_failing(at.ravel(), jj.ravel(), cs, len(a) * rows, ring))
+                record(prefix * n + a0 + bad // rows, bad % rows)
+            else:
+                sub, sums = _nonzero((at * n + low - j + jj).ravel(), cs, ring)
+                size = rows * span
+                for b in np.unique(sub // size):
+                    s, e = np.searchsorted(sub, (b * size, (b + 1) * size))
+                    if len(found[0]) < cap:
+                        visit(sub[s:e] - b * size, sums[s:e], w - 1, prefix * n + a0 + int(b))
+            if len(found[0]) >= cap:
+                return
+
+    if not width:  # no characters: the rows are the element tuples
+        at = np.unique(key // n)
+        record(np.zeros_like(at), at)
+    else:
+        visit(key, c, width, 0)
+    return found
 
 
 def _check_exhaustive(entry, ft, domains, cap):
-    """The records of an exhaustive check: none if `_failing_elements`
-    finds no failing element tuple, which settles every binding; else,
-    from the first failing chunk, those of `_scan_exhaustive`."""
-    if not any(bad.any() for bad in _failing_elements(entry, ft, domains)):
+    """The records of an exhaustive check: its first `cap` failing bindings
+    in domain order, which `_search` finds in the chunks where
+    `_failing_elements` finds a failing element tuple, evaluated by
+    `_scan_range`. A chunk only searches the character tuples that come
+    before the last of `cap` bindings already found."""
+    width, ring = len(entry.chars), _ring(ft.n)
+    codes = elems = np.zeros(0, dtype=np.int64)
+    for lo, (key, c) in _failing_elements(entry, ft, domains):
+        if len(key):
+            bound = codes[-1] if len(codes) == cap else ft.n**width
+            code, at = _search(key, c, ring, width, cap, bound)
+            codes, elems = np.concatenate((codes, code)), np.concatenate((elems, lo + at))
+            order = np.lexsort((elems, codes))[:cap]
+            codes, elems = codes[order], elems[order]
+        if len(codes) == cap and not codes[-1]:
+            break  # no later binding comes before the last record
+    if not len(codes):
         return []
-    return _scan_exhaustive(_scan_range, entry, ft, domains, cap)
+    doms = [np.asarray(d, dtype=np.int64) for d in domains]
+    shape = [len(d) for d in doms]
+    return _scan_range(entry, ft, (*_decode(doms[:width], shape[:width], codes),
+                                   *_decode(doms[width:], shape[width:], elems)))
 
 
 # The registered thm1.3 is checked under this name only so that the
 # benchmark's span wrappers (perfbench/spans.py, ROADMAP item 4) can time
 # it on their own; it is `_check_exhaustive` itself, not a second algorithm.
 _thm13_exhaustive_batch = _check_exhaustive
-
-
-def _scan_exhaustive(scan, entry, ft, domains, cap):
-    """The records of `scan` over the whole domain, found first over one
-    character tuple per orbit of the units of Z/n (see the module
-    docstring)."""
-    n = ft.n
-    units = [k for k in range(2, n) if math.gcd(k, n) == 1] if entry.chars else []
-    start = 0
-    if units:
-        first = scan(entry, ft, domains, 1, units=units)
-        if not first or cap == 1:
-            return first
-        digits = [d.index(v) for d, v in zip(domains, first[0]["binding"].values())]
-        start = int(np.ravel_multi_index(digits, [len(d) for d in domains]))
-    return scan(entry, ft, domains, cap, start=start)
 
 
 def _sample_binding(entry, domains, seed, i) -> tuple[int, ...]:
@@ -407,9 +408,7 @@ def verify(
 
     Both modes run batched in one process. Exhaustive mode reports the
     whole domain as `cases`, and the first `max_counterexamples` records
-    in domain order; it checks every character tuple of an element tuple
-    at once by Fourier coefficients, and scans one character tuple per
-    orbit of the units of Z/n only if that check fails (see the module
+    in domain order, found by Fourier coefficients (see the module
     docstring).
     `jobs` is deprecated and ignored once validated (>= 1), so every
     report is the same at every `jobs`.
@@ -494,7 +493,7 @@ def find_counterexample(
     encoding is not vacuous.
     """
     probe = dataclasses.replace(entry, lhs=lhs or entry.lhs, rhs=rhs or entry.rhs)
-    cex = _scan_range(probe, field, _entry_domains(entry, field), 1)
+    cex = _check_exhaustive(probe, field, _entry_domains(entry, field), 1)
     return tuple(cex[0]["binding"].values()) if cex else None
 
 

@@ -6,7 +6,7 @@ plain ints and returns a `CycInt`. No package kernel takes part: its
 point sums (`f21_point_idx`, `f1_point_idx`) and the Jacobi and binomial
 weights (`_jacobi_counts`) are Python loops over u, independent of the
 package's column kernels (`hypergeometric._point_counts`,
-`characters.binom_counts`), and its roots of unity are `root_of_unity`,
+`characters.binom_idx`), and its roots of unity are `root_of_unity`,
 reduced one at a time (`root_rows` stacks them, to reduce rows of counts). Its sums over characters (binthm, power_sum,
 f21_sum, f1_sum, theta) are their literal loops over chi, (chi, lambda)
 and theta, of terms built from those loops alone, where the package

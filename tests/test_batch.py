@@ -306,15 +306,16 @@ def test_find_counterexample_stops_at_its_first_chunk():
         calls.append((type(c).__name__, len(b[-1])))
         return lhs(c, b)
 
+    # the Fourier check of the 648 element tuples, one chunk, and the
+    # search over its character prefixes find the first failing binding,
+    # the one binding evaluated numerically, for its record
     assert find_counterexample(entry, ft, lhs=counted, rhs=rhs) == (0, 0, 0, 1, 2, 2, 2)
-    assert [name for name, _ in calls] == ["BatchContext"]
-    # a verify stops once it holds its cap, and still reports the domain:
-    # the Fourier check stops at its first failing chunk of element tuples,
-    # and the numeric scan that finds the records at its first chunk
+    assert calls == [("FormContext", 648), ("BatchContext", 1)]
+    # a verify is the same search at its cap, and still reports the domain
     mutant = dataclasses.replace(entry, lhs=counted, rhs=rhs)
     calls.clear()
     rep = verify(mutant, ft, max_counterexamples=1)
-    assert [name for name, _ in calls] == ["FormContext", "BatchContext"]
+    assert calls == [("FormContext", 648), ("BatchContext", 1)]
     assert len(rep.counterexamples) == 1
     assert rep.cases == entry.domain_size(ft)
     calls.clear()

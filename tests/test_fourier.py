@@ -17,6 +17,7 @@ the check to the numeric walk, which evaluates every binding:
 
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -47,19 +48,24 @@ def _element_tuples(entry, ft):
 
 
 def _flagged(entry, ft):
-    """The element tuples that the Fourier check flags."""
-    flags = [f for f in V._failing_elements(entry, ft, _entry_domains(entry, ft))]
-    flags = np.concatenate(flags) if flags else np.zeros(0, dtype=bool)
-    return {t for t, bad in zip(_element_tuples(entry, ft), flags) if bad}
+    """The element tuples that the Fourier check flags: those it keeps
+    cells of, at the keys (element tuple, v, j)."""
+    tuples, place = _element_tuples(entry, ft), ft.n ** (len(entry.chars) + 1)
+    return {tuples[lo + int(r)]
+            for lo, (key, _) in V._failing_elements(entry, ft, _entry_domains(entry, ft))
+            for r in np.unique(key // place)}
 
 
 def _numeric(entry, ft):
-    """The element tuples at which the numeric walk of every binding
-    (`_orbit_columns` with no units) finds lhs != rhs."""
+    """The element tuples at which the numeric walk of every binding, each
+    domain position decoded (`_decode`) a chunk at a time, finds lhs !=
+    rhs."""
     doms = [np.asarray(d, dtype=np.int64) for d in _entry_domains(entry, ft)]
-    width, found = len(entry.chars), set()
+    shape, width, found = [len(d) for d in doms], len(entry.chars), set()
     batch, ring = BatchContext.of(ft), _ring(ft.n)
-    for cols in V._orbit_columns(doms, [len(d) for d in doms], width, (), V._step(ft.q)):
+    total, step = math.prod(shape), V._step(ft.q)
+    for lo in range(0, total, step):
+        cols = V._decode(doms, shape, np.arange(lo, min(lo + step, total)))
         diff = entry.lhs(batch, cols) - entry.rhs(batch, cols)
         for r in np.flatnonzero(np.broadcast_to(~ring.vanishes(diff.a), len(cols[0]))):
             found.add(tuple(int(c[r]) for c in cols[width:]))

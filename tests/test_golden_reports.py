@@ -37,9 +37,9 @@ WIDE_SAMPLES = {16: SAMPLES, 101: 12}
 WIDE_N_ARGV = ("verify", "--all", "--sampled", "--samples", "20", "-q", "1021")
 WIDE_N_DIGEST = "132a97cb085c88b077789dbdd3def6fd65d20d31cb233969f75a3fbf923d1820"
 # every documented mutant exhaustively at q = 7 as well (n = 6, 390,067
-# counterexamples in all), and thm4.3-a's at q = 13 (n = 12): fields
-# where a character tuple's orbit under the units of Z/n has up to 2 and
-# 4 members, so the reports pin the verifier's domain order there
+# counterexamples in all), and thm4.3-a's at q = 13 (n = 12): with no
+# cap, every failing binding the search over character prefixes finds,
+# so the reports pin the verifier's domain order there
 SLOW_EXHAUSTIVE_Q = 7
 CASES = [(e.id, 5, "exhaustive") for e in registry()] + [
     (i, q, "sampled") for q in SAMPLED_Q for i in IDS

@@ -1,27 +1,26 @@
-"""Exhaustive verification over one character tuple per unit orbit.
+"""Exhaustive verification: equivariance, the records, and memory.
 
 For k prime to n = q - 1, the automorphism sigma_k: zeta -> zeta^k of
-Q(zeta_n) sends chi_e to chi_(ke). When the Fourier check of an
-exhaustive `verify` (`verifier._failing_elements`, tests/test_fourier.py)
-finds a failing element tuple, the numeric scan that finds its records
-first evaluates only the bindings whose character tuple is least of its
-orbit under these k, and scans the whole domain, from the first failing
-binding on, only past a cap of one. That is sound only if every side is
-equivariant: side(k chars, elems) = sigma_k(side(chars, elems)), which
-on the batch counts means that column j moves to column k j mod n.
+Q(zeta_n) sends chi_e to chi_(ke). Every side is equivariant:
+side(k chars, elems) = sigma_k(side(chars, elems)), which on the batch
+counts means that column j moves to column k j mod n.
 `test_every_side_is_equivariant` checks it for every registry entry and
 documented mutant. A constant inside a character exponent, such as
-chi_(A+1)(x), would break it; such a side is now refused outright by
-the Fourier check, where characters are linear forms, and
+chi_(A+1)(x), would break it; such a side is refused outright by the
+Fourier check of an exhaustive `verify` (`verifier._failing_elements`,
+tests/test_fourier.py), where characters are linear forms, and
 `test_a_constant_in_a_character_exponent_is_caught` keeps showing that
 the numeric check sees it too.
 
 `verify` in exhaustive mode must also report exactly what one chunk of
 every binding, listed by `itertools.product` in domain order, finds,
 record for record, at every cap: an oracle that shares no code with the
-walk of the domain (`verifier._orbit_columns`, `_decode`). And it must
-hold O(chunk) memory at any domain size, the Fourier check's pass
-included.
+search over character prefixes that finds a failing check's records
+(`verifier._search`, `_decode`). That holds with the default chunks and
+with Fourier chunks of 1 to 3 element tuples, and for a side whose
+earliest failing character tuple lies in the last element chunk. And it
+must hold O(chunk) memory at any domain size: the Fourier check's pass,
+and the search's expansion of a character over its n values.
 """
 
 import dataclasses
@@ -87,8 +86,8 @@ def test_every_side_is_equivariant(q):
 
 
 def test_a_constant_in_a_character_exponent_is_caught():
-    # chi_(A+1)(x) goes to chi_(kA+1)(x), not to chi_(k(A+1))(x); the check
-    # that guards the orbit scan must see it at some field and unit. (A
+    # chi_(A+1)(x) goes to chi_(kA+1)(x), not to chi_(k(A+1))(x); the
+    # equivariance check must see it at some field and unit. (A
     # constant in a sign is harmless: chi_(A+1)(-1) = chi_1(-1) chi_A(-1),
     # and chi_1(-1) = +-1 is fixed by every sigma_k.)
     entry = get_identity("prop2.2")  # characters A, elements x
@@ -114,17 +113,34 @@ def _one_chunk(entry, ft):
     return V._scan(entry, ft, chunks if bindings else [], 10**6)
 
 
-# q = 2 and 3 have no unit but 1, so their walk keeps every character
-# tuple; q = 2 has thm3.7's empty element domain
+def _last_chunk_side(ft):
+    """On prop2.2's domain, lhs - rhs = 1 at the last x, and [A != 0] at
+    every other x: the earliest failing character tuple, A = 0, lies in
+    the last element chunk, after chunks whose failures come later."""
+    entry = get_identity("prop2.2")  # characters A, elements x
+    last = _entry_domains(entry, ft)[-1][-1]
+    lhs = _side("last-chunk", ("A", "x"), f"c.intv(1 * (x == {last})) "
+                f"+ c.intv(1 * (x != {last}) * (1 - c.dchar(A)))")
+    return dataclasses.replace(entry, id="last-chunk", lhs=lhs,
+                               rhs=_side("zero", ("A", "x"), "c.intv(0)"))
+
+
+# q = 2 has thm3.7's empty element domain; 6 q cells make Fourier chunks
+# of 3 element tuples, so that a search's records merge across chunks and
+# a later chunk searches only the character tuples before the last record
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_exhaustive_records_equal_a_whole_domain_scan(q):
+def test_exhaustive_records_equal_a_whole_domain_scan(q, monkeypatch):
     ft = _field(q)
-    for entry in registry() + [_mutant(e) for e in registry()]:
-        whole = _one_chunk(entry, ft)
-        for cap in (1, 3, 10**6):
-            rep = verify(entry, ft, max_counterexamples=cap)
-            assert rep.cases == entry.domain_size(ft)
-            assert rep.counterexamples == whole[:cap], (entry.id, cap)
+    entries = registry() + [_mutant(e) for e in registry()] + [_last_chunk_side(ft)]
+    wholes = [_one_chunk(entry, ft) for entry in entries]
+    assert wholes[-1][0]["binding"] == {"A": 0, "x": q - 1}
+    for cells in (V._CHUNK_CELLS, 6 * q):
+        monkeypatch.setattr(V, "_CHUNK_CELLS", cells)
+        for entry, whole in zip(entries, wholes):
+            for cap in (1, 3, 10**6):
+                rep = verify(entry, ft, max_counterexamples=cap)
+                assert rep.cases == entry.domain_size(ft)
+                assert rep.counterexamples == whole[:cap], (entry.id, cells, cap)
 
 
 def test_a_huge_admitted_domain_keeps_chunk_memory():
@@ -145,24 +161,20 @@ def test_a_huge_admitted_domain_keeps_chunk_memory():
     assert peak <= 4 * 2**20, peak
 
 
-def test_one_character_scans_zero_and_the_divisors_of_n():
-    # the orbit of an exponent a under the units of Z/n is every exponent
-    # with the same gcd(a, n), so its least member is that gcd: at
-    # n = 16380 = 2^2 3^2 5 7 13 the scan evaluates 0 and the 71 divisors
-    # below n, 72 of 16,380 bindings, testing all phi(n) = 3456 units
-    # (a passing verify now settles every exponent by the Fourier check,
-    # so the walk is called here with the units the scan of a failing
-    # check starts with)
+def test_one_character_expands_in_blocks_of_chunk_memory():
+    # prop2.3-b's mutant at q = 16381 fails only at chi = 0. Past a cap of
+    # 1 the search expands chi over all n = 16380 values, each over the n
+    # cells of the check, in blocks of at most `_CHUNK_CELLS` cells: whole,
+    # that expansion would be n^2 = 2.7e8 cells, 2.1 GB of int64
     ft = _field(16381)
-    entry = get_identity("prop2.3-b")
-    seen = []
-
-    def counted(c, b):
-        seen.extend(b[0].tolist())
-        return entry.lhs(c, b)
-
-    probe = dataclasses.replace(entry, lhs=counted)
-    assert V._scan_range(probe, ft, _entry_domains(entry, ft), 1, units=_units(ft.n)) == []
-    assert seen == [0] + [d for d in range(1, ft.n + 1) if ft.n % d == 0][:-1]
-    rep = verify(entry, ft)
-    assert rep.passed and rep.cases == ft.n
+    entry = _mutant(get_identity("prop2.3-b"))
+    for cap in (1, 10):
+        tracemalloc.start()
+        try:
+            rep = verify(entry, ft, max_counterexamples=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [ce["binding"] for ce in rep.counterexamples] == [{"chi": 0}]
+        assert rep.cases == ft.n
+        assert peak <= 6 * 2**20, (cap, peak)
