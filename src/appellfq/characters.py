@@ -156,7 +156,7 @@ def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
     outside {0, 1}: binom(chi_a, chi_b) = sum_u zeta^(a l1 + b l2); cached."""
     logs = ft._caches.get("binom_logs")
     if logs is None:
-        om = np.array(ft.one_minus_idx, dtype=np.int64)
+        om = ft.one_minus_idx
         us = np.flatnonzero(om[1:])[:, None] + 1  # indices of the u outside {0, 1}
         logs = ft._caches["binom_logs"] = (us - 1, ft.log_minus_one + 1 - om[us])
     return logs

@@ -178,7 +178,7 @@ def _parse_element(ft: FieldTable, text: str, flag: str):
         raise UsageError(f"bad element for {flag}: {text!r}") from exc
     if not 0 <= i < ft.q:
         raise UsageError(f"element index {i} out of range for q={ft.q}")
-    return ft.elements[i]
+    return ft.element(i)
 
 
 @contextlib.contextmanager

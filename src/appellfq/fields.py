@@ -1,10 +1,13 @@
 """Finite fields F_{p^r} with generator-relative exp/log tables.
 
-A field is fully materialized at construction: every element exists as a
-canonical object with its coefficient vector over F_p and its discrete log
-against a fixed generator, and the tables of 1 - x and -x are built once.
-The evaluators do their arithmetic on enumeration indices and these tables
-(`identities.BatchContext`), not on element objects.
+Construction fixes the model: p, r, the modulus and the generator. Every
+table derived from them (the coefficient vector of each element in
+enumeration order, the inverse by base-p code, and the indices of -x and
+1 - x) is an int64 array built on its first read, by doubling and numpy
+passes, so a field costs only what its first reader uses. The evaluators
+do their arithmetic on enumeration indices and these tables
+(`identities.BatchContext`), not on element objects; a `FieldElement` is
+made only when the scalar API reads it.
 
 Construction is deterministic. The modulus is the lexicographically first
 monic irreducible polynomial of degree r (coefficient tuples ordered with
@@ -16,9 +19,12 @@ for reproducible output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_TABLE_CAP = 1 << 16
 
@@ -74,27 +80,35 @@ def _poly_trim(a):
 
 
 def _poly_mod(num, den, p):
-    num = list(num)
+    """num mod the monic polynomial den, over F_p."""
+    num = [c % p for c in num]
     dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        f = (c * inv_lead) % p
-        for j, dj in enumerate(den):
-            num[i - dd + j] = (num[i - dd + j] - f * dj) % p
+        f = num[i]
+        if f:  # subtract f x^(i - dd) den, which clears num[i]
+            for j in range(dd):
+                num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
     return _poly_trim(num[:dd])
 
 
 def _poly_mulmod(a, b, modulus, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
     return _poly_mod(out, modulus, p)
+
+
+def _mul_matrix(a, modulus, p) -> np.ndarray:
+    """The r x r matrix over F_p of multiplication by a, acting on row
+    vectors: row i holds the coefficients of x^i a mod the modulus."""
+    rows, row = [], list(a)
+    for _ in range(len(modulus) - 1):
+        rows.append(row)
+        # x row: shift up, and x^r = -(m_0 + ... + m_(r-1) x^(r-1))
+        row = [(c - row[-1] * m) % p for c, m in zip([0] + row[:-1], modulus)]
+    return np.array(rows, dtype=np.int64)
 
 
 def _is_irreducible(poly, p):
@@ -163,12 +177,14 @@ class FieldElement:
 
 
 class FieldTable:
-    """Materialized F_q: canonical elements plus exp/log/one-minus tables.
+    """F_q as its model, fixed at construction: p, r, the modulus and the
+    generator g. Every table derived from them is an int64 array built on
+    first read, and an element object is made only when read.
 
-    Its tables are fixed at construction; `_caches` holds tables derived
-    from them, each filled on first use and never changed after.
     Enumeration order is zero first, then powers of the generator
     (exp-table order), so element index i > 0 has discrete log i - 1.
+    `_caches` holds the tables that other modules derive from these, each
+    filled on first use and never changed after.
     """
 
     def __init__(self, params: FieldParams):
@@ -176,51 +192,11 @@ class FieldTable:
         p, r, q = params.p, params.r, params.q
         self.p, self.r, self.q = p, r, q
         self.n = q - 1  # order of the multiplicative group
-        modulus = params.modulus
-
-        by_coeffs: dict[tuple, FieldElement] = {}
-        zero = FieldElement(q, (0,) * r, None, 0)
-        by_coeffs[zero.coeffs] = zero
-
-        gen_coeffs = self._find_generator(p, r, q, modulus)
-
-        # exp table: g^0 .. g^{q-2}
-        exp_coeffs = [(1,) + (0,) * (r - 1)]
-        cur = list(exp_coeffs[0])
-        g = list(gen_coeffs)
-        for _ in range(self.n - 1):
-            cur = _poly_mulmod(cur, g, modulus, p)
-            cur = cur + [0] * (r - len(cur))
-            exp_coeffs.append(tuple(cur))
-
-        exp_table = []
-        for k, coeffs in enumerate(exp_coeffs):
-            el = FieldElement(q, coeffs, k, k + 1)
-            exp_table.append(el)
-            by_coeffs[coeffs] = el
-
-        self.zero = zero
-        self.one = exp_table[0]
-        self.generator = by_coeffs[gen_coeffs]
-        self.exp_table = exp_table
-        self.elements = [zero] + exp_table  # enumeration order
-        self._by_coeffs = by_coeffs
-
-        if len(by_coeffs) != q:
-            raise RuntimeError("generator order check failed during build")
-
-        # index tables for 1 - x and -x
-        one_c = self.one.coeffs
-        self.one_minus_idx = [
-            by_coeffs[tuple((oc - c) % p for oc, c in zip(one_c, el.coeffs))].index
-            for el in self.elements
-        ]
-        self.neg_idx = [
-            by_coeffs[tuple((-c) % p for c in el.coeffs)].index
-            for el in self.elements
-        ]
-        self.log_minus_one = self.elements[self.neg_idx[1]].log  # log(-1)
-
+        self.generator_coeffs = self._find_generator(p, r, q, params.modulus)
+        # -1 is the one element of order 2 of the cyclic group F_q^*, so
+        # g^(n/2); in characteristic 2 it is 1
+        self.log_minus_one = 0 if p == 2 else self.n // 2
+        self._elements: dict[int, FieldElement] = {}
         self._caches: dict = {}
 
         if q == 2:
@@ -241,8 +217,9 @@ class FieldTable:
             while e:
                 if e & 1:
                     result = _poly_mulmod(result, b, modulus, p)
-                b = _poly_mulmod(b, b, modulus, p)
                 e >>= 1
+                if e:
+                    b = _poly_mulmod(b, b, modulus, p)
             return result
 
         for tail in itertools.product(range(p), repeat=r):
@@ -254,28 +231,118 @@ class FieldTable:
             return tuple(tail)
         raise RuntimeError(f"no generator found for q={q}")
 
-    # --- element constructors -----------------------------------------
+    # --- tables, each built on first read --------------------------------
+
+    @functools.cached_property
+    def coeff_rows(self) -> np.ndarray:
+        """The (q, r) coefficient vectors in enumeration order: 0, then
+        g^0 .. g^(n-1), by doubling. With P_m the matrix over F_p of
+        multiplication by g^m, rows g^m .. g^(2m-1) are rows g^0 .. g^(m-1)
+        times P_m, and P_2m = P_m^2: log2(n) steps. A product entry sums r
+        terms below p^2, refused where that could pass int64."""
+        p, r, n = self.p, self.r, self.n
+        if (bound := r * (p - 1) ** 2) >= 2**63:
+            raise ValueError(f"q = {self.q}: field products can reach {bound}, "
+                             f"past the int64 limit 2^63 - 1")
+        rows = np.zeros((self.q, r), dtype=np.int64)
+        powers = rows[1:]
+        powers[0, 0] = 1
+        mat, m = _mul_matrix(self.generator_coeffs, self.params.modulus, p), 1
+        while m < n:
+            block = powers[m:2 * m]
+            np.matmul(powers[:len(block)], mat, out=block)
+            np.remainder(block, p, out=block)
+            m *= 2
+            if m < n:
+                mat = mat @ mat % p
+        return rows
+
+    @functools.cached_property
+    def place(self) -> np.ndarray:
+        """The base-p place values: an element's code is coeffs @ place."""
+        return self.p ** np.arange(self.r, dtype=np.int64)
+
+    @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        return self.coeff_rows @ self.place
+
+    @functools.cached_property
+    def code_index(self) -> np.ndarray:
+        """The enumeration index of each element by its code, by one
+        scatter; a RuntimeError unless the q codes are distinct."""
+        codes, q = self._codes, self.q
+        if np.count_nonzero(np.bincount(codes, minlength=q)) != q:
+            raise RuntimeError("generator order check failed during build")
+        index = np.empty(q, dtype=np.int64)
+        index[codes] = np.arange(q)
+        return index
+
+    @functools.cached_property
+    def neg_idx(self) -> np.ndarray:
+        """The index of -x: log(-x) = log x + log(-1), and -0 = 0."""
+        n = self.n
+        return np.concatenate(([0], (np.arange(n) + self.log_minus_one) % n + 1))
+
+    @functools.cached_property
+    def one_minus_idx(self) -> np.ndarray:
+        """The index of 1 - x = 1 + (-x): adding 1 changes only the constant
+        coefficient, so the code of -x goes up by 1, or down by p - 1 where
+        that coefficient is p - 1."""
+        ng, p = self.neg_idx, self.p
+        step = np.where(self.coeff_rows[ng, 0] == p - 1, 1 - p, 1)
+        return self.code_index[self._codes[ng] + step]
+
+    # --- element objects, each made on first read ----------------------
+
+    def element(self, i: int) -> FieldElement:
+        """The element of enumeration index i."""
+        el = self._elements.get(i)
+        if el is None:
+            coeffs = tuple(self.coeff_rows[i].tolist())
+            el = self._elements[i] = FieldElement(self.q, coeffs, i - 1 if i else None, i)
+        return el
+
+    @property
+    def zero(self) -> FieldElement:
+        return self.element(0)
+
+    @property
+    def one(self) -> FieldElement:
+        return self.element(1)
+
+    @property
+    def generator(self) -> FieldElement:
+        return self.from_coeffs(self.generator_coeffs)
+
+    @functools.cached_property
+    def elements(self) -> list[FieldElement]:
+        """Every element in enumeration order: q objects, for the tests."""
+        return [self.element(i) for i in range(self.q)]
+
+    @functools.cached_property
+    def exp_table(self) -> list[FieldElement]:
+        """g^0 .. g^(n-1): `elements` without zero."""
+        return self.elements[1:]
 
     def from_coeffs(self, coeffs) -> FieldElement:
-        key = tuple(c % self.p for c in coeffs)
+        key = [c % self.p for c in coeffs]
         if len(key) > self.r:
             raise ValueError(f"coefficient vector longer than r = {self.r}")
-        if len(key) < self.r:
-            key = key + (0,) * (self.r - len(key))
-        return self._by_coeffs[key]
+        code = sum(c * self.p**i for i, c in enumerate(key))
+        return self.element(int(self.code_index[code]))
 
     def from_int(self, v: int) -> FieldElement:
         """Residue v in the prime subfield."""
-        return self.from_coeffs((v % self.p,) + (0,) * (self.r - 1))
+        return self.from_coeffs((v,))
 
     def describe(self) -> dict:
-        gen = self.generator
+        gen = self.generator_coeffs
         return {
             "p": self.p,
             "r": self.r,
             "q": self.q,
             "modulus": list(self.params.modulus),
-            "generator": gen.coeffs[0] if self.r == 1 else list(gen.coeffs),
+            "generator": gen[0] if self.r == 1 else list(gen),
             "characters": self.n,
         }
 

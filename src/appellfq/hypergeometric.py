@@ -135,7 +135,7 @@ def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
     if tab is None:
         n, lm1 = ft.n, ft.log_minus_one
         ar = np.arange(n)
-        l1 = np.array(ft.one_minus_idx[1:], dtype=np.int64) - 1
+        l1 = ft.one_minus_idx[1:] - 1
         tab = ft._caches["point_table"] = (
             np.stack((lm1 + ar - l1, lm1 + l1))[:, :, None], np.concatenate((-l1, -l1)))
     return tab

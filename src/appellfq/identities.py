@@ -34,7 +34,6 @@ linear forms, so no exponent is written twice.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -248,7 +247,7 @@ class BatchContext:
     `intv` are `_OneHot`. The verifier tests the counts for zero without
     reducing them, and reduces only a failing binding's row; `table`
     reduces every row; both by `_Ring.reduce_rows`. `of` keeps
-    one context a field, so `om`, `ng` and `_vectors` are built once.
+    one context a field; `om`, `ng` and `sub` read the field's tables.
     """
 
     def __init__(self, ft: FieldTable):
@@ -266,29 +265,19 @@ class BatchContext:
             ft._caches[key] = cls(ft, *args)
         return ft._caches[key]
 
-    @functools.cached_property
+    @property
     def om(self) -> np.ndarray:
-        return np.array(self.ft.one_minus_idx, dtype=np.int64)
+        return self.ft.one_minus_idx
 
-    @functools.cached_property
+    @property
     def ng(self) -> np.ndarray:
-        return np.array(self.ft.neg_idx, dtype=np.int64)
-
-    @functools.cached_property
-    def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (q, r) coefficient vectors of the elements, the base-p place
-        values, and the index of each vector by its base-p number."""
-        ft = self.ft
-        coeffs = np.array([el.coeffs for el in ft.elements], dtype=np.int64)
-        place = ft.p ** np.arange(ft.r)
-        index = np.empty(ft.q, dtype=np.int64)
-        index[coeffs @ place] = np.arange(ft.q)
-        return coeffs, place, index
+        return self.ft.neg_idx
 
     def sub(self, i, j):
         """x_i - x_j by coefficient vectors, O(r) per binding."""
-        coeffs, place, index = self._vectors
-        return index[_mod(coeffs[i] - coeffs[j], self.ft.p) @ place]
+        ft = self.ft
+        rows = ft.coeff_rows
+        return ft.code_index[_mod(rows[i] - rows[j], ft.p) @ ft.place]
 
     def div(self, i, j):
         if np.any(np.asarray(j) == 0):

@@ -23,12 +23,12 @@ The numeric path evaluates bindings as int64 columns, a chunk at a time:
 the records of an exhaustive check, and the draws of sampled mode, made
 with the stream vectorized in numpy uint64. It calls each compiled side
 once a chunk on an `identities.BatchContext`, whose values are unreduced
-zeta-power counts, and decides every binding by the same zero test. A
-failing binding's report values are its counts reduced by one checked
-int64 division (`_Ring.reduce_rows`), so a passing check reduces
-nothing. Counts or keys that could pass int64 are refused with a
-ValueError naming q, in both modes, and an exhaustive check of more than
-`_EXHAUSTIVE_CASES` bindings is refused before any work.
+zeta-power counts, and decides every binding by the same zero test. The
+report values of a chunk's failing bindings are their counts, reduced by
+one checked int64 division a side (`_Ring.reduce_rows`), so a passing
+check reduces nothing. Counts or keys that could pass int64 are refused
+with a ValueError naming q, in both modes, and an exhaustive check of
+more than `_EXHAUSTIVE_CASES` bindings is refused before any work.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing, and it is
 the only condition a binding is checked for.
@@ -46,7 +46,6 @@ import numpy as np
 from .characters import _mod
 from .cyclotomic import CycInt, _ring
 from .fields import FieldTable
-from .hypergeometric import _reduced
 from .identities import BatchContext, FormContext, IdentityCase, get_identity, registry
 
 _U64 = (1 << 64) - 1
@@ -147,9 +146,10 @@ def _scan(entry, ft, chunks, cap):
     entry per binding.
 
     A binding fails where the counts of lhs - rhs are not zero in
-    Z[zeta_n] (`_Ring.vanishes`). The records hold the sides' counts
-    reduced by `hypergeometric._reduced`. A chunk where the mass of lhs -
-    rhs times 2^omega(n) could reach 2^63 raises ValueError naming q.
+    Z[zeta_n] (`_Ring.vanishes`). The records hold the sides' counts of
+    a chunk's failing bindings, reduced by one `_Ring.reduce_rows` a side
+    (`_values`). A chunk where the mass of lhs - rhs times 2^omega(n)
+    could reach 2^63 raises ValueError naming q.
     """
     q, n, names = ft.q, ft.n, (*entry.chars, *entry.elems)
     ring, batch = _ring(n), BatchContext.of(ft)
@@ -159,9 +159,11 @@ def _scan(entry, ft, chunks, cap):
         diff = lhs - rhs
         _check_zero_test(q, diff.mass, ring)
         unequal = np.broadcast_to(~ring.vanishes(diff.a), len(cols[0]))
-        for r in np.flatnonzero(unequal)[:cap - len(cex)]:
+        rows = np.flatnonzero(unequal)[:cap - len(cex)]
+        values = zip(_values(lhs.a, rows, ring), _values(rhs.a, rows, ring))
+        for r, (lv, rv) in zip(rows.tolist(), values):
             cex.append({"binding": dict(zip(names, (int(c[r]) for c in cols))),
-                        "lhs": _value(lhs.a, r, n), "rhs": _value(rhs.a, r, n)})
+                        "lhs": lv, "rhs": rv})
         if len(cex) >= cap:
             break
     return cex
@@ -177,9 +179,15 @@ def _check_zero_test(q: int, mass: int, ring) -> None:
                          f"the int64 limit 2^63 - 1")
 
 
-def _value(a: np.ndarray, r: int, n: int) -> CycInt:
-    """Row r of counts `a` (a single row stands for every row), reduced."""
-    return _reduced(n, a[min(r, len(a) - 1):])
+def _values(a: np.ndarray, rows: np.ndarray, ring) -> list[CycInt]:
+    """Rows `rows` of counts `a` (a single row stands for every row),
+    reduced by one `_Ring.reduce_rows` with the largest sum |count| among
+    them as the mass: its bound holds iff each row's own bound does."""
+    if not len(rows):
+        return []
+    a = a[np.minimum(rows, len(a) - 1)]
+    mass = int(np.abs(a).sum(axis=1).max())
+    return [CycInt(ring.n, v) for v in ring.reduce_rows(a, mass).tolist()]
 
 
 def _scan_range(entry, ft, cols):
@@ -242,8 +250,9 @@ def _unequal(diff, rows: int, ring):
 
 def _nonzero(key, c, ring):
     """The counts c summed by key, row * n + j, in key order, of the rows
-    whose counts over j are not zero in Z[zeta_n], zero-tested a block of
-    rows at a time."""
+    whose counts over j are not zero in Z[zeta_n]. A row of one nonzero
+    count c zeta^j is never zero; the rows of two or more are zero-tested a
+    block of rows at a time."""
     n, order = ring.n, np.argsort(key)
     key, c = key[order], c[order]
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))[:len(key)]
@@ -252,13 +261,20 @@ def _nonzero(key, c, ring):
     if not len(key):
         return key, sums
     row = key // n
-    rid = np.cumsum(np.concatenate(([True], row[1:] != row[:-1]))) - 1
-    rows = int(rid[-1]) + 1
-    keep, block = np.zeros(rows, dtype=bool), max(1, _CHUNK_CELLS // n)
+    starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+    size = np.diff(np.append(starts, len(key)))  # nonzero counts a row
+    rid = np.repeat(np.arange(len(starts)), size)
+    keep, multi = size == 1, size > 1
+    # the cells of the rows of two or more counts, by their rank among them
+    dense = multi[rid]
+    mid, mkey, msums = (np.cumsum(multi) - 1)[rid[dense]], key[dense], sums[dense]
+    rows, block = int(multi.sum()), max(1, _CHUNK_CELLS // n)
+    bad = np.zeros(rows, dtype=bool)
     for lo in range(0, rows, block):
-        s, e = np.searchsorted(rid, (lo, lo + block))
-        keep[lo:lo + block] = _failing(rid[s:e] - lo, _mod(key[s:e], n), sums[s:e],
-                                       min(block, rows - lo), ring)
+        s, e = np.searchsorted(mid, (lo, lo + block))
+        bad[lo:lo + block] = _failing(mid[s:e] - lo, _mod(mkey[s:e], n), msums[s:e],
+                                      min(block, rows - lo), ring)
+    keep[multi] = bad
     keep = keep[rid]
     return key[keep], sums[keep]
 

@@ -14,17 +14,54 @@ gathers the few terms that survive (`characters._slope_index`).
 
 `_CounterStream` is the scalar word stream of the sampler, one word and
 one draw at a time, which `verifier._draws` computes in columns.
+
+`field_tables` is the field's construction as a Python loop, one
+polynomial product a power of the generator, with a dict by coefficient
+vector for the tables of 1 - x and -x, which `fields.FieldTable` builds
+by doubling in numpy.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from appellfq.cyclotomic import CycInt, cyc_zero, root_of_unity
-from appellfq.fields import FieldTable
+from appellfq.fields import FieldTable, _find_modulus, _poly_mulmod
 from appellfq.verifier import _GOLDEN, _U64, _splitmix64
+
+
+def field_tables(p: int, r: int):
+    """(modulus, generator, rows, one_minus, neg, log_minus_one) of F_{p^r}:
+    the coefficient tuples in enumeration order (0, then g^0 .. g^(q-2)),
+    the indices of 1 - x and -x, and log(-1).
+
+    The generator is the first nonzero tuple in coefficient order whose
+    powers, taken one `_poly_mulmod` at a time until they return to 1,
+    number q - 1; those powers are the rows.
+    """
+    q, one = p**r, (1,) + (0,) * (r - 1)
+    modulus = _find_modulus(p, r)
+    for gen in itertools.product(range(p), repeat=r):
+        if not any(gen):
+            continue
+        powers, cur = [one], list(one)
+        while True:
+            cur = _poly_mulmod(cur, list(gen), modulus, p)
+            cur = cur + [0] * (r - len(cur))
+            if tuple(cur) == one:
+                break
+            powers.append(tuple(cur))
+        if len(powers) == q - 1:
+            break
+    rows = [(0,) * r] + powers
+    by_coeffs = {c: i for i, c in enumerate(rows)}
+    assert len(by_coeffs) == q
+    one_minus = [by_coeffs[tuple((o - c) % p for o, c in zip(one, el))] for el in rows]
+    neg = [by_coeffs[tuple(-c % p for c in el)] for el in rows]
+    return modulus, gen, rows, one_minus, neg, neg[1] - 1
 
 
 class _CounterStream:
@@ -53,7 +90,7 @@ def _jacobi_counts(ft: FieldTable, a: int, b: int, shift: int = 0) -> list[int]:
     """Root-of-unity weights of sum_u zeta^(a*log u + b*log(1-u) + shift)."""
     n = ft.n
     counts = [0] * n
-    om = ft.one_minus_idx
+    om = ft.one_minus_idx.tolist()
     for u in range(1, ft.q):  # u != 0
         v = om[u]
         if v == 0:  # u = 1 contributes B(0) = 0
@@ -88,7 +125,7 @@ def f21_point_idx(ft: FieldTable, a, b, c, xi):
 def _f21_point_counts(ft: FieldTable, a, b, c, xi) -> list[int]:
     """The root-of-unity weights of the 2F1 point sum, for xi != 0."""
     n = ft.n
-    om = ft.one_minus_idx
+    om = ft.one_minus_idx.tolist()
     pref = ((b + c) * ft.log_minus_one) % n
     e2 = (c - b) % n
     e3 = (-a) % n
@@ -116,7 +153,7 @@ def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
 def _f1_point_counts(ft: FieldTable, a, b, bp, c, xi, yi) -> list[int]:
     """The root-of-unity weights of the F1 point sum, for xi, yi != 0."""
     n = ft.n
-    om = ft.one_minus_idx
+    om = ft.one_minus_idx.tolist()
     pref = ((a + c) * ft.log_minus_one) % n
     e2 = (c - a) % n
     e3 = (-b) % n
@@ -188,8 +225,8 @@ class EvalContext:
         self.n = ft.n
         self.q = ft.q
         self.qm1 = ft.q - 1
-        self.om = ft.one_minus_idx
-        self.ng = ft.neg_idx
+        self.om = ft.one_minus_idx.tolist()
+        self.ng = ft.neg_idx.tolist()
         self.lm1 = ft.log_minus_one
         self.zero = cyc_zero(ft.n)
         self.roots = all_roots(ft.n)  # filled on first read
@@ -203,8 +240,8 @@ class EvalContext:
     # element ops on enumeration indices
     def sub(self, i, j):
         """x_i - x_j by coefficient vectors over F_p."""
-        els = self.ft.elements
-        diff = [a - b for a, b in zip(els[i].coeffs, els[j].coeffs)]
+        x, y = self.ft.element(i), self.ft.element(j)
+        diff = [a - b for a, b in zip(x.coeffs, y.coeffs)]
         return self.ft.from_coeffs(diff).index
 
     def div(self, i, j):

@@ -1,14 +1,18 @@
 """Field construction and its tables, against polynomial arithmetic over
 F_p mod the field's modulus written here."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from appellfq import build_field, is_prime, prime_power_decompose
-from appellfq.fields import DEFAULT_TABLE_CAP, _find_modulus
+import scalar_reference as ref
+from appellfq import build_field, get_identity, is_prime, prime_power_decompose, verify
+from appellfq.cli import main
+from appellfq.fields import DEFAULT_TABLE_CAP, FieldElement, FieldTable, _find_modulus, factorize
 from appellfq.identities import BatchContext
+from appellfq.verifier import mutated_case
 
 SMALL_QS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -255,3 +259,84 @@ def test_describe():
 
 def test_table_cap_default():
     assert DEFAULT_TABLE_CAP == 1 << 16
+
+
+def _prime_powers(lo, hi):
+    return [prime_power_decompose(q) for q in range(lo, hi) if len(factorize(q)) == 1]
+
+
+def _assert_reference_tables(p, r):
+    modulus, gen, rows, one_minus, neg, lm1 = ref.field_tables(p, r)
+    ft = build_field(p, r)
+    assert ft.params.modulus == modulus
+    assert ft.generator_coeffs == gen
+    assert ft.coeff_rows.tolist() == [list(c) for c in rows]
+    assert ft.one_minus_idx.tolist() == one_minus
+    assert ft.neg_idx.tolist() == neg
+    assert ft.log_minus_one == lm1
+
+
+@pytest.mark.filterwarnings("ignore:q = 2 is degenerate")
+def test_tables_match_the_python_construction():
+    # the doubling build against one polynomial product a power, at every
+    # prime power q < 1100
+    for p, r in _prime_powers(2, 1100):
+        _assert_reference_tables(p, r)
+
+
+@pytest.mark.slow
+def test_tables_match_the_python_construction_to_3000_and_at_the_cap():
+    for p, r in _prime_powers(1100, 3000) + [(2, 16), (3, 10), (65521, 1)]:
+        _assert_reference_tables(p, r)
+
+
+def test_tables_are_built_on_first_read():
+    ft = build_field(3, 2)
+    assert not {"coeff_rows", "code_index", "one_minus_idx", "neg_idx"} & set(vars(ft))
+    assert ft.describe()["generator"] == list(ft.generator_coeffs)
+    assert "coeff_rows" not in vars(ft)
+    assert ft.element(4) is ft.element(4) is ft.exp_table[3]
+
+
+def test_distinct_codes_are_checked():
+    ft = build_field(7, 1)
+    ft.generator_coeffs = (2,)  # order 3, not a generator: powers repeat
+    with pytest.raises(RuntimeError, match="generator order"):
+        ft.one_minus_idx
+
+
+def test_commands_never_make_every_element(monkeypatch, capsys):
+    # a sampled and an exhaustive verify, a failing one with its records,
+    # `table` and `eval` read the field's tables, and make no more element
+    # objects than they parse
+    made = []
+    init = FieldElement.__init__
+
+    def counted(self, *args):
+        made.append(args[-1])
+        init(self, *args)
+
+    def refused(self):
+        raise AssertionError("every element made")
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    for name in ("elements", "exp_table"):
+        monkeypatch.setattr(FieldTable, name, property(refused))
+    for argv in (
+        ["verify", "--all", "--sampled", "--samples", "20", "-q", "25"],
+        ["verify", "--all", "--exhaustive", "-q", "5"],
+        ["table", "f21", "-q", "7"],
+        ["eval", "f21", "-q", "101", "-A", "1", "-B", "2", "-C", "4", "-x", "2"],
+        ["eval", "f1", "-q", "9", "-A", "1", "-B", "2", "-Bp", "3", "-C", "4",
+         "-x", "v:0,1", "-y", "5"],
+    ):
+        made.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert len(made) <= 2, argv
+    made.clear()
+    ft = build_field(7, 1)
+    entry = get_identity("thm4.1")
+    lhs, rhs = mutated_case(entry)
+    assert verify(dataclasses.replace(entry, lhs=lhs, rhs=rhs), ft).counterexamples
+    assert not made

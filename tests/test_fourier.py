@@ -12,7 +12,8 @@ the check to the numeric walk, which evaluates every binding:
   affordable, every failing seeded sample of a mutant lies on a flagged
   element tuple, and every registered id passes both checks;
 - a constant in a character exponent is refused, and each int64 bound of
-  the check is admitted at its limit and refused one step past it.
+  the check is admitted at its limit and refused one step past it;
+- a row of a single nonzero count is flagged without the dense zero test.
 """
 
 import dataclasses
@@ -168,3 +169,17 @@ def test_the_product_bound_is_checked_at_its_limit(monkeypatch):
     [rep] = V.verify_all(ft, ids=["prop2.1-b"])
     assert rep.error == "ValueError: q = 5: a product of term lists would hold 9 " \
                         "cells, past the limit of 8"
+
+
+def test_single_count_rows_skip_the_dense_test(monkeypatch):
+    # at n = 16, z^8 = -1: row 1 is 1 + z^8 = 0, row 3 is z + z^2; row 0
+    # holds 2 z^3, and row 2 holds 3 z^7 once z^5 - z^5 cancels
+    tested = []
+    failing = V._failing
+    monkeypatch.setattr(V, "_failing", lambda *a: tested.append(a[3]) or failing(*a))
+    key = np.array([3, 16, 24, 37, 37, 39, 49, 50])
+    c = np.array([2, 1, 1, 1, -1, 3, 1, 1])
+    got_key, got_sums = V._nonzero(key, c, _ring(16))
+    assert got_key.tolist() == [3, 39, 49, 50]
+    assert got_sums.tolist() == [2, 3, 1, 1]
+    assert tested == [2]  # rows 1 and 3 alone, in one block
