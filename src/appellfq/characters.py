@@ -140,9 +140,11 @@ def _counts(n: int, pairs, keep=True) -> np.ndarray:
     the exponents sum c row over its `pairs` (c, row) where `keep`.
 
     A kernel hands its form, the coefficient of each exponent row (a
-    character or an int column) with the row, and its mask, to a sink; the
-    verifier's exhaustive check passes a sink that keeps the form whole
-    (`identities.FormContext`), so no exponent is written twice.
+    character or an int column) with the row, and its mask, to a sink.
+    Every side's evaluation passes `identities.BatchContext._terms`, which
+    keeps the form whole, so no exponent is written twice; this default
+    serves the public single values (`binom`, the four sums of
+    `hypergeometric`) and the benchmark's kernel timings.
     """
     (c, row), *rest = pairs
     e = _col(c) * row
@@ -194,9 +196,7 @@ class _BinomRow(dict):
         self.ft, self.a = ft, a
 
     def __missing__(self, b: int) -> CycInt:
-        ft = self.ft  # mass q - 2: a count of 1 for each u outside {0, 1}
-        counts = binom_idx(ft, self.a, b)
-        v = self[b] = CycInt(ft.n, _ring(ft.n).reduce_rows(counts, ft.q - 2)[0].tolist())
+        v = self[b] = _ring(self.ft.n).cycints(binom_idx(self.ft, self.a, b))[0]
         return v
 
 

@@ -321,8 +321,9 @@ def _cmd_table(args) -> int:
 def _table_chunks(kind: str, ft: FieldTable):
     """The text of a table, `verifier._step(q)` lines at a time, in
     lexicographic order of its parameters: each chunk's columns decoded
-    from its line numbers, its values evaluated once on a `BatchContext`
-    and reduced by one checked int64 division (`_Ring.reduce_rows`), and
+    from its line numbers, its values evaluated once on a `BatchContext`,
+    counted (`Terms.counts`) and reduced by one checked int64 division
+    (`_Ring.reduce_rows`), and
     each line gathered from `_line_tokens`, built again at twice the
     radius when a chunk holds a larger |field|: sized by what is written.
 
@@ -340,8 +341,8 @@ def _table_chunks(kind: str, ft: FieldTable):
     ring, c, radius, step = _ring(ft.n), BatchContext.of(ft), 0, _step(ft.q)
     for lo in range(0, total, step):
         cols = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
-        counts = value(c, *cols)
-        values = ring.reduce_rows(counts.a, counts.mass)
+        terms = value(c, *cols)
+        values = ring.reduce_rows(terms.counts(), terms.mass)
         # each line's fields in order, and its coefficient 0 again
         fields = np.column_stack((*cols, values, values[:, 0]))
         if (need := int(np.abs(fields).max()) + 1) > radius:

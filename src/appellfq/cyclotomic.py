@@ -174,6 +174,13 @@ class _Ring:
             t[k - phi:k] += col * t[k]
         return t[:phi].T
 
+    def cycints(self, a: np.ndarray) -> list[CycInt]:
+        """Each row of (S, n) int64 counts as a `CycInt`, by one
+        `reduce_rows` whose mass is the largest sum |count| of a row: its
+        bound holds iff each row's own bound does."""
+        mass = int(np.abs(a).sum(axis=1).max(initial=0))
+        return [CycInt(self.n, v) for v in self.reduce_rows(a, mass).tolist()]
+
     @functools.cached_property
     def row_max(self) -> int:
         """max |coefficient| of z^j reduced over 0 <= j < n, keeping one row.

@@ -7,10 +7,12 @@ character; "~" below means character inversion):
     F1(A;B,B';C;x,y)  = eps(xy) (AC)(-1) sum_u A(u) (A~C)(1-u) B~(1-ux) B'~(1-uy)
 
 The point sums above are the canonical Theta(q) evaluators
-(`f21_point_idx`, `f1_point_idx`). One `np.bincount` over u gives the
-(S, n) zeta-power counts of S bindings given as int64 columns (an int
-stands for every row), unreduced: the kernel of `identities.BatchContext`
-and of the f21/f1 `table`. The public functions reduce its one row to a
+(`f21_point_idx`, `f1_point_idx`). Each kernel hands the linear form of
+its exponents over u to a sink: `identities.BatchContext` keeps it as
+terms, for the verifier and the f21/f1 `table`, and the default
+(`characters._counts`), one `np.bincount` over u, gives the (S, n)
+zeta-power counts of S bindings given as int64 columns (an int stands for
+every row), unreduced. The public functions reduce its one row to a
 `CycInt` by one checked int64 division (`_reduced`). Every kernel is
 u-major: bindings are (1, S) rows (`_col`) and the u, or binomial pairs,
 (m, 1) columns, so each numpy pass over the (m, S) exponents runs along
@@ -189,10 +191,8 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi, sink=_counts):
 
 
 def _reduced(n: int, counts: np.ndarray) -> CycInt:
-    """Row 0 of int64 counts as a `CycInt`, by one checked int64 division
-    (`_Ring.reduce_rows`), with the row's sum |count| as its mass."""
-    row = counts[:1]
-    return CycInt(n, _ring(n).reduce_rows(row, int(np.abs(row).sum()))[0].tolist())
+    """Row 0 of int64 counts as a `CycInt` (`_Ring.cycints`)."""
+    return _ring(n).cycints(counts[:1])[0]
 
 
 # ----------------------------------------------------------------------

@@ -21,15 +21,19 @@ replaced by `new`, compiled the same way.
 
 A binding holds character exponents first, then element enumeration
 indices, in the order of `chars` + `elems`, each an int64 column with one
-entry per binding (or an int that stands for every row). A compiled side
-returns the values of a whole chunk of bindings as `Counts`, so it is
-written without Python branches on its bindings. `BatchContext` is the
-one evaluator, of the verifier and of `table`; the tests keep a scalar
-`CycInt` evaluator of the same sides as their reference. The exhaustive
-check calls the same sides once more on `FormContext`, a `BatchContext`
-whose characters are linear forms, for their coefficients as functions
-of the characters (`Terms`): the kernels hand either context their
-linear forms, so no exponent is written twice.
+entry per binding (or an int that stands for every row). At fixed
+elements a side is a finite sum of terms c zeta^j psi_v(chi) over the
+character tuples chi, psi_v(chi) = zeta^<v, chi>, and a compiled side
+returns that sum for a whole chunk of bindings as `Terms`, so it is
+written without Python branches on its bindings. `BatchContext(ft,
+width)` is the one evaluator. At width 0 (the verifier's sampled scan and
+records, and `table`) the characters are int columns, folded into j, and
+`Terms.counts` gives each binding's zeta-power counts; at width k (the
+exhaustive check) the characters are the k unit `Form`s, and the terms
+are the side's coefficients as a function of the characters. The kernels
+hand their linear forms to the context's sink at every width, so no
+exponent is written twice. The tests keep a scalar `CycInt` evaluator of
+the same sides as their reference.
 """
 
 from __future__ import annotations
@@ -54,10 +58,9 @@ from .hypergeometric import (
 
 
 # ----------------------------------------------------------------------
-# The sums over characters of Sections 2 and 4 other than f21/f1, as
-# (S, n) zeta-power counts of int64 columns (an int stands for every
-# row), by the gather of `hypergeometric.f21_charsum_idx`, u-major as the
-# kernels there; each hands its linear form to `sink` as they do.
+# The sums over characters of Sections 2 and 4 other than f21/f1, of
+# int64 columns (an int stands for every row), by the gather of
+# `hypergeometric.f21_charsum_idx`, u-major and with a `sink` as there.
 # ----------------------------------------------------------------------
 
 def power_sum_counts(ft: FieldTable, step, sink=_counts):
@@ -96,249 +99,9 @@ def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis, sink=_counts):
     return sink(n, [(X, m1[i]), *zip(coeffs, L)], ok & (i >= 0) & (t != 0))
 
 
-class Counts:
-    """S values of Z[zeta_n] as an (S, n) int64 array `a` of unreduced
-    zeta-power counts; a (1, n) array stands for one value in every row,
-    and `_OneHot` holds k zeta^j a row as the columns (k, j) instead.
-
-    `mass` is a Python-int bound on sum |count| in any row, carried through
-    every operation. int64 arithmetic is exact modulo 2^64 and these are
-    ring operations, so a result known from `mass` to stay below 2^63 is
-    exact even if an intermediate wrapped: the counts themselves while
-    mass < 2^63, the verifier's zero test while mass * 2^omega(n) is, and
-    the reduced coefficients while mass * `_Ring.row_max` is. Two dense
-    factors are multiplied by one float64 FFT, which is exact under the
-    bound `_convolve` checks (with mass(u) mass(v) < 2^52).
-    """
-
-    __slots__ = ("a", "mass")
-    __array_ufunc__ = None  # a numpy column defers to the reflected operators
-
-    def __init__(self, a: np.ndarray, mass: int):
-        self.a, self.mass = a, mass
-
-    def __add__(self, other):
-        if not isinstance(other, Counts):
-            other = _const(self.a.shape[1], other)
-        return Counts(self.a + other.a, self.mass + other.mass)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Counts(-self.a, self.mass)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        """A cyclic convolution by Counts, or a scale by an int or by an int
-        column (one factor per row)."""
-        if isinstance(other, Counts):
-            return _convolve(self, other)
-        k, mass = _scale(other)
-        return Counts(self.a * k, self.mass * mass)
-
-    __rmul__ = __mul__
-
-
-class _OneHot(Counts):
-    """k zeta^j in each row, from int64 columns k and j, (S, 1) or (1, 1)
-    for every row, j in [0, n): a character value (`sign`, `cp`) or an int
-    (`intv`), times ints and int columns. `mass` bounds max |k|.
-
-    By another such factor the k's multiply and the j's add mod n; by an
-    int or a column the k's scale; by dense counts b, a row is the gather
-    k b[(m - j) mod n], its index made per chunk (an (n, n) table of
-    rotations takes 2 GB at n = 16380), also for a dense left factor, as
-    Python calls a subclass's reflected operator first. `a` is built only
-    where it is read.
-    """
-
-    __slots__ = ("k", "j", "n")
-
-    def __init__(self, k, j, n: int, mass: int):
-        self.k = np.asarray(k, dtype=np.int64).reshape(-1, 1)
-        self.j = np.asarray(j, dtype=np.int64).reshape(-1, 1)
-        self.n, self.mass = n, mass
-
-    @property
-    def a(self) -> np.ndarray:
-        rows = np.broadcast_shapes(self.k.shape, self.j.shape)[0]
-        a = np.zeros((rows, self.n), dtype=np.int64)
-        a[np.arange(rows)[:, None], self.j] = self.k
-        return a
-
-    def __mul__(self, other):
-        n = self.n
-        if isinstance(other, _OneHot):
-            return _OneHot(self.k * other.k, _mod(self.j + other.j, n), n,
-                           self.mass * other.mass)
-        if isinstance(other, Counts):
-            b = other.a
-            m = _mod(np.arange(n) - self.j, n) + n * np.arange(len(b))[:, None]
-            return Counts(self.k * b.ravel()[m], self.mass * other.mass)
-        k, mass = _scale(other)
-        return _OneHot(self.k * k, self.j, n, self.mass * mass)
-
-    __rmul__ = __mul__
-
-
-def _scale(v) -> tuple:
-    """An int, or an int column as (S, 1), and the bound on its |v|."""
-    if isinstance(v, np.ndarray) and v.ndim:
-        return v.reshape(-1, 1), int(np.abs(v).max(initial=0))
-    return int(v), abs(int(v))
-
-
-def _const(n: int, v) -> Counts:
-    """v zeta^0 in each row, for an int or an int column v."""
-    return _OneHot(v, 0, n, int(np.abs(v).max(initial=0)))
-
-
-def _norms(c: Counts) -> np.ndarray:
-    """||row||_2 of each row, from an exact sum of squares (in Python ints
-    once mass^2 could pass 2^63)."""
-    a = c.a if c.mass < 2**31 else c.a.astype(object)
-    return np.sqrt((a * a).sum(axis=1).astype(np.float64))
-
-
-def _convolve(u: Counts, v: Counts) -> Counts:
-    """Row-wise product in Z[C_n], out[m] = sum_j u[j] v[m - j], by one
-    float64 FFT product, rounded: the product of two dense factors (a
-    `_OneHot` factor is gathered instead).
-
-    That is exact while every output is an integer float64 holds and its
-    rounding error stays below 1/2. For a radix-2 FFT the error is at most
-    about 13 log2(n) 2^-53 ||u||_2 ||v||_2 (Percival, Math. Comp. 72,
-    2003; Brent and Zimmermann, Modern Computer Arithmetic, 2010, section
-    3.3); c = 64 per log2(n) + 1 leaves room for pocketfft's mixed radices
-    and Bluestein's FFTs of length >= 2n - 1. So unless mass(u) mass(v) <
-    2^52 and max over rows ||u||_2 ||v||_2 2^-53 c (log2(n) + 1) < 1/4,
-    the product is refused with a ValueError before any FFT runs. Binomial
-    rows have ||.||_2 <= q - 2, so the registry's one such product,
-    binomial times binomial, stays below 3e-5 at n = 16380.
-    """
-    a, b = u.a, v.a
-    n, mass = a.shape[1], u.mass * v.mass
-    bound = (_norms(u) * _norms(v)).max(initial=0) * 2.0**-53 * 64 * (math.log2(n) + 1)
-    if mass >= 2**52 or bound >= 0.25:
-        raise ValueError(f"an FFT product at n = {n} is exact only while mass < 2^52 and "
-                         f"max ||u|| ||v|| 2^-53 64 (log2 n + 1) < 1/4: here mass "
-                         f"{mass}, bound {bound:.3g}")
-    f = np.fft.rfft(a, axis=1) * np.fft.rfft(b, axis=1)
-    return Counts(np.rint(np.fft.irfft(f, n, axis=1)).astype(np.int64), mass)
-
-
-class BatchContext:
-    """The helpers a compiled side calls, over columns of bindings: the one
-    evaluator of the verifier and of `table`.
-
-    Element arguments are enumeration indices (0 is the zero element,
-    index i > 0 has discrete log i - 1); characters are exponents mod q-1.
-    Each argument is an int64 column with one entry per binding, or an int
-    that stands for every row, and each value is `Counts`, so a compiled
-    side evaluates a whole chunk of bindings in one call. The point sums
-    and the five sums over characters (f21, f1, theta, binthm, power_sum)
-    are the column kernels, wrapped in `Counts` with a bound on their mass
-    (a point sum counts the q - 2 u outside {0, 1}); `sign`, `cp` and
-    `intv` are `_OneHot`. The verifier tests the counts for zero without
-    reducing them, and reduces only a failing binding's row; `table`
-    reduces every row; both by `_Ring.reduce_rows`. `of` keeps
-    one context a field; `om`, `ng` and `sub` read the field's tables.
-    """
-
-    def __init__(self, ft: FieldTable):
-        self.ft = ft
-        self.n = ft.n
-        self.q = ft.q
-        self.qm1 = ft.q - 1
-        self.lm1 = ft.log_minus_one
-
-    @classmethod
-    def of(cls, ft: FieldTable, *args) -> BatchContext:
-        """The context of `ft` (and `args`), made once and kept in its caches."""
-        key = (cls.__name__, *args)
-        if key not in ft._caches:
-            ft._caches[key] = cls(ft, *args)
-        return ft._caches[key]
-
-    @property
-    def om(self) -> np.ndarray:
-        return self.ft.one_minus_idx
-
-    @property
-    def ng(self) -> np.ndarray:
-        return self.ft.neg_idx
-
-    def sub(self, i, j):
-        """x_i - x_j by coefficient vectors, O(r) per binding."""
-        ft = self.ft
-        rows = ft.coeff_rows
-        return ft.code_index[_mod(rows[i] - rows[j], ft.p) @ ft.place]
-
-    def div(self, i, j):
-        if np.any(np.asarray(j) == 0):
-            raise ZeroDivisionError("inverse of 0 in F_q")
-        return np.where(np.asarray(i) == 0, 0, _mod(np.asarray(i - j), self.n) + 1)
-
-    def eps(self, i):
-        return (np.asarray(i) != 0).astype(np.int64)
-
-    def delta(self, i):
-        return (np.asarray(i) == 0).astype(np.int64)
-
-    def dchar(self, e):
-        return (_mod(np.asarray(e), self.n) == 0).astype(np.int64)
-
-    def _sum(self, kernel, mass, *args):
-        """A kernel's counts at `args`, as `Counts` whose rows `mass` bounds."""
-        return Counts(kernel(self.ft, *args), mass)
-
-    def _one(self, pairs, keep=1):
-        """keep zeta^e with e = sum c row over `pairs`: a character value."""
-        return _OneHot(keep, _mod(sum(c * row for c, row in pairs), self.n), self.n, 1)
-
-    def sign(self, e):
-        return self._one([(e, self.lm1)])
-
-    def cp(self, *pairs):
-        keep = np.logical_and.reduce([np.asarray(i) != 0 for _, i in pairs])
-        return self._one([(e, i - 1) for e, i in pairs], keep)
-
-    def intv(self, v):
-        return _const(self.n, v)
-
-    def binom(self, i, j):
-        return self._sum(binom_idx, self.q - 2, i, j)
-
-    def f21(self, a, b, c, x):
-        return self._sum(f21_point_idx, self.q - 2, a, b, c, x)
-
-    def f1(self, a, b, bp, c, x, y):
-        return self._sum(f1_point_idx, self.q - 2, a, b, bp, c, x, y)
-
-    def f21_sum(self, a, b, c, x):
-        return self._sum(f21_charsum_idx, self.q - 2, a, b, c, x) * self.n
-
-    def f1_sum(self, a, b, bp, c, x, y):
-        return self._sum(f1_charsum_idx, self.q - 2, a, b, bp, c, x, y) * (self.n * self.n)
-
-    def power_sum(self, step):
-        return self._sum(power_sum_counts, self.n, step)
-
-    def binthm(self, A, x):
-        return self._sum(binthm_counts, 1, A, x) * self.n
-
-    def theta(self, t, X, coeffs, k, *xis):
-        return self._sum(theta_counts, self.n, t, X, coeffs, k, *xis) * self.n
-
-
 class Form:
-    """A character of `FormContext`: the linear form sum v_i chi_i in the
-    characters chi_i of a binding, held as its int coefficients v.
+    """A character at width k (`BatchContext`): the linear form
+    sum v_i chi_i in the characters chi_i of a binding, held as its int v.
 
     Forms add, negate and scale by ints, and the int 0 passed as a
     character is the trivial one. A constant added to a form, chi_(A+1),
@@ -379,9 +142,9 @@ class Form:
 
 # the most (term, element tuple) cells a product of two `Terms` may hold:
 # with the difference of the sides, its keys and their sort, a cell takes
-# about 260 bytes at the check's peak (tracemalloc), so 2^19 cells bound it
-# at about 135 MB; prop2.1-b's binomial times binomial, (q - 2)^2 cells,
-# is refused from q = 727 on
+# about 260 bytes at the exhaustive check's peak (tracemalloc), so 2^19
+# cells bound it at about 135 MB; prop2.1-b's binomial times binomial,
+# (q - 2)^2 cells, is refused there from q = 727 on
 _PRODUCT_CELLS = 1 << 19
 
 
@@ -393,48 +156,62 @@ def _check_product(n: int, cells: int) -> None:
 
 
 class Terms:
-    """A side as a function of the characters, over S element tuples: the
-    sum over its terms of c zeta^j psi_v(chi) / n^den, psi_v(chi) =
-    zeta^<v, chi>, as one int64 array `t` of (width + 2, terms, S), or
-    (width + 2, terms, 1) for every tuple: the rows of v (one a
-    character), then j, then c. Exponents are not reduced mod n. `mass`
-    bounds sum |c| over the terms of one tuple, as `Counts.mass` bounds a
-    row; `den` counts the `dchar` factors, whose value (1/n) sum_k
-    psi_(k f) is the one fraction a side holds.
+    """S values as functions of the characters chi of a binding: the sum
+    over terms of c zeta^j psi_v(chi) / n^den, psi_v(chi) = zeta^<v, chi>,
+    as int64 arrays: the exponent rows `e` (width + 1, terms, S), the v_i
+    then j, and the coefficients `c` (terms, S); a last axis of 1 stands
+    for every tuple. Exponents are not reduced mod n. At width 0 the
+    characters are ints folded into j, and `counts` gives the zeta-power
+    counts; `den` counts the `dchar` factors of a form, whose value
+    (1/n) sum_k psi_(k f) is the one fraction a side holds.
+
+    `mass` is a Python-int bound on sum |c| over the terms of one tuple,
+    carried through every operation, so no |c| passes it. These are ring
+    operations, exact modulo 2^64 in int64, so a result that `mass` keeps
+    below 2^63 is exact: the zero test while mass * 2^omega(n) is, and the
+    reduced coefficients while mass * `_Ring.row_max` is. `counts` and the
+    FFT product (`_convolve`) check their own float64 bounds.
     """
 
-    __slots__ = ("n", "t", "mass", "den")
+    __slots__ = ("n", "e", "c", "mass", "den")
     __array_ufunc__ = None  # a numpy column defers to the reflected operators
 
-    def __init__(self, n: int, t: np.ndarray, mass: int, den: int = 0):
-        self.n, self.t, self.mass, self.den = n, t, mass, den
+    def __init__(self, n: int, e: np.ndarray, c: np.ndarray, mass: int, den: int = 0):
+        self.n, self.e, self.c, self.mass, self.den = n, e, c, mass, den
+
+    def counts(self) -> np.ndarray:
+        """The (S, n) int64 zeta-power counts of a width-0 value (one row if
+        neither array has a column per tuple) by one weighted `np.bincount`,
+        exact in float64 below mass 2^53; past it refused first, naming q."""
+        n = self.n
+        if self.mass >= 2**53:
+            raise ValueError(f"q = {n + 1}: counts of mass {self.mass} are exact in "
+                             f"float64 only below 2^53")
+        (j,), c = self.e, self.c
+        rows = j.shape[1] if c.shape[1] == 1 else c.shape[1]
+        at = _mod(j, n) + n * np.arange(rows)
+        w = np.empty(at.shape)  # the float64 weights, c broadcast into them
+        w[...] = c
+        return np.bincount(at.ravel(), w.ravel(), rows * n).astype(np.int64).reshape(rows, n)
 
     def _over(self, den: int) -> Terms:
         """The same value over n^den."""
+        if den == self.den:
+            return self
         k = self.n ** (den - self.den)
-        return self._scaled(k, self.mass * k, den)
-
-    def _scaled(self, k, mass: int, den: int) -> Terms:
-        """c times k (an int or a (1, S) column), with `mass` and `den`."""
-        t = self.t
-        if np.ndim(k) or k != 1:
-            c = t[-1:] * k
-            t = np.concatenate((_wide(t[:-1], c.shape[2]), c))
-        return Terms(self.n, t, mass, den)
+        return Terms(self.n, self.e, self.c * k, self.mass * k, den)
 
     def __add__(self, other):
         if not isinstance(other, Terms):
-            other = _constant(self.n, len(self.t) - 2, other)
+            other = _constant(self.n, len(self.e) - 1, other)
         den = max(self.den, other.den)
         a, b = self._over(den), other._over(den)
-        cols = max(a.t.shape[2], b.t.shape[2])
-        t = np.concatenate((_wide(a.t, cols), _wide(b.t, cols)), axis=1)
-        return Terms(self.n, t, a.mass + b.mass, den)
+        return Terms(self.n, _join(a.e, b.e, 1), _join(a.c, b.c, 0), a.mass + b.mass, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._scaled(-1, self.mass, self.den)
+        return Terms(self.n, self.e, -self.c, self.mass, self.den)
 
     def __sub__(self, other):
         return self + -other
@@ -443,91 +220,214 @@ class Terms:
         return -self + other
 
     def __mul__(self, other):
-        """Every term by every term of `other`, or each tuple's terms scaled
-        by an int or by an int column (one factor per element tuple)."""
+        """Every term by every term of `other` (one FFT of the counts for two
+        numeric factors of more than one term each), or the coefficients
+        scaled by an int or by an int column (one factor per tuple)."""
         if isinstance(other, Terms):
+            if len(self.e) == len(other.e) == 1 and min(len(self.c), len(other.c)) > 1:
+                return _convolve(self, other)
             return _product(self, other)
-        k = _col(other) if np.ndim(other) else int(other)
-        return self._scaled(k, self.mass * int(np.max(np.abs(other), initial=0)), self.den)
+        k = _col(other) if isinstance(other, np.ndarray) else int(other)
+        return Terms(self.n, self.e, self.c * k, self.mass * _bound(other), self.den)
 
     __rmul__ = __mul__
 
 
-def _wide(t: np.ndarray, cols: int) -> np.ndarray:
-    """Rows of terms for one tuple, (rows, terms, 1), as `cols` tuples."""
-    return t if t.shape[2] == cols else np.broadcast_to(t, (*t.shape[:2], cols))
+def _join(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """x and y joined along `axis`, one tuple broadcast to the other's
+    tuples (the last axis) only where the two differ."""
+    if x.shape[-1] != y.shape[-1]:
+        cols = x.shape[-1] if y.shape[-1] == 1 else y.shape[-1]
+        x, y = (np.broadcast_to(t, (*t.shape[:-1], cols)) for t in (x, y))
+    return np.concatenate((x, y), axis=axis)
+
+
+def _bound(v) -> int:
+    """max |v| for an int or an int column v."""
+    return int(np.abs(v).max(initial=0)) if isinstance(v, np.ndarray) else abs(int(v))
 
 
 def _constant(n: int, width: int, v) -> Terms:
     """v zeta^0 psi_0 for each tuple, for an int or an int column v."""
-    c = _col(v)
-    t = np.zeros((width + 2, 1, c.shape[1]), dtype=np.int64)
-    t[-1] = c
-    return Terms(n, t, int(np.max(np.abs(v), initial=0)))
+    return Terms(n, np.zeros((width + 1, 1, 1), dtype=np.int64), _col(v), _bound(v))
 
 
 def _product(a: Terms, b: Terms) -> Terms:
     """The m1 m2 terms of two term lists; refused past `_PRODUCT_CELLS`."""
-    (size, m1, s1), (_, m2, s2) = a.t.shape, b.t.shape
-    cols = max(s1, s2)
-    _check_product(a.n, m1 * m2 * cols)
-    t = np.empty((size, m1, m2, cols), dtype=np.int64)
-    t[:-1] = a.t[:-1, :, None] + b.t[:-1, None]
-    t[-1] = a.t[-1, :, None] * b.t[-1, None]
-    return Terms(a.n, t.reshape(size, m1 * m2, cols), a.mass * b.mass, a.den + b.den)
+    m1, m2 = len(a.c), len(b.c)
+    _check_product(a.n, m1 * m2 * max(a.e.shape[2], a.c.shape[1], b.e.shape[2], b.c.shape[1]))
+    e = a.e[:, :, None] + b.e[:, None]
+    c = a.c[:, None] * b.c[None]
+    return Terms(a.n, e.reshape(len(e), m1 * m2, e.shape[3]), c.reshape(m1 * m2, c.shape[2]),
+                 a.mass * b.mass, a.den + b.den)
 
 
-class FormContext(BatchContext):
-    """`BatchContext` with each character a `Form`: a compiled side, called
-    once on a chunk of element tuples, returns `Terms`, its coefficients as
-    a function of the `width` characters of a binding (`chars`, the unit
-    forms). The element helpers (sub, div, om, ng, eps, delta) stay
-    numeric columns, and every sum is the kernel's linear form, kept whole
-    by the sink `_terms` instead of bincounted, with the multiplicities
-    and masses of `BatchContext`.
+def _norms(a: np.ndarray, mass: int) -> np.ndarray:
+    """||row||_2 of each row of counts whose sum |count| `mass` bounds, from
+    an exact sum of squares (in Python ints once mass^2 could pass 2^63)."""
+    a = a if mass < 2**31 else a.astype(object)
+    return np.sqrt((a * a).sum(axis=1).astype(np.float64))
+
+
+def _convolve(u: Terms, v: Terms) -> Terms:
+    """Two numeric factors of more than one term each multiplied as counts,
+    out[m] = sum_j u[j] v[m - j], by one float64 FFT product, rounded.
+
+    That is exact while every output is an integer float64 holds and its
+    rounding error stays below 1/2. For a radix-2 FFT the error is at most
+    about 13 log2(n) 2^-53 ||u||_2 ||v||_2 (Percival, Math. Comp. 72,
+    2003; Brent and Zimmermann, Modern Computer Arithmetic, 2010, section
+    3.3); c = 64 per log2(n) + 1 leaves room for pocketfft's mixed radices
+    and Bluestein's FFTs of length >= 2n - 1. So unless mass(u) mass(v) <
+    2^52 and max over rows ||u||_2 ||v||_2 2^-53 c (log2(n) + 1) < 1/4,
+    the product is refused with a ValueError before any FFT runs. Binomial
+    rows have ||.||_2 <= q - 2, so the registry's one such product,
+    binomial times binomial, stays below 3e-5 at n = 16380.
+    """
+    a, b = u.counts(), v.counts()
+    n, mass = u.n, u.mass * v.mass
+    bound = ((_norms(a, u.mass) * _norms(b, v.mass)).max(initial=0)
+             * 2.0**-53 * 64 * (math.log2(n) + 1))
+    if mass >= 2**52 or bound >= 0.25:
+        raise ValueError(f"an FFT product at n = {n} is exact only while mass < 2^52 and "
+                         f"max ||u|| ||v|| 2^-53 64 (log2 n + 1) < 1/4: here mass "
+                         f"{mass}, bound {bound:.3g}")
+    f = np.fft.rfft(a, axis=1) * np.fft.rfft(b, axis=1)
+    out = np.rint(np.fft.irfft(f, n, axis=1)).astype(np.int64)
+    return Terms(n, np.arange(n).reshape(1, n, 1), out.T, mass)
+
+
+class BatchContext:
+    """The helpers a compiled side calls: the package's one evaluator.
+
+    Element arguments are enumeration indices (0 is the zero element,
+    index i > 0 has discrete log i - 1); characters are exponents mod q-1
+    at `width` 0, the numeric evaluation, and the unit `Form`s `chars` at
+    width k, the exhaustive check. Each argument is an int64 column with
+    one entry per binding (per element tuple at width k), or an int for
+    every row, and each value is `Terms`: a chunk in one call. The point
+    sums and the five sums over characters (f21, f1, theta, binthm,
+    power_sum) are the column kernels, whose linear forms the sink
+    `_terms` keeps, with a bound on their mass (a point sum counts the
+    q - 2 u outside {0, 1}); `sign` and `cp` are one term. The element
+    helpers (sub, div, om, ng, eps, delta) are numeric columns at every
+    width; `of` keeps one context a field and width.
     """
 
-    def __init__(self, ft: FieldTable, width: int):
-        super().__init__(ft)
+    def __init__(self, ft: FieldTable, width: int = 0):
+        self.ft = ft
+        self.n = ft.n
+        self.q = ft.q
+        self.qm1 = ft.q - 1
+        self.lm1 = ft.log_minus_one
         self.width = width
         self.chars = tuple(Form(int(i == k) for i in range(width)) for k in range(width))
 
-    def _terms(self, n, pairs, keep=True) -> Terms:
-        """One term, c = 1, per kept entry of a linear form: a `Form`
-        coefficient f adds f_i row to v_i, an int or int column c adds
-        c row to j."""
-        rows = [0] * (self.width + 1) + [keep]
-        for c, row in pairs:
-            if isinstance(c, Form):
-                for i, f in enumerate(c.v):
+    @classmethod
+    def of(cls, ft: FieldTable, width: int = 0) -> BatchContext:
+        """The context of `ft` at `width`, made once and kept in its caches."""
+        key = ("context", width)
+        if key not in ft._caches:
+            ft._caches[key] = cls(ft, width)
+        return ft._caches[key]
+
+    @property
+    def om(self) -> np.ndarray:
+        return self.ft.one_minus_idx
+
+    @property
+    def ng(self) -> np.ndarray:
+        return self.ft.neg_idx
+
+    def sub(self, i, j):
+        """x_i - x_j by coefficient vectors, O(r) per binding."""
+        ft = self.ft
+        rows = ft.coeff_rows
+        return ft.code_index[_mod(rows[i] - rows[j], ft.p) @ ft.place]
+
+    def div(self, i, j):
+        if np.any(np.asarray(j) == 0):
+            raise ZeroDivisionError("inverse of 0 in F_q")
+        return np.where(np.asarray(i) == 0, 0, _mod(np.asarray(i - j), self.n) + 1)
+
+    def eps(self, i):
+        return (np.asarray(i) != 0).astype(np.int64)
+
+    def delta(self, i):
+        return (np.asarray(i) == 0).astype(np.int64)
+
+    def dchar(self, e):
+        """[e trivial]: a 0/1 column, or (1/n) sum_k psi_(k e) for a form e."""
+        if not isinstance(e, Form):
+            return (_mod(np.asarray(e), self.n) == 0).astype(np.int64)
+        terms = self._terms(self.n, [(e, np.arange(self.n)[:, None])])
+        return Terms(self.n, *terms, self.n, 1)
+
+    def _terms(self, n, pairs, keep=True):
+        """The sink of every kernel: one term per entry of its linear form,
+        as the `e` and `c` of `Terms`. A `Form` coefficient f adds f_i row
+        to v_i, an int or int column k adds k row to j; c is the mask
+        `keep`, a (terms, 1) column of ones for an unmasked form."""
+        rows = [0] * (self.width + 1)
+        for k, row in pairs:
+            if isinstance(k, Form):
+                for i, f in enumerate(k.v):
                     if f:
                         rows[i] = rows[i] + f * row
             else:
-                rows[-2] = rows[-2] + _col(c) * row
-        t = np.empty((len(rows), *np.broadcast_shapes((1, 1), *map(np.shape, rows))),
-                     dtype=np.int64)
-        for dst, row in zip(t, rows):
-            dst[...] = row
-        return Terms(n, t, 1)
+                rows[-1] = rows[-1] + _col(k) * row
+        if len(rows) == 1:  # numeric: j alone, a (terms, S) row, viewed
+            e = rows[0][None]
+        else:  # one assignment a row: np.stack of the broadcast rows is slower
+            e = np.empty((len(rows), *np.broadcast_shapes((1, 1), *map(np.shape, rows))),
+                         dtype=np.int64)
+            for dst, row in zip(e, rows):
+                dst[...] = row
+        if keep is True:
+            return e, np.ones((e.shape[1], 1), dtype=np.int64)
+        return e, np.asarray(keep, dtype=np.int64)
 
     def _sum(self, kernel, mass, *args):
-        terms = kernel(self.ft, *args, sink=self._terms)
-        terms.mass = mass
-        return terms
+        """A kernel's terms at `args`, with `mass` bounding sum |c| a tuple."""
+        return Terms(self.n, *kernel(self.ft, *args, sink=self._terms), mass)
 
-    def _one(self, pairs, keep=1):
-        return self._terms(self.n, [(c, _col(row)) for c, row in pairs], _col(keep))
+    def _one(self, pairs, keep=True):
+        """keep zeta^e with e = sum c row over `pairs`: a character value."""
+        return Terms(self.n, *self._terms(self.n, pairs, keep), 1)
+
+    def sign(self, e):
+        return self._one([(e, self.lm1)])
+
+    def cp(self, *pairs):
+        keep = np.logical_and.reduce([np.asarray(i) != 0 for _, i in pairs])
+        return self._one([(e, i - 1) for e, i in pairs], _col(keep))
 
     def intv(self, v):
         return v if isinstance(v, Terms) else _constant(self.n, self.width, v)
 
-    def dchar(self, e):
-        """[e trivial] = (1/n) sum_k psi_(k e) for a form e."""
-        if not isinstance(e, Form):
-            return super().dchar(e)
-        terms = self._terms(self.n, [(e, np.arange(self.n)[:, None])])
-        terms.mass, terms.den = self.n, 1
-        return terms
+    def binom(self, i, j):
+        return self._sum(binom_idx, self.q - 2, i, j)
+
+    def f21(self, a, b, c, x):
+        return self._sum(f21_point_idx, self.q - 2, a, b, c, x)
+
+    def f1(self, a, b, bp, c, x, y):
+        return self._sum(f1_point_idx, self.q - 2, a, b, bp, c, x, y)
+
+    def f21_sum(self, a, b, c, x):
+        return self._sum(f21_charsum_idx, self.q - 2, a, b, c, x) * self.n
+
+    def f1_sum(self, a, b, bp, c, x, y):
+        return self._sum(f1_charsum_idx, self.q - 2, a, b, bp, c, x, y) * (self.n * self.n)
+
+    def power_sum(self, step):
+        return self._sum(power_sum_counts, self.n, step)
+
+    def binthm(self, A, x):
+        return self._sum(binthm_counts, 1, A, x) * self.n
+
+    def theta(self, t, X, coeffs, k, *xis):
+        return self._sum(theta_counts, self.n, t, X, coeffs, k, *xis) * self.n
 
 
 # perfbench/child.py, kernels.py and spans.py build and wrap the context by this name

@@ -6,29 +6,32 @@ mode draws bindings from a counter-based splitmix64 stream so that
 sample i depends only on (seed, i). Both modes therefore produce
 identical reports for identical inputs.
 
-Both modes run in one process. Exhaustive mode checks by Fourier
-coefficients (`_failing_elements`): at fixed elements each side is a sum
-of terms c zeta^j psi_v(chi) over the character tuples chi, psi_v(chi) =
-zeta^<v, chi>, and by orthogonality of characters lhs = rhs at every chi
-iff the two sides' psi_v coefficients agree in Z[zeta_n]. Each side is
-evaluated once a chunk of element tuples on `identities.FormContext`,
-whose characters are linear forms, and each (element tuple, v) row of the
-terms of lhs - rhs is zero-tested by `cyclotomic._Ring.vanishes`, which
-needs no reduction. If no element tuple fails, the report is the whole
-domain's, with no records. Where one fails, the same test with the first
-characters fixed finds its failing bindings, prefix by prefix in domain
-order (`_search`), and the first `cap` of them are the records.
+Both modes run in one process, and both call each compiled side once
+a chunk on one `identities.BatchContext`, whose values are `Terms`: at
+fixed elements each side is a sum of terms c zeta^j psi_v(chi) over the
+character tuples chi, psi_v(chi) = zeta^<v, chi>.
 
-The numeric path evaluates bindings as int64 columns, a chunk at a time:
-the records of an exhaustive check, and the draws of sampled mode, made
-with the stream vectorized in numpy uint64. It calls each compiled side
-once a chunk on an `identities.BatchContext`, whose values are unreduced
-zeta-power counts, and decides every binding by the same zero test. The
-report values of a chunk's failing bindings are their counts, reduced by
-one checked int64 division a side (`_Ring.reduce_rows`), so a passing
-check reduces nothing. Counts or keys that could pass int64 are refused
-with a ValueError naming q, in both modes, and an exhaustive check of
-more than `_EXHAUSTIVE_CASES` bindings is refused before any work.
+Exhaustive mode checks by Fourier coefficients (`_failing_elements`): by
+orthogonality of characters lhs = rhs at every chi iff the two sides'
+psi_v coefficients agree in Z[zeta_n]. Each side is evaluated once a
+chunk of element tuples at the width of its characters, and each
+(element tuple, v) row of the terms of lhs - rhs is zero-tested by
+`cyclotomic._Ring.vanishes`, which needs no reduction. If no element
+tuple fails, the report is the whole domain's, with no records. Where one
+fails, the same test with the first characters fixed finds its failing
+bindings, prefix by prefix in domain order (`_search`), and the first
+`cap` of them are the records.
+
+The numeric scan (`_scan`) evaluates bindings as int64 columns at width
+0, a chunk at a time: the records of an exhaustive check, and the draws
+of sampled mode, made with the stream vectorized in numpy uint64. It
+decides every binding by the same zero test of the counts of lhs - rhs
+(`Terms.counts`). The report values of a chunk's failing bindings are
+their sides' counts, reduced by one checked int64 division a side
+(`_Ring.cycints`), so a passing check reduces nothing. Counts or keys
+that could pass their exact range are refused with a ValueError naming
+q, in both modes, and an exhaustive check of more than
+`_EXHAUSTIVE_CASES` bindings is refused before any work.
 
 Comparison is exact equality in Z[zeta_{q-1}] after clearing, and it is
 the only condition a binding is checked for.
@@ -44,9 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import _mod
-from .cyclotomic import CycInt, _ring
+from .cyclotomic import _ring
 from .fields import FieldTable
-from .identities import BatchContext, FormContext, IdentityCase, get_identity, registry
+from .identities import BatchContext, IdentityCase, get_identity, registry
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -145,11 +148,11 @@ def _scan(entry, ft, chunks, cap):
     `chunks` yields, a chunk at a time, as tuples of int64 columns, one
     entry per binding.
 
-    A binding fails where the counts of lhs - rhs are not zero in
-    Z[zeta_n] (`_Ring.vanishes`). The records hold the sides' counts of
-    a chunk's failing bindings, reduced by one `_Ring.reduce_rows` a side
-    (`_values`). A chunk where the mass of lhs - rhs times 2^omega(n)
-    could reach 2^63 raises ValueError naming q.
+    A binding fails where the counts of lhs - rhs (`Terms.counts`) are
+    not zero in Z[zeta_n] (`_Ring.vanishes`). The records hold the sides'
+    counts of a chunk's failing bindings, counted only in such a chunk and
+    reduced by one `_Ring.cycints` a side. A chunk where the mass of
+    lhs - rhs times 2^omega(n) could reach 2^63 raises ValueError naming q.
     """
     q, n, names = ft.q, ft.n, (*entry.chars, *entry.elems)
     ring, batch = _ring(n), BatchContext.of(ft)
@@ -158,10 +161,14 @@ def _scan(entry, ft, chunks, cap):
         lhs, rhs = entry.lhs(batch, cols), entry.rhs(batch, cols)
         diff = lhs - rhs
         _check_zero_test(q, diff.mass, ring)
-        unequal = np.broadcast_to(~ring.vanishes(diff.a), len(cols[0]))
+        size = len(cols[0])
+        unequal = np.broadcast_to(~ring.vanishes(diff.counts()), size)
         rows = np.flatnonzero(unequal)[:cap - len(cex)]
-        values = zip(_values(lhs.a, rows, ring), _values(rhs.a, rows, ring))
-        for r, (lv, rv) in zip(rows.tolist(), values):
+        if not len(rows):
+            continue
+        values = (ring.cycints(np.broadcast_to(side.counts(), (size, n))[rows])
+                  for side in (lhs, rhs))
+        for r, lv, rv in zip(rows.tolist(), *values):
             cex.append({"binding": dict(zip(names, (int(c[r]) for c in cols))),
                         "lhs": lv, "rhs": rv})
         if len(cex) >= cap:
@@ -177,17 +184,6 @@ def _check_zero_test(q: int, mass: int, ring) -> None:
     if bound >= 2**63:
         raise ValueError(f"q = {q}: the zero test can reach {bound}, past "
                          f"the int64 limit 2^63 - 1")
-
-
-def _values(a: np.ndarray, rows: np.ndarray, ring) -> list[CycInt]:
-    """Rows `rows` of counts `a` (a single row stands for every row),
-    reduced by one `_Ring.reduce_rows` with the largest sum |count| among
-    them as the mass: its bound holds iff each row's own bound does."""
-    if not len(rows):
-        return []
-    a = a[np.minimum(rows, len(a) - 1)]
-    mass = int(np.abs(a).sum(axis=1).max())
-    return [CycInt(ring.n, v) for v in ring.reduce_rows(a, mass).tolist()]
 
 
 def _scan_range(entry, ft, cols):
@@ -212,15 +208,16 @@ def _failing_elements(entry, ft, domains):
     index of its first tuple and the cells of those that fail, where lhs !=
     rhs at some character tuple (see the module docstring).
 
-    Each side is called once a chunk on `FormContext` for its terms
-    (`identities.Terms`); the terms of lhs - rhs are summed by the key
-    (element tuple, v, j), v and j mod n, and each (element tuple, v) row
-    of counts over j is zero-tested (`_unequal`): exact equality at all
-    n^k character tuples at once. The key and the zero test are refused
-    where they could pass int64 (`_check_key`, `_check_zero_test`).
+    Each side is called once a chunk on the `BatchContext` of width k, its
+    k characters, for its terms (`identities.Terms`); the terms of
+    lhs - rhs are summed by the key (element tuple, v, j), v and j mod n,
+    and each (element tuple, v) row of counts over j is zero-tested
+    (`_unequal`): exact equality at all n^k character tuples at once. The
+    key and the zero test are refused where they could pass int64
+    (`_check_key`, `_check_zero_test`).
     """
     q, n, width = ft.q, ft.n, len(entry.chars)
-    ctx, ring = FormContext.of(ft, width), _ring(n)
+    ctx, ring = BatchContext.of(ft, width), _ring(n)
     doms = [np.asarray(d, dtype=np.int64) for d in domains[width:]]
     shape = [len(d) for d in doms]
     # half a numeric chunk: both sides' terms, and their difference, are
@@ -239,13 +236,13 @@ def _unequal(diff, rows: int, ring):
     """The cells of the terms `diff` of `rows` element tuples, summed by the
     key (element tuple, v, j), in the (element tuple, v) rows that are not
     zero in Z[zeta_n] (`_nonzero`): none if every tuple passes."""
-    n, t = ring.n, diff.t
-    t = np.broadcast_to(t, (*t.shape[:2], rows))
-    kept = t[-1] != 0
-    digits = _mod(t[:-1, kept], n)  # (width + 1, kept terms)
+    n, (size, terms, _) = ring.n, diff.e.shape
+    e, c = np.broadcast_to(diff.e, (size, terms, rows)), np.broadcast_to(diff.c, (terms, rows))
+    kept = c != 0
+    digits = _mod(e[:, kept], n)  # (width + 1, kept terms)
     place = n ** np.arange(len(digits) - 1, -1, -1)
     key = np.nonzero(kept)[1] * n ** len(digits) + place @ digits
-    return _nonzero(key, t[-1, kept], ring)
+    return _nonzero(key, c[kept], ring)
 
 
 def _nonzero(key, c, ring):

@@ -155,7 +155,7 @@ def _literal_check(ident, ft, sample=None):
         rng = np.random.default_rng(ft.q)
         bindings = [bindings[i] for i in rng.choice(len(bindings), sample, replace=False)]
     cols = tuple(np.array(col, dtype=np.int64) for col in zip(*bindings))
-    got = np.broadcast_to(entry.lhs(BatchContext(ft), cols).a, (len(bindings), ft.n))
+    got = np.broadcast_to(entry.lhs(BatchContext(ft), cols).counts(), (len(bindings), ft.n))
     literal = EvalContext(ft)
     bad = []
     for binding, row in zip(bindings, got.tolist()):

@@ -1,8 +1,9 @@
 """Batched evaluation (`identities.BatchContext`) against the scalar sides.
 
 The verifier decides every binding on chunks of unreduced zeta-power
-counts, and reports a failing binding's counts reduced, so every value in
-a report comes from `BatchContext`, the package's one evaluator. A wrong
+counts (`Terms.counts`), and reports a failing binding's counts reduced,
+so every value in a report comes from `BatchContext`, the package's one
+evaluator. A wrong
 batch value would reach a report, or hide a counterexample, unseen, so
 these tests compare values, not only pass or fail: every row of every
 side of every entry (lhs, rhs and the documented mutant), reduced, must
@@ -24,7 +25,7 @@ from appellfq.characters import Character, _mod
 from appellfq.cyclotomic import CycInt, _ring, cyc_zero, root_of_unity
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import f1_point_idx, f21_point_idx
-from appellfq.identities import BatchContext, Counts, _OneHot, _const, _convolve, _norms
+from appellfq.identities import BatchContext, Terms, _constant, _convolve, _norms
 from appellfq.verifier import (
     _decode,
     _entry_domains,
@@ -70,7 +71,7 @@ def test_batch_values_equal_scalar_values(q):
         bindings = list(zip(*(c.tolist() for c in cols)))
         for side, fn in (("lhs", entry.lhs), ("rhs", entry.rhs),
                          ("mutant", entry.mutation.fn)):
-            got = np.broadcast_to(fn(batch, cols).a, (count, ft.n)) @ rows
+            got = np.broadcast_to(fn(batch, cols).counts(), (count, ft.n)) @ rows
             for row, binding in zip(got.tolist(), bindings):
                 want = fn(ctx, binding).coeffs
                 assert tuple(row) == want, (entry.id, side, binding)
@@ -159,12 +160,12 @@ def test_sums_over_characters_equal_oracle(q):
         a, x = rng.integers(-2 * n, 2 * n, 200), rng.integers(0, q, 200)
         x[:2] = 0, 1
         step = rng.integers(-2 * n, 2 * n, 50)
-    got = np.broadcast_to(batch.binthm(a, x).a, (len(a), n)) @ rows
+    got = np.broadcast_to(batch.binthm(a, x).counts(), (len(a), n)) @ rows
     for row, ai, xi in zip(got.tolist(), a.tolist(), x.tolist()):
         want = _binthm_oracle(ft, ai, xi)
         assert ctx.binthm(ai, xi) == want, (ai, xi)
         assert tuple(row) == want.coeffs, (ai, xi)
-    got = np.broadcast_to(batch.power_sum(step).a, (len(step), n)) @ rows
+    got = np.broadcast_to(batch.power_sum(step).counts(), (len(step), n)) @ rows
     for row, k in zip(got.tolist(), step.tolist()):
         want = _power_sum_oracle(ft, k)
         assert ctx.power_sum(k) == want, k
@@ -229,18 +230,23 @@ def test_int64_bound_is_checked_and_names_q():
         verify(huge, ft)
     with pytest.raises(ValueError, match=r"q = 5: .*int64"):
         verify(huge, ft, mode="sampled", sample_count=20)
-    # and 48 * 2^57 < 2^63
-    assert verify(_scaled(base, base.rhs, 2**57, "fits"), ft).passed
-    # inside the bound a mutant fails at the same bindings, with its
-    # reported values scaled exactly
+    # and 48 * 2^57 < 2^63 for the exhaustive check's int64 sums; the
+    # numeric scan's counts are float64 sums, exact only while the mass is
+    # below 2^53, so there 24 * 2^57 is refused
+    fits = _scaled(base, base.rhs, 2**57, "fits")
+    assert verify(fits, ft).passed
+    with pytest.raises(ValueError, match=r"q = 5: counts of mass \d+ .* below 2\^53"):
+        verify(fits, ft, mode="sampled", sample_count=20)
+    # inside the bound (24 * 2^48 < 2^53) a mutant fails at the same
+    # bindings, with its reported values scaled exactly
     kw = dict(mode="sampled", sample_count=300, seed=4, max_counterexamples=10**6)
     want = verify(_scaled(base, base.mutation.fn, 1, "mutant"), ft, **kw)
-    got = verify(_scaled(base, base.mutation.fn, 2**57, "mutant"), ft, **kw)
+    got = verify(_scaled(base, base.mutation.fn, 2**48, "mutant"), ft, **kw)
     assert want.counterexamples
     assert [ce["binding"] for ce in got.counterexamples] == [
         ce["binding"] for ce in want.counterexamples]
     for g, w in zip(got.counterexamples, want.counterexamples):
-        assert (g["lhs"], g["rhs"]) == (w["lhs"] * 2**57, w["rhs"] * 2**57)
+        assert (g["lhs"], g["rhs"]) == (w["lhs"] * 2**48, w["rhs"] * 2**48)
 
 
 def test_passing_verify_never_reduces(monkeypatch):
@@ -302,50 +308,45 @@ def test_find_counterexample_stops_at_its_first_chunk():
     calls = []
 
     def counted(c, b):
-        # the last parameter, t, is an element: a column in both contexts
-        calls.append((type(c).__name__, len(b[-1])))
+        # the last parameter, t, is an element: a column at every width
+        calls.append((c.width, len(b[-1])))
         return lhs(c, b)
 
-    # the Fourier check of the 648 element tuples, one chunk, and the
-    # search over its character prefixes find the first failing binding,
-    # the one binding evaluated numerically, for its record
+    # the Fourier check of the 648 element tuples, one chunk at the width
+    # of the 4 characters, and the search over its character prefixes find
+    # the first failing binding, the one binding evaluated numerically
+    # (width 0), for its record
     assert find_counterexample(entry, ft, lhs=counted, rhs=rhs) == (0, 0, 0, 1, 2, 2, 2)
-    assert calls == [("FormContext", 648), ("BatchContext", 1)]
+    assert calls == [(4, 648), (0, 1)]
     # a verify is the same search at its cap, and still reports the domain
     mutant = dataclasses.replace(entry, lhs=counted, rhs=rhs)
     calls.clear()
     rep = verify(mutant, ft, max_counterexamples=1)
-    assert calls == [("FormContext", 648), ("BatchContext", 1)]
+    assert calls == [(4, 648), (0, 1)]
     assert len(rep.counterexamples) == 1
     assert rep.cases == entry.domain_size(ft)
     calls.clear()
     rep = verify(mutant, ft, mode="sampled", sample_count=10**5, max_counterexamples=3)
     assert len(rep.counterexamples) == 3 and rep.cases == 10**5
-    assert {name for name, _ in calls} == {"BatchContext"}
+    assert {width for width, _ in calls} == {0}
     assert sum(size for _, size in calls) < 10**5
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_mass_bounds_every_row(q, monkeypatch):
-    """`mass` bounds sum |count| in every row of every `Counts` a verify
-    builds, and |k| of every `_OneHot` factor k zeta^j (with j reduced mod
-    n), as the zero test's int64 bound and `_convolve`'s FFT bound trust."""
+    """`mass` bounds sum |c| over the terms of each tuple of every `Terms` a
+    verify builds, numeric (width 0) and with forms, as the zero tests'
+    int64 bounds, `counts`' float64 bound and `_convolve`'s FFT bound
+    trust."""
     ft = _field(q)
-    init, onehot_init, seen = Counts.__init__, _OneHot.__init__, []
+    init, seen = Terms.__init__, []
 
-    def checked(self, a, mass):
-        assert np.abs(a).sum(axis=1).max(initial=0) <= mass, (a, mass)
-        seen.append(mass)
-        init(self, a, mass)
+    def checked(self, n, e, c, mass, den=0):
+        assert np.abs(c).sum(axis=0).max(initial=0) <= mass, (c, mass)
+        seen.append((len(e) - 1, mass))
+        init(self, n, e, c, mass, den)
 
-    def checked_onehot(self, k, j, n, mass):
-        onehot_init(self, k, j, n, mass)
-        assert np.abs(self.k).max(initial=0) <= mass, (self.k, mass)
-        assert ((0 <= self.j) & (self.j < n)).all(), self.j
-        seen.append(mass)
-
-    monkeypatch.setattr(Counts, "__init__", checked)
-    monkeypatch.setattr(_OneHot, "__init__", checked_onehot)
+    monkeypatch.setattr(Terms, "__init__", checked)
     kw = (dict(max_counterexamples=10**6) if q <= 5 else
           dict(mode="sampled", sample_count=300, seed=q, max_counterexamples=10**6))
     for entry in registry():
@@ -353,9 +354,12 @@ def test_mass_bounds_every_row(q, monkeypatch):
             continue  # sampled mode refuses an empty domain
         for case in (entry, _mutant(entry.id)):
             verify(case, ft, **kw)
-    # one-hot factors and wider ones were both built (at q = 2, where
-    # q - 2 = 0, every point sum is 0)
-    assert min(seen) <= 1 < max(seen)
+    # one-term values and wider ones were both built (at q = 2, where
+    # q - 2 = 0, every point sum is 0), numeric ones in both modes, and
+    # ones with forms by the exhaustive check
+    widths, masses = zip(*seen)
+    assert min(masses) <= 1 < max(masses)
+    assert 0 in widths and (q > 5 or max(widths) > 0)
 
 
 def _convolve_reference(a, b):
@@ -367,13 +371,29 @@ def _convolve_reference(a, b):
             for r in range(rows)]
 
 
+def _dense(a, mass=None):
+    """Rows of counts a as numeric `Terms`: n terms, j = 0 .. n-1, a row,
+    with their largest sum |count| as the mass unless `mass` is given."""
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[1]
+    if mass is None:
+        mass = int(np.abs(a).sum(axis=1).max(initial=0))
+    return Terms(n, np.arange(n).reshape(1, n, 1), a.T, mass)
+
+
+def _one_term(n, k, j, mass):
+    """k zeta^j a row, for int columns (or ints) k and j: one term."""
+    return Terms(n, np.asarray(j, dtype=np.int64).reshape(1, 1, -1),
+                 np.asarray(k, dtype=np.int64).reshape(1, -1), mass)
+
+
 def _one_hot(rng, rows, n):
     """Rows +-zeta^j or 0, with each kind present once rows >= 3."""
     a = np.zeros((rows, n), dtype=np.int64)
     k = rng.choice([1, -1, 0], rows)
     k[:3] = [1, -1, 0][:rows]
     a[np.arange(rows), rng.integers(0, n, rows)] = k
-    return Counts(a, 1)
+    return _dense(a, 1)
 
 
 # 7, 31 and 127 are prime: there pocketfft runs Bluestein's algorithm
@@ -383,12 +403,13 @@ def test_convolve_equals_reference(n):
 
     def wide(rows):
         a = rng.integers(-50, 50, (rows, n))
-        return Counts(a, int(np.abs(a).sum(axis=1).max(initial=0)) + 2)
+        return _dense(a, int(np.abs(a).sum(axis=1).max(initial=0)) + 2)
 
     for rows in (0, 1, 6):
         # dense one-hot rows on either side and of either height, a full
-        # one, both one-hot, and neither: `_convolve` takes every pair to
-        # the FFT (a `_OneHot` factor is gathered before it is reached)
+        # one, both one-hot, neither, and a constant: `_convolve` takes
+        # every pair to the FFT (a one-term factor is a term product
+        # before it is reached)
         for u, v in [(_one_hot(rng, rows, n), wide(rows)),
                      (wide(rows), _one_hot(rng, rows, n)),
                      (_one_hot(rng, 1, n), wide(rows)),
@@ -399,63 +420,67 @@ def test_convolve_equals_reference(n):
                      (_one_hot(rng, 1, n), _one_hot(rng, rows, n)),
                      (wide(rows), wide(rows)),
                      (wide(1), wide(rows)),
-                     (_const(n, 0), wide(rows)),
-                     (wide(rows), _const(n, rng.integers(-1, 2, rows)))]:
+                     (_constant(n, 0, 0), wide(rows)),
+                     (wide(rows), _constant(n, 0, rng.integers(-1, 2, rows)))]:
             got = _convolve(u, v)
-            assert got.a.dtype == np.int64 and got.mass == u.mass * v.mass
-            assert got.a.tolist() == _convolve_reference(u.a, v.a), (u.a, v.a)
+            assert len(got.c) == n and got.mass == u.mass * v.mass
+            a, b = u.counts(), v.counts()
+            assert got.counts().tolist() == _convolve_reference(a, b), (a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 100])
 def test_onehot_times_dense_is_the_rotation(n, monkeypatch):
-    """k zeta^j times dense counts, for every j and k in -2 .. 2, on either
-    side, as S rows, one row or none against S rows, one row or none: a
-    gather, with no FFT."""
+    """k zeta^j, one term, times dense counts, for every j and k in -2 .. 2,
+    on either side, as S rows, one row or none against S rows, one row or
+    none: the term product, with no FFT."""
     monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: pytest.fail("an FFT ran"))
     rng = np.random.default_rng(n)
     k, j = (g.ravel() for g in np.meshgrid(np.arange(-2, 3), np.arange(n)))
     rows = len(k)
-    dense = [Counts(rng.integers(-50, 50, (h, n)), 50 * n) for h in (rows, 1, 0)]
-    pairs = [(_OneHot(k, j, n, 2), dense[0]), (_OneHot(k, j, n, 2), dense[1]),
-             (_OneHot(k[:0], j[:0], n, 2), dense[1]), (_OneHot(1, 0, n, 1), dense[2])]
-    pairs += [(_OneHot(ki, ji, n, abs(ki)), dense[0]) for ki, ji in zip(k, j)]
+    dense = [_dense(rng.integers(-50, 50, (h, n)), 50 * n) for h in (rows, 1, 0)]
+    pairs = [(_one_term(n, k, j, 2), dense[0]), (_one_term(n, k, j, 2), dense[1]),
+             (_one_term(n, k[:0], j[:0], 2), dense[1]), (_one_term(n, 1, 0, 1), dense[2])]
+    pairs += [(_one_term(n, ki, ji, abs(ki)), dense[0]) for ki, ji in zip(k, j)]
     for u, v in pairs:
-        want = _roll_sum(u.a, v.a)
+        want = _roll_sum(u.counts(), v.counts())
         if n <= 7:
-            assert want.tolist() == _convolve_reference(u.a, v.a)
+            assert want.tolist() == _convolve_reference(u.counts(), v.counts())
         for got in (u * v, v * u):
-            assert type(got) is Counts and got.mass == u.mass * v.mass
-            assert got.a.dtype == np.int64 and np.array_equal(got.a, want)
+            assert len(got.c) == n and got.mass == u.mass * v.mass
+            counts = got.counts()
+            assert counts.dtype == np.int64 and np.array_equal(counts, want)
 
 
 def test_onehot_products_and_dense_form():
-    """`sign` and `cp` are `_OneHot` factors whose dense `a` is the bincount
-    of their exponents that they replace; a product of two, or of one by
-    an int or an int column, stays one."""
+    """`sign` and `cp` are one term, whose counts are the bincount of their
+    exponents; a product of two, or of one by an int or an int column,
+    stays one term."""
     c = BatchContext(_field(25))
     n, rng = c.n, np.random.default_rng(25)
     e = np.concatenate([rng.integers(-10**12, 10**12, 40), [0, -1, n, -n, 10**15]])
     i = rng.integers(0, c.q, len(e))  # enumeration indices, 0 included
     i[:3] = 0
 
-    def bincount(t, keep):  # the former one-hot form: one bincount of t mod n
+    def bincount(t, keep):  # one bincount of t mod n
         idx = (t % n + n * np.arange(len(t)))[keep]
         return np.bincount(idx, minlength=len(t) * n).reshape(len(t), n)
 
     u, v = c.cp((e, i)), c.sign(e[::-1])
-    assert np.array_equal(u.a, bincount(e * (i - 1), i != 0))
-    assert np.array_equal(v.a, bincount(e[::-1] * c.lm1, np.ones(len(e), dtype=bool)))
-    assert np.array_equal(c.sign(3).a, bincount(np.array([3 * c.lm1]), np.array([True])))
+    assert np.array_equal(u.counts(), bincount(e * (i - 1), i != 0))
+    assert np.array_equal(v.counts(), bincount(e[::-1] * c.lm1, np.ones(len(e), dtype=bool)))
+    assert np.array_equal(c.sign(3).counts(),
+                          bincount(np.array([3 * c.lm1]), np.array([True])))
     col = rng.integers(-3, 4, len(e))
+    a = u.counts()
     for got, mass, want in [
-            (u * v, 1, _convolve_reference(u.a, v.a)),
-            (u * c.sign(5), 1, _convolve_reference(u.a, c.sign(5).a)),
-            (u * -3, 3, (u.a * -3).tolist()),
-            (u * col, 3, (u.a * col[:, None]).tolist()),
-            (col * u, 3, (u.a * col[:, None]).tolist()),
-            (c.intv(col) * u, 3, (u.a * col[:, None]).tolist())]:
-        assert type(got) is _OneHot and got.mass == mass
-        assert got.a.tolist() == want
+            (u * v, 1, _convolve_reference(a, v.counts())),
+            (u * c.sign(5), 1, _convolve_reference(a, c.sign(5).counts())),
+            (u * -3, 3, (a * -3).tolist()),
+            (u * col, 3, (a * col[:, None]).tolist()),
+            (col * u, 3, (a * col[:, None]).tolist()),
+            (c.intv(col) * u, 3, (a * col[:, None]).tolist())]:
+        assert len(got.c) == 1 and got.mass == mass
+        assert got.counts().tolist() == want
 
 
 def test_mod_is_the_remainder_at_int64_extremes():
@@ -471,8 +496,8 @@ def test_mod_is_the_remainder_at_int64_extremes():
 def test_onehot_product_at_large_n_keeps_one_row():
     # no (n, n) table of rotations: one product at n = 16380 stays O(n)
     n = 16380
-    b = Counts(np.arange(n, dtype=np.int64)[None, :], n * n)
-    u = _OneHot(-1, 7, n, 1)
+    b = _dense(np.arange(n)[None, :], n * n)
+    u = _one_term(n, -1, 7, 1)
     tracemalloc.start()
     try:
         got = u * b
@@ -480,7 +505,7 @@ def test_onehot_product_at_large_n_keeps_one_row():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    assert np.array_equal(got.a, -np.roll(b.a, 7, axis=1))
+    assert np.array_equal(got.counts(), -np.roll(b.counts(), 7, axis=1))
 
 
 def _roll_sum(a, b):
@@ -500,14 +525,14 @@ def test_fft_product_of_binomials_is_exact_at_large_n(q):
     A, B, C = (rng.integers(0, c.n, 2) for _ in range(3))
     u, v = c.binom(C, A), c.binom(A, B)
     assert u.mass > 1 and v.mass > 1
-    assert np.array_equal(_convolve(u, v).a, _roll_sum(u.a, v.a))
+    assert np.array_equal((u * v).counts(), _roll_sum(u.counts(), v.counts()))
 
 
 def test_fft_bound_refuses_before_any_fft(monkeypatch):
     def row(*entries, mass=None):
         a = np.zeros((1, 8), dtype=np.int64)
         a[0, :len(entries)] = entries
-        return Counts(a, int(np.abs(a).sum()) if mass is None else mass)
+        return _dense(a, mass)
 
     # at n = 8 the bound is ||u|| ||v|| 2^-53 64 (3 + 1) = ||u|| ||v|| 2^-45
     refused = [
@@ -527,23 +552,28 @@ def test_fft_bound_refuses_before_any_fft(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", no_fft)
     for u, v in refused:
         with pytest.raises(ValueError, match=r"FFT product at n = 8 .* < 2\^52 .* < 1/4"):
-            _convolve(u, v)
+            u * v
     monkeypatch.undo()
     for u, v in accepted:
-        got = _convolve(u, v)
-        assert got.a.tolist() == _convolve_reference(u.a, v.a)
+        got = u * v
+        assert got.counts().tolist() == _convolve_reference(u.counts(), v.counts())
         assert got.mass == u.mass * v.mass
     # the norms are exact past int64's squares
-    assert _norms(row(2**40, 3)).tolist() == [float(math.isqrt(2**80 + 9))]
+    a = np.array([[2**40, 3]])
+    assert _norms(a, 2**40 + 3).tolist() == [float(math.isqrt(2**80 + 9))]
 
 
 def test_a_refused_product_is_a_verify_error(monkeypatch):
     # a looser mass bound, 2^26 (q - 2), on each binomial puts prop2.1-b's
     # product past 2^52: the verify reports the bound as its error (in
-    # sampled mode, as an exhaustive one multiplies no counts)
+    # sampled mode, as an exhaustive one multiplies terms, not counts)
     binom = BatchContext.binom
-    monkeypatch.setattr(BatchContext, "binom",
-                        lambda self, i, j: Counts(binom(self, i, j).a, 2**26 * (self.q - 2)))
+
+    def loose(self, i, j):
+        t = binom(self, i, j)
+        return Terms(t.n, t.e, t.c, 2**26 * (self.q - 2))
+
+    monkeypatch.setattr(BatchContext, "binom", loose)
     [rep] = V.verify_all(_field(5), ids=["prop2.1-b"], mode="sampled", sample_count=20)
     assert rep.error.startswith("ValueError: an FFT product at n = 4 is exact only")
     assert not rep.passed
@@ -565,20 +595,29 @@ def test_wide_product_is_two_rfft_and_one_irfft(monkeypatch):
     counted(np.fft, "irfft")
     rng = np.random.default_rng(0)
     for n in (4, 100, 16380):
-        u, v = (Counts(rng.integers(-3, 4, (2, n)), 3 * n) for _ in range(2))
+        u, v = (_dense(rng.integers(-3, 4, (2, n)), 3 * n) for _ in range(2))
         calls.update(dict.fromkeys(calls, 0))
-        _convolve(u, v)
+        u * v
         assert calls == {"roll": 0, "rfft": 2, "irfft": 1}, n
 
 
 def test_const_is_column_zero():
     for n in (1, 4, 24):
-        c = _const(n, 3)
-        assert c.a.tolist() == [[3] + [0] * (n - 1)] and c.mass == 3
-        c = _const(n, np.array([2, -5, 0]))
-        assert c.a.tolist() == [[v] + [0] * (n - 1) for v in (2, -5, 0)]
-        assert c.a.dtype == np.int64 and c.mass == 5
-        assert _const(n, np.array([], dtype=np.int64)).a.shape == (0, n)
+        c = _constant(n, 0, 3)
+        assert c.counts().tolist() == [[3] + [0] * (n - 1)] and c.mass == 3
+        c = _constant(n, 0, np.array([2, -5, 0]))
+        assert c.counts().tolist() == [[v] + [0] * (n - 1) for v in (2, -5, 0)]
+        assert c.counts().dtype == np.int64 and c.mass == 5
+        assert _constant(n, 0, np.array([], dtype=np.int64)).counts().shape == (0, n)
+
+
+def test_counts_refuse_past_float64_before_any_bincount(monkeypatch):
+    # the weighted bincount sums in float64, exact while mass < 2^53
+    ok, past = (_dense(np.array([[2**52, 2**52 - 1, 0]]), m) for m in (2**53 - 1, 2**53))
+    assert ok.counts().tolist() == [[2**52, 2**52 - 1, 0]]
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: pytest.fail("a bincount ran"))
+    with pytest.raises(ValueError, match=r"q = 4: counts of mass 9007199254740992 .* 2\^53"):
+        past.counts()
 
 
 SEEDS = (0, 2**64 - 1, 20240811)

@@ -13,7 +13,10 @@ the check to the numeric walk, which evaluates every binding:
   element tuple, and every registered id passes both checks;
 - a constant in a character exponent is refused, and each int64 bound of
   the check is admitted at its limit and refused one step past it;
-- a row of a single nonzero count is flagged without the dense zero test.
+- a row of a single nonzero count is flagged without the dense zero test;
+- the two evaluations of one side on `BatchContext`, numeric (width 0)
+  and with forms (width k), agree in value at seeded bindings once the
+  binding's characters are substituted into the terms.
 """
 
 import dataclasses
@@ -29,8 +32,9 @@ import appellfq.verifier as V
 from appellfq import build_field, get_identity, registry, verify
 from appellfq.cyclotomic import _ring
 from appellfq.fields import prime_power_decompose
-from appellfq.identities import BatchContext, FormContext, _side
+from appellfq.identities import BatchContext, _side
 from appellfq.verifier import _entry_domains
+from scalar_reference import root_rows
 
 
 def _field(q):
@@ -68,7 +72,7 @@ def _numeric(entry, ft):
     for lo in range(0, total, step):
         cols = V._decode(doms, shape, np.arange(lo, min(lo + step, total)))
         diff = entry.lhs(batch, cols) - entry.rhs(batch, cols)
-        for r in np.flatnonzero(np.broadcast_to(~ring.vanishes(diff.a), len(cols[0]))):
+        for r in np.flatnonzero(np.broadcast_to(~ring.vanishes(diff.counts()), len(cols[0]))):
             found.add(tuple(int(c[r]) for c in cols[width:]))
     return found
 
@@ -109,7 +113,7 @@ def test_sampled_failures_lie_on_flagged_tuples(q):
 
 def test_a_constant_in_a_character_exponent_is_refused():
     ft = _field(5)
-    ctx = FormContext.of(ft, 1)
+    ctx = BatchContext.of(ft, 1)
     (A,) = ctx.chars
     x = np.arange(1, 5)
     with pytest.raises(TypeError, match="constant 1 in a character exponent"):
@@ -126,7 +130,8 @@ def test_a_constant_in_a_character_exponent_is_refused():
     # passes to c.f1
     assert (2 * A - A).v == A.v and (-A).v == (-1,)
     assert verify(get_identity("thm3.1-a"), ft).passed
-    assert ctx.f1(A, A, 0, A, x, x).t.shape == (3, ft.n, len(x))
+    terms = ctx.f1(A, A, 0, A, x, x)
+    assert terms.e.shape == (2, ft.n, len(x)) and terms.c.shape == (ft.n, len(x))
 
 
 def test_the_key_bound_is_checked_at_its_limit():
@@ -183,3 +188,40 @@ def test_single_count_rows_skip_the_dense_test(monkeypatch):
     assert got_key.tolist() == [3, 39, 49, 50]
     assert got_sums.tolist() == [2, 3, 1, 1]
     assert tested == [2]  # rows 1 and 3 alone, in one block
+
+
+CROSS_BINDINGS = 40  # seeded bindings a side and field
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_numeric_values_equal_the_terms_with_characters_substituted(q):
+    """At seeded bindings of every side and documented mutant, the numeric
+    counts (width 0) equal the side's terms with forms (width k), each term
+    c zeta^(j + <v, chi>) at the binding's characters chi, summed by j mod
+    n in int64 (`np.add.at`, not the float64 bincount of `counts`). Where
+    a `dchar` form leaves a fraction, over n^den, the two are compared as
+    elements of Z[zeta_n]."""
+    ft = _field(q)
+    n, rows, size = ft.n, root_rows(ft.n), CROSS_BINDINGS
+    rng = np.random.default_rng(q)
+    numeric, fractions = BatchContext.of(ft), 0
+    for entry in registry():
+        width = len(entry.chars)
+        forms = BatchContext.of(ft, width)
+        doms = [np.asarray(d, dtype=np.int64) for d in _entry_domains(entry, ft)]
+        cols = tuple(d[rng.integers(0, len(d), size)] for d in doms)
+        for name, side in (("lhs", entry.lhs), ("rhs", entry.rhs),
+                           ("mutant", entry.mutation.fn)):
+            want = np.broadcast_to(side(numeric, cols).counts(), (size, n))
+            terms = side(forms, (*forms.chars, *cols[width:]))
+            j = terms.e[-1] + sum(v * chi for v, chi in zip(terms.e[:-1], cols))
+            j, c = (np.broadcast_to(a, (len(terms.c), size)) for a in (j, terms.c))
+            got = np.zeros((size, n), dtype=np.int64)
+            np.add.at(got, (np.broadcast_to(np.arange(size), j.shape), j % n), c)
+            if terms.den:
+                fractions += 1
+                scaled = want * n**terms.den
+                assert np.array_equal(scaled @ rows, got @ rows), (entry.id, name)
+            else:
+                assert np.array_equal(want, got), (entry.id, name)
+    assert fractions > 0  # prop2.1-b's and prop2.3-b's dchar of a form

@@ -63,10 +63,10 @@ def _moved_rows(side, entry, ft, k, cols):
     side(chars, elems) with column j moved to column k j mod n."""
     n, width, batch = ft.n, len(entry.chars), BatchContext(ft)
     scaled = tuple(c * k % n for c in cols[:width]) + cols[width:]
-    a = np.broadcast_to(side(batch, cols).a, (BINDINGS, n))
+    a = np.broadcast_to(side(batch, cols).counts(), (BINDINGS, n))
     moved = np.zeros_like(a)
     moved[:, np.arange(n) * k % n] = a
-    b = np.broadcast_to(side(batch, scaled).a, (BINDINGS, n))
+    b = np.broadcast_to(side(batch, scaled).counts(), (BINDINGS, n))
     return int((moved != b).any(axis=1).sum())
 
 

@@ -104,7 +104,7 @@ def _check(entry, ft, bindings, rng):
     rows = root_rows(n)
     for at in ((), range(k)):
         args = tuple(int(col[0]) if i in at else col for i, col in enumerate(cols))
-        got = entry.lhs(BatchContext(ft), args).a @ rows
+        got = entry.lhs(BatchContext(ft), args).counts() @ rows
         for r, row in enumerate(got.tolist()):
             b = tuple(bindings[0 if i in at else r][i] for i in range(len(cols)))
             assert tuple(row) == ref(b).coeffs, (list(at), b)
