@@ -7,10 +7,10 @@ Z[zeta_{q-1}].
 
 The binomial coefficient here is the q-scaled variant
 binom(A, B) = B(-1) * J(A, B-inverse), where J(A, B) is the Jacobi sum
-sum over u in F_q of A(u) * B(1 - u). Both are one row of the column
-kernel `binom_idx`, reduced once by the package's one checked int64
-division (`cyclotomic._Ring.reduce_rows`) and kept in `binomial_table`;
-a Jacobi sum is the binomial of B-inverse times B(-1).
+sum over u in F_q of A(u) * B(1 - u). A binomial is the form of the
+column kernel `binom_idx` at one pair of ints, counted and reduced by
+`_value` and kept in `binomial_table`; a Jacobi sum is the binomial of
+B-inverse times B(-1), one `CycInt` product.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ def jacobi_sum(A: Character, B: Character) -> CycInt:
 
 
 def binom(A: Character, B: Character) -> CycInt:
-    """The scaled binomial coefficient B(-1) * J(A, B-inverse): one
-    `binom_idx` row, reduced once and kept in `binomial_table`."""
+    """The scaled binomial coefficient B(-1) * J(A, B-inverse): the form
+    of `binom_idx`, counted and reduced once (`_value`) and kept in
+    `binomial_table`."""
     A._check(B)
     return binomial_table(A.field)[A.exponent][B.exponent]
 
@@ -125,32 +126,14 @@ def _col(v) -> np.ndarray:
     return np.asarray(v, dtype=np.int64).reshape(1, -1)
 
 
-def _row_counts(n: int, e: np.ndarray, keep=True) -> np.ndarray:
-    """(S, n) counts of the exponents e (m, S) mod n of each binding (a
-    column of e), over the entries where `keep`, with one `np.bincount`."""
-    e, mask = np.broadcast_arrays(e, keep)
-    rows = e.shape[1]
-    e = _mod(e, n) + n * np.arange(rows)
-    picked = e.ravel() if keep is True else e[mask]
-    return np.bincount(picked, minlength=rows * n).reshape(rows, n)
-
-
-def _counts(n: int, pairs, keep=True) -> np.ndarray:
-    """The default sink of every kernel: (S, n) counts of its linear form,
-    the exponents sum c row over its `pairs` (c, row) where `keep`.
-
-    A kernel hands its form, the coefficient of each exponent row (a
-    character or an int column) with the row, and its mask, to a sink.
-    Every side's evaluation passes `identities.BatchContext._terms`, which
-    keeps the form whole, so no exponent is written twice; this default
-    serves the public single values (`binom`, the four sums of
-    `hypergeometric`) and the benchmark's kernel timings.
-    """
-    (c, row), *rest = pairs
-    e = _col(c) * row
-    for c, row in rest:
-        e = e + _col(c) * row
-    return _row_counts(n, e, keep)
+def _value(ft: FieldTable, form) -> CycInt:
+    """The value of a kernel's form `(pairs, keep)` at one binding of ints:
+    one `np.bincount` of its exponents sum c row where `keep`, reduced by
+    `_Ring.cycints`."""
+    pairs, keep = form
+    e, keep = np.broadcast_arrays(sum(_col(c) * row for c, row in pairs), keep)
+    counts = np.bincount(_mod(e[keep], ft.n), minlength=ft.n)
+    return _ring(ft.n).cycints(counts[None])[0]
 
 
 def _binom_logs(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
@@ -181,12 +164,14 @@ def _slope_index(ft: FieldTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tab
 
 
-def binom_idx(ft: FieldTable, a, b, sink=_counts):
+def binom_idx(ft: FieldTable, a, b):
     """binom(chi_a, chi_b) for int64 columns a and b (an int stands for
-    every row): the form a l1 + b l2 over the q - 2 binomial pairs, to
-    `sink`; by default (S, n) counts, from one bincount."""
+    every row): the form a l1 + b l2 over the q - 2 binomial pairs. Every
+    kernel returns its form as `(pairs, keep)`: (coefficient, exponent
+    row) pairs, whose sum c row is the exponent of each term, and the
+    mask of the terms kept, here all."""
     l1, l2 = _binom_logs(ft)
-    return sink(ft.n, [(a, l1), (b, l2)])
+    return [(a, l1), (b, l2)], True
 
 
 class _BinomRow(dict):
@@ -196,7 +181,7 @@ class _BinomRow(dict):
         self.ft, self.a = ft, a
 
     def __missing__(self, b: int) -> CycInt:
-        v = self[b] = _ring(self.ft.n).cycints(binom_idx(self.ft, self.a, b))[0]
+        v = self[b] = _value(self.ft, binom_idx(self.ft, self.a, b))
         return v
 
 

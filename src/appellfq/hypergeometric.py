@@ -7,18 +7,16 @@ character; "~" below means character inversion):
     F1(A;B,B';C;x,y)  = eps(xy) (AC)(-1) sum_u A(u) (A~C)(1-u) B~(1-ux) B'~(1-uy)
 
 The point sums above are the canonical Theta(q) evaluators
-(`f21_point_idx`, `f1_point_idx`). Each kernel hands the linear form of
-its exponents over u to a sink: `identities.BatchContext` keeps it as
-terms, for the verifier and the f21/f1 `table`, and the default
-(`characters._counts`), one `np.bincount` over u, gives the (S, n)
-zeta-power counts of S bindings given as int64 columns (an int stands for
-every row), unreduced. The public functions reduce its one row to a
-`CycInt` by one checked int64 division (`_reduced`). Every kernel is
-u-major: bindings are (1, S) rows (`_col`) and the u, or binomial pairs,
-(m, 1) columns, so each numpy pass over the (m, S) exponents runs along
-the S bindings of a chunk, not along n (2 to 4 at q <= 5); the bincount
-index mod(e) + n * binding still gives (S, n) counts. The character sum
-forms are independent routes used for cross-validation:
+(`f21_point_idx`, `f1_point_idx`). Each kernel returns the linear form
+of its exponents over u, `(pairs, keep)` as `characters.binom_idx`, for
+S bindings given as int64 columns (an int stands for every row):
+`identities.BatchContext` makes it terms, for the verifier and the
+f21/f1 `table`, and the public functions count and reduce it at one
+binding (`characters._value`). Every kernel is u-major: bindings are
+(1, S) rows (`_col`) and the u, or binomial pairs, (m, 1) columns, so
+each numpy pass over the (m, S) exponents runs along the S bindings of a
+chunk, not along n (2 to 4 at q <= 5). The character sum forms are
+independent routes used for cross-validation:
 
     2F1 = 1/(q-1)   sum_chi     [A chi | chi] [B chi | C chi] chi(x)
     F1  = 1/(q-1)^2 sum_chi,lam [A chi lam | C chi lam] [B chi | chi]
@@ -41,12 +39,12 @@ counts of each kept term once are the sum divided by q - 1 (or (q-1)^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .characters import Character, _binom_logs, _col, _counts, _mod, _slope_index
-from .cyclotomic import CycInt, _ring
+from .characters import Character, _binom_logs, _col, _mod, _slope_index, _value
+from .cyclotomic import CycInt
 from .fields import FieldElement, FieldTable
 
 
@@ -84,21 +82,21 @@ class AppellF1Params:
 # indices for elements), as int64 columns.
 # ----------------------------------------------------------------------
 
-def f21_point_idx(ft: FieldTable, a, b, c, xi, sink=_counts):
+def f21_point_idx(ft: FieldTable, a, b, c, xi):
     """The 2F1 point sums at exponents a, b, c and element index xi.
 
     Each argument is an int64 column with one entry per binding, or an
-    int that stands for every row; by default the result is the (S, n)
-    int64 array of zeta-power counts of each row, unreduced
-    (`_point_counts`), with one row if every argument is an int. Every
-    kernel hands its linear form to `sink` (`characters._counts`).
+    int that stands for every row; the form is the exponent at u of
+    `point_rows`, over its mask.
     """
-    return _point_counts(ft, (b, c, a), (xi,), sink)
+    L, ok = point_rows(ft, xi)
+    return list(zip((b, c, a), L)), ok
 
 
-def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi, sink=_counts):
-    """The Appell F1 point sums; columns and counts as `f21_point_idx`."""
-    return _point_counts(ft, (a, c, b, bp), (xi, yi), sink)
+def f1_point_idx(ft: FieldTable, a, b, bp, c, xi, yi):
+    """The Appell F1 point sums; columns and form as `f21_point_idx`."""
+    L, ok = point_rows(ft, xi, yi)
+    return list(zip((a, c, b, bp), L)), ok
 
 
 def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
@@ -123,13 +121,6 @@ def point_rows(ft: FieldTable, *xis) -> tuple[list, np.ndarray]:
     return [base[0], base[1], *ls], ok
 
 
-def _point_counts(ft: FieldTable, coeffs, xis, sink):
-    """The point sums whose exponent at u is coeffs . L (L = `point_rows`)
-    over its mask, to `sink`: by default one `np.bincount` for every row."""
-    L, ok = point_rows(ft, *xis)
-    return sink(ft.n, list(zip(coeffs, L)), ok)
-
-
 def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
     """(L0, L1) as (n, 1) columns by lu = log u, and -log(1 - g^k) for
     k = 0 .. 2n-1, where 1 marks 1 - g^k = 0 (valid values <= 0); cached."""
@@ -148,24 +139,24 @@ def _point_table(ft: FieldTable) -> tuple[np.ndarray, np.ndarray]:
 # as int64 columns, as the point sums.
 # ----------------------------------------------------------------------
 
-def f21_charsum_idx(ft: FieldTable, a, b, c, xi, sink=_counts):
+def f21_charsum_idx(ft: FieldTable, a, b, c, xi):
     """1/(q-1) sum_chi [A chi|chi][B chi|C chi] chi(x), exact in Z[zeta_n].
 
     At binomial pairs (l1, l2), with chi = chi_k and s = l1 + l2, the two
     factors have exponents a l1 + k (s + log x) and b l1 + c l2 + k s, so
     the sum over k keeps, for each pair i of the first, the pair j (if
     any) whose slope cancels that of i (`_slope_index`), n times; each is
-    counted once. Columns and counts as `f21_point_idx`.
+    counted once. Columns and form as `f21_point_idx`.
     """
     n = ft.n
     inv, m1, m2 = _slope_index(ft)
     l1, l2 = _binom_logs(ft)
     x = _col(xi)
     j = inv[_mod((1 - x) - (l1 + l2), n)]
-    return sink(n, [(a, l1), (b, m1[j]), (c, m2[j])], (j >= 0) & (x != 0))
+    return [(a, l1), (b, m1[j]), (c, m2[j])], (j >= 0) & (x != 0)
 
 
-def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi, sink=_counts):
+def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi):
     """1/(q-1)^2 sum_{chi,lam} [A chi lam|C chi lam][B chi|chi][B' lam|lam]
     chi(x) lam(y).
 
@@ -177,7 +168,7 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi, sink=_counts):
     pair of the lam(y) factor whose slope cancels that of j: n^2 times at
     most one term per i, O(q) work. So the (q-1)^2 division is exact by
     construction; the tests' `_f1_charsum_reference`, which enumerates
-    (chi, lam), checks it. Columns and counts as `f21_point_idx`.
+    (chi, lam), checks it. Columns and form as `f21_point_idx`.
     """
     n = ft.n
     inv, m1, m2 = _slope_index(ft)
@@ -186,62 +177,38 @@ def f1_charsum_idx(ft: FieldTable, a, b, bp, c, xi, yi, sink=_counts):
     t = (l1 + l2) + (x - 1)
     j = inv[_mod(-t, n)]
     k = inv[_mod(t - (y - 1), n)]
-    return sink(n, [(b, l1), (a, m1[j]), (c, m2[j]), (bp, m1[k])],
-                (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
-
-
-def _reduced(n: int, counts: np.ndarray) -> CycInt:
-    """Row 0 of int64 counts as a `CycInt` (`_Ring.cycints`)."""
-    return _ring(n).cycints(counts[:1])[0]
+    return ([(b, l1), (a, m1[j]), (c, m2[j]), (bp, m1[k])],
+            (j >= 0) & (k >= 0) & (x != 0) & (y != 0))
 
 
 # ----------------------------------------------------------------------
 # Public operations
 # ----------------------------------------------------------------------
 
+def _public(kernel, params) -> CycInt:
+    """`kernel` at the character exponents and element indices of `params`,
+    in field order, as one `CycInt` (`characters._value`)."""
+    ft = params.A.field
+    args = [getattr(params, f.name) for f in fields(params)]
+    idx = [v.exponent if isinstance(v, Character) else v.index for v in args]
+    return _value(ft, kernel(ft, *idx))
+
+
 def f21_point_sum(params: Hyp2F1Params) -> CycInt:
     """The 2F1 point sum; zero whenever x = 0."""
-    return _reduced(params.A.field.n, f21_point_idx(
-        params.A.field,
-        params.A.exponent,
-        params.B.exponent,
-        params.C.exponent,
-        params.x.index,
-    ))
+    return _public(f21_point_idx, params)
 
 
 def f21_char_sum(params: Hyp2F1Params) -> CycInt:
     """The 2F1 character-sum route, with its 1/(q - 1)."""
-    return _reduced(params.A.field.n, f21_charsum_idx(
-        params.A.field,
-        params.A.exponent,
-        params.B.exponent,
-        params.C.exponent,
-        params.x.index,
-    ))
+    return _public(f21_charsum_idx, params)
 
 
 def appell_f1_point_sum(params: AppellF1Params) -> CycInt:
     """The two-variable point sum; zero whenever x = 0 or y = 0."""
-    return _reduced(params.A.field.n, f1_point_idx(
-        params.A.field,
-        params.A.exponent,
-        params.B.exponent,
-        params.Bp.exponent,
-        params.C.exponent,
-        params.x.index,
-        params.y.index,
-    ))
+    return _public(f1_point_idx, params)
 
 
 def appell_f1_char_sum(params: AppellF1Params) -> CycInt:
     """The double character-sum route, with its 1/(q - 1)^2."""
-    return _reduced(params.A.field.n, f1_charsum_idx(
-        params.A.field,
-        params.A.exponent,
-        params.B.exponent,
-        params.Bp.exponent,
-        params.C.exponent,
-        params.x.index,
-        params.y.index,
-    ))
+    return _public(f1_charsum_idx, params)

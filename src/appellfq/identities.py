@@ -31,9 +31,9 @@ records, and `table`) the characters are int columns, folded into j, and
 `Terms.counts` gives each binding's zeta-power counts; at width k (the
 exhaustive check) the characters are the k unit `Form`s, and the terms
 are the side's coefficients as a function of the characters. The kernels
-hand their linear forms to the context's sink at every width, so no
-exponent is written twice. The tests keep a scalar `CycInt` evaluator of
-the same sides as their reference.
+return their linear forms, which the context makes terms at every width,
+so no exponent is written twice. The tests keep a scalar `CycInt`
+evaluator of the same sides as their reference.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 import numpy.fft  # noqa: F401 (np.fft is lazy: load it at import, not mid-verify)
 
-from .characters import _col, _counts, _mod, _slope_index, binom_idx
+from .characters import _col, _mod, _slope_index, binom_idx
 from .characters import binomial_table  # noqa: F401 (wrapped by perfbench/spans.py)
 from .fields import FieldTable
 from .hypergeometric import (
@@ -60,15 +60,15 @@ from .hypergeometric import (
 # ----------------------------------------------------------------------
 # The sums over characters of Sections 2 and 4 other than f21/f1, of
 # int64 columns (an int stands for every row), by the gather of
-# `hypergeometric.f21_charsum_idx`, u-major and with a `sink` as there.
+# `hypergeometric.f21_charsum_idx`, u-major and returning forms as there.
 # ----------------------------------------------------------------------
 
-def power_sum_counts(ft: FieldTable, step, sink=_counts):
+def power_sum_form(ft: FieldTable, step):
     """sum over k = 0 .. n-1 of zeta^(k step)."""
-    return sink(ft.n, [(step, np.arange(ft.n)[:, None])])
+    return [(step, np.arange(ft.n)[:, None])], True
 
 
-def binthm_counts(ft: FieldTable, A, x, sink=_counts):
+def binthm_form(ft: FieldTable, A, x):
     """sum over chi of [A chi|chi] chi(x), before a factor n.
 
     chi_k has exponent A l1 + k (l1 + l2 + log x) at the binomial pair
@@ -78,10 +78,10 @@ def binthm_counts(ft: FieldTable, A, x, sink=_counts):
     inv, m1, _ = _slope_index(ft)
     x = _col(x)
     i = inv[_mod(1 - x, n)]
-    return sink(n, [(A, m1[i])], (i >= 0) & (x != 0))
+    return [(A, m1[i])], (i >= 0) & (x != 0)
 
 
-def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis, sink=_counts):
+def theta_form(ft: FieldTable, t, X, coeffs, k, *xis):
     """sum over theta of [X theta|theta] theta(t) S(theta), before a factor n.
 
     S(theta) is the point sum at `xis` whose exponent at u is
@@ -96,7 +96,7 @@ def theta_counts(ft: FieldTable, t, X, coeffs, k, *xis, sink=_counts):
     inv, m1, _ = _slope_index(ft)
     t = _col(t)
     i = inv[_mod((1 - t) - L[k], n)]
-    return sink(n, [(X, m1[i]), *zip(coeffs, L)], ok & (i >= 0) & (t != 0))
+    return [(X, m1[i]), *zip(coeffs, L)], ok & (i >= 0) & (t != 0)
 
 
 class Form:
@@ -307,9 +307,9 @@ class BatchContext:
     one entry per binding (per element tuple at width k), or an int for
     every row, and each value is `Terms`: a chunk in one call. The point
     sums and the five sums over characters (f21, f1, theta, binthm,
-    power_sum) are the column kernels, whose linear forms the sink
-    `_terms` keeps, with a bound on their mass (a point sum counts the
-    q - 2 u outside {0, 1}); `sign` and `cp` are one term. The element
+    power_sum) are the column kernels, whose linear forms `_terms` makes
+    terms, with a bound on their mass (a point sum counts the q - 2 u
+    outside {0, 1}); `sign` and `cp` are one term. The element
     helpers (sub, div, om, ng, eps, delta) are numeric columns at every
     width; `of` keeps one context a field and width.
     """
@@ -360,11 +360,10 @@ class BatchContext:
         """[e trivial]: a 0/1 column, or (1/n) sum_k psi_(k e) for a form e."""
         if not isinstance(e, Form):
             return (_mod(np.asarray(e), self.n) == 0).astype(np.int64)
-        terms = self._terms(self.n, [(e, np.arange(self.n)[:, None])])
-        return Terms(self.n, *terms, self.n, 1)
+        return Terms(self.n, *self._terms(*power_sum_form(self.ft, e)), self.n, 1)
 
-    def _terms(self, n, pairs, keep=True):
-        """The sink of every kernel: one term per entry of its linear form,
+    def _terms(self, pairs, keep=True):
+        """A kernel's linear form `(pairs, keep)` with one term per entry,
         as the `e` and `c` of `Terms`. A `Form` coefficient f adds f_i row
         to v_i, an int or int column k adds k row to j; c is the mask
         `keep`, a (terms, 1) column of ones for an unmasked form."""
@@ -389,11 +388,11 @@ class BatchContext:
 
     def _sum(self, kernel, mass, *args):
         """A kernel's terms at `args`, with `mass` bounding sum |c| a tuple."""
-        return Terms(self.n, *kernel(self.ft, *args, sink=self._terms), mass)
+        return Terms(self.n, *self._terms(*kernel(self.ft, *args)), mass)
 
     def _one(self, pairs, keep=True):
         """keep zeta^e with e = sum c row over `pairs`: a character value."""
-        return Terms(self.n, *self._terms(self.n, pairs, keep), 1)
+        return Terms(self.n, *self._terms(pairs, keep), 1)
 
     def sign(self, e):
         return self._one([(e, self.lm1)])
@@ -421,13 +420,13 @@ class BatchContext:
         return self._sum(f1_charsum_idx, self.q - 2, a, b, bp, c, x, y) * (self.n * self.n)
 
     def power_sum(self, step):
-        return self._sum(power_sum_counts, self.n, step)
+        return self._sum(power_sum_form, self.n, step)
 
     def binthm(self, A, x):
-        return self._sum(binthm_counts, 1, A, x) * self.n
+        return self._sum(binthm_form, 1, A, x) * self.n
 
     def theta(self, t, X, coeffs, k, *xis):
-        return self._sum(theta_counts, self.n, t, X, coeffs, k, *xis) * self.n
+        return self._sum(theta_form, self.n, t, X, coeffs, k, *xis) * self.n
 
 
 # perfbench/child.py, kernels.py and spans.py build and wrap the context by this name

@@ -19,6 +19,7 @@ from appellfq import (
 )
 from appellfq.characters import binom_idx
 from appellfq.cyclotomic import CycInt
+from appellfq.identities import BatchContext, Terms
 import scalar_reference as ref
 from scalar_reference import _jacobi_counts
 
@@ -176,16 +177,21 @@ def test_binom_counts_matches_scalar_oracle(p, r):
         _jacobi_counts(ft, a, -b % n, (b * lm1) % n)
         for a, b in itertools.product(range(n), repeat=2)
     ])
+    ctx = BatchContext(ft)
+
+    def counts(a, b):  # the form's terms on the context, counted
+        return Terms(n, *ctx._terms(*binom_idx(ft, a, b)), ft.q - 2).counts()
+
     for a, b in itertools.product(range(n), repeat=2):
-        counts = binom_idx(ft, a, b)
-        assert counts.shape == (1, n)
-        assert counts[0].tolist() == expect[a * n + b].tolist()
-        assert binom_idx(ft, a + n, b - n).tolist() == counts.tolist()
-        assert CycInt.from_powers(n, counts[0].tolist()) == binom(chars[a], chars[b])
+        one = counts(a, b)
+        assert one.shape == (1, n)
+        assert one[0].tolist() == expect[a * n + b].tolist()
+        assert counts(a + n, b - n).tolist() == one.tolist()
+        assert CycInt.from_powers(n, one[0].tolist()) == binom(chars[a], chars[b])
         # at odd q, B(-1) = -1 for odd b, so a lost B(-1) changes half of these
         assert jacobi_sum(chars[a], chars[b]) == ref.jacobi(ft, a, b), (a, b)
     ar = np.arange(n)
-    flat = binom_idx(ft, np.repeat(ar, n), np.tile(ar, n))
+    flat = counts(np.repeat(ar, n), np.tile(ar, n))
     assert flat.shape == (n * n, n)
     assert (flat == expect).all()
 

@@ -23,23 +23,30 @@ from appellfq import (
     f21_char_sum,
     f21_point_sum,
 )
+from appellfq.characters import _value as form_value
 from appellfq.fields import prime_power_decompose
 from appellfq.hypergeometric import (
-    _reduced,
     f1_charsum_idx,
     f1_point_idx,
     f21_charsum_idx,
     f21_point_idx,
 )
+from appellfq.identities import BatchContext, Terms
 from scalar_reference import all_roots, root_rows
 
 
 def _value(kernel, ft, *args):
-    """A kernel's value at one binding of ints: its one row of counts,
-    reduced as the public functions reduce it (`_reduced`). Two rows of
+    """A kernel's value at one binding of ints: its form counted and
+    reduced as the public functions do (`characters._value`). Two rows of
     counts can be the same element of Z[zeta_n], so values are compared
     reduced."""
-    return _reduced(ft.n, kernel(ft, *args))
+    return form_value(ft, kernel(ft, *args))
+
+
+def _counts(ft, form):
+    """The (S, n) zeta-power counts of a kernel's form, as its terms on
+    `BatchContext` (`_terms`) give them (`Terms.counts`)."""
+    return Terms(ft.n, *BatchContext(ft)._terms(*form), ft.q).counts()
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +340,7 @@ def test_charsum_columns_vs_reference(name, q):
     ints = [(), (0, len(cols) - 1), tuple(range(1, len(cols)))]
     for at in ints[:1] if q <= 4 or few else ints:
         args = [int(col[0]) if i in at else col for i, col in enumerate(cols)]
-        got = kernel(ft, *args) @ rows * ft.n ** (chars - 2)
+        got = _counts(ft, kernel(ft, *args)) @ rows * ft.n ** (chars - 2)
         assert got.shape == (len(cols[0]), rows.shape[1])
         for r, row in enumerate(got.tolist()):
             binding = [a if i in at else int(a[r]) for i, a in enumerate(args)]
@@ -371,10 +378,10 @@ def test_char_routes_match_point_routes_in_time_at_q6199():
     t0 = time.perf_counter()
     _char_routes_match_point_routes(ft)
     assert time.perf_counter() - t0 < 4
-    counts = f21_point_idx(ft, 1, 2, 4, 2)
+    form = f21_point_idx(ft, 1, 2, 4, 2)
     tracemalloc.start()
     try:
-        _reduced(ft.n, counts)
+        form_value(ft, form)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

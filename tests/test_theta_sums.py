@@ -1,6 +1,6 @@
 """Generating-function left sides (thm4.*) against the plain theta loop.
 
-Each left side is `identities.theta_counts`: at each point u of the
+Each left side is `identities.theta_form`: at each point u of the
 point sum, the sum over theta keeps only the binomial pair whose slope
 cancels theta's coefficient at u, found by one gather. Here the left
 side on the reference `EvalContext` (`scalar_reference`, a literal loop
