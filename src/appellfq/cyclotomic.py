@@ -9,7 +9,7 @@ divides by Phi_n over its nonzero terms only, and multiplication skips the
 zero coefficients of its sparser operand, so the cost follows the number
 of nonzero terms rather than phi(n). The package's numpy callers reduce
 their rows of counts by the same division in int64 (`_Ring.reduce_rows`),
-under a bound checked before it runs.
+run over the degrees of Phi_rad(n), under a bound checked before it runs.
 """
 
 from __future__ import annotations
@@ -76,21 +76,26 @@ def _div_binomial(poly: list[int], m: int) -> list[int]:
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, low-to-high, monic of degree phi(n).
 
-    Computed as the product of (x^(n/d) - 1)^mobius(d) over d | n, which
-    equals the classical construction dividing x^n - 1 by Phi_d for every
-    proper divisor d.
+    With m = rad(n) and s = n / m, Phi_n(x) = Phi_m(x^s) (Lidl and
+    Niederreiter, Finite Fields, ch. 2), so Phi_m's coefficients are spread
+    at stride s. Phi_m is the product of (x^(m/d) - 1)^mobius(d) over
+    d | m, which equals the classical construction dividing x^m - 1 by
+    Phi_d for every proper divisor d.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    m = math.prod(factorize(n))
     poly = [1]
-    divs = [(d, _mobius(d)) for d in _divisors(n)]
+    divs = [(d, _mobius(d)) for d in _divisors(m)]
     for d, mu in divs:
         if mu == 1:
-            poly = _mul_binomial(poly, n // d)
+            poly = _mul_binomial(poly, m // d)
     for d, mu in divs:
         if mu == -1:
-            poly = _div_binomial(poly, n // d)
-    return tuple(poly)
+            poly = _div_binomial(poly, m // d)
+    spread = [0] * ((len(poly) - 1) * (n // m) + 1)
+    spread[::n // m] = poly
+    return tuple(spread)
 
 
 class _Ring:
@@ -107,8 +112,12 @@ class _Ring:
         self.plus = tuple(i for i, t in self.tail if t == 1)
         self.minus = tuple(i for i, t in self.tail if t == -1)
         self.other = tuple((i, t) for i, t in self.tail if abs(t) > 1)
+        primes = factorize(n)
         # n / p for each prime p | n: the shifts of `vanishes`
-        self.shifts = tuple(n // p for p in factorize(n))
+        self.shifts = tuple(n // p for p in primes)
+        # s = n / rad(n): Phi_n(z) = Phi_m(z^s) for m = rad(n), so the tail
+        # sits at multiples of s, and the tail of Phi_m at its indices / s
+        self.stride = n // math.prod(primes)
 
     def vanishes(self, a: np.ndarray) -> np.ndarray:
         """Which rows of an (S, n) int64 array of zeta-power counts are 0.
@@ -154,7 +163,11 @@ class _Ring:
     def reduce_rows(self, a: np.ndarray, mass: int) -> np.ndarray:
         """The (S, phi) int64 reduction of each row of (S, n) int64 counts
         whose sum |count| in a row is at most `mass`: the division of
-        `reduce`, as one slice add a degree down their (n, S) transpose.
+        `reduce` through the radical. With m = rad(n), s = n / m and
+        y = z^s, z^(i s + r) = y^i z^r and Phi_n(z) = Phi_m(y), so the
+        counts as (m, s S) rows, row i holding y^i's s S counts, are divided
+        by Phi_m with one slice add a degree of Phi_m, and their first
+        phi(m) rows are the phi(n) = phi(m) s coefficients in order.
 
         int64 arithmetic is exact mod 2^64 and the division is a ring map,
         so only its result needs a bound: count times a coefficient of some
@@ -165,14 +178,16 @@ class _Ring:
         if (bound := mass * self.row_max) >= 2**63:
             raise ValueError(f"q = {self.n + 1}: reduced values can reach {bound}, "
                              f"past the int64 limit 2^63 - 1")
-        n, phi = self.n, self.phi
+        s, size = self.stride, len(a)
+        m, phi = self.n // s, self.phi // s
         at, tail = zip(*self.tail)
         col = np.zeros((phi, 1), dtype=np.int64)
-        col[at, 0] = tail
-        t = np.array(a.T, dtype=np.int64, order="C")
-        for k in range(n - 1, phi - 1, -1):
+        col[np.array(at) // s, 0] = tail
+        t = np.array(a.reshape(size, m, s).transpose(1, 2, 0), dtype=np.int64,
+                     order="C").reshape(m, s * size)
+        for k in range(m - 1, phi - 1, -1):
             t[k - phi:k] += col * t[k]
-        return t[:phi].T
+        return t[:phi].reshape(phi * s, size).T
 
     def cycints(self, a: np.ndarray) -> list[CycInt]:
         """Each row of (S, n) int64 counts as a `CycInt`, by one
@@ -185,26 +200,30 @@ class _Ring:
     def row_max(self) -> int:
         """max |coefficient| of z^j reduced over 0 <= j < n, keeping one row.
 
-        Past the unit rows, row j is z * row(j-1): row(j-1) shifted up one
-        place plus its top coefficient c times the tail. Row j is the window
-        of phi from buf[n-1-j], so the shift moves the window and only the
-        tail's terms change. `top` bounds every |coefficient| so far and
-        grows by at most |c| max|tail| a step, so a step that could pass
-        2^63 raises ValueError naming q = n + 1 before it is taken.
+        That of y^i reduced mod Phi_m over 0 <= i < m, m = rad(n): z^(i s +
+        r) reduces to y^i reduced, times z^r (`reduce_rows`). Past the unit
+        rows, row i is y * row(i-1): row(i-1) shifted up one place plus its
+        top coefficient c times the tail. Row i is the window of phi(m)
+        from buf[m-1-i], so the shift moves the window and only the tail's
+        terms change. `top` bounds every |coefficient| so far and grows by
+        at most |c| max|tail| a step, so a step that could pass 2^63 raises
+        ValueError naming q = n + 1 before it is taken.
         """
-        n, phi = self.n, self.phi
+        s = self.stride
+        m, phi = self.n // s, self.phi // s
         at, tail = (np.array(v, dtype=np.int64) for v in zip(*self.tail))
-        buf = np.zeros(n, dtype=np.int64)
+        at //= s
+        buf = np.zeros(m, dtype=np.int64)
         buf[-1] = best = top = 1  # row phi - 1, the last unit row
         widest = int(np.abs(tail).max())
-        for s in range(n - 1 - phi, -1, -1):  # row n - 1 - s
-            if c := int(buf[s + phi]):
+        for w in range(m - 1 - phi, -1, -1):  # row m - 1 - w
+            if c := int(buf[w + phi]):
                 top += abs(c) * widest
                 if top >= 2**63:
-                    raise ValueError(f"q = {n + 1}: reducing z^{n - 1 - s} can reach "
-                                     f"{top}, past the int64 limit 2^63 - 1")
-                buf[s + at] += c * tail
-                best = max(best, int(np.abs(buf[s + at]).max()))
+                    raise ValueError(f"q = {self.n + 1}: reducing z^{(m - 1 - w) * s} can "
+                                     f"reach {top}, past the int64 limit 2^63 - 1")
+                buf[w + at] += c * tail
+                best = max(best, int(np.abs(buf[w + at]).max()))
         return best
 
 

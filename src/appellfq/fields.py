@@ -136,6 +136,31 @@ def _find_modulus(p, r):
     raise RuntimeError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
+def _poly_generator(p, r, modulus, n, primes):
+    """The first nonzero coefficient tuple g with g^(n/l) != 1 for each
+    prime l | n in `primes`, by square-and-multiply mod the modulus."""
+
+    def poly_pow(base, e):
+        result = [1]
+        b = list(base)
+        while e:
+            if e & 1:
+                result = _poly_mulmod(result, b, modulus, p)
+            e >>= 1
+            if e:
+                b = _poly_mulmod(b, b, modulus, p)
+        return result
+
+    for tail in itertools.product(range(p), repeat=r):
+        if not any(tail):
+            continue
+        cand = list(tail)
+        if any(poly_pow(cand, n // ell) == [1] for ell in primes):
+            continue
+        return tuple(tail)
+    raise RuntimeError(f"no generator found for q={p ** r}")
+
+
 @dataclass(frozen=True)
 class FieldParams:
     p: int
@@ -208,28 +233,17 @@ class FieldTable:
 
     @staticmethod
     def _find_generator(p, r, q, modulus):
+        """The first element in coefficient order of order q - 1, that is
+        whose power g^(n/l) is not 1 for any prime l | n: by builtin `pow`
+        in a prime field, else by `_poly_generator`."""
         n = q - 1
-        prime_facs = list(factorize(n)) if n > 1 else []
-
-        def poly_pow(base, e):
-            result = [1]
-            b = list(base)
-            while e:
-                if e & 1:
-                    result = _poly_mulmod(result, b, modulus, p)
-                e >>= 1
-                if e:
-                    b = _poly_mulmod(b, b, modulus, p)
-            return result
-
-        for tail in itertools.product(range(p), repeat=r):
-            if not any(tail):
-                continue
-            cand = list(tail)
-            if any(poly_pow(cand, n // ell) == [1] for ell in prime_facs):
-                continue
-            return tuple(tail)
-        raise RuntimeError(f"no generator found for q={q}")
+        primes = list(factorize(n)) if n > 1 else []
+        if r == 1:
+            for g in range(1, p):
+                if all(pow(g, n // ell, p) != 1 for ell in primes):
+                    return (g,)
+            raise RuntimeError(f"no generator found for q={q}")
+        return _poly_generator(p, r, modulus, n, primes)
 
     # --- tables, each built on first read --------------------------------
 

@@ -367,21 +367,25 @@ class BatchContext:
         as the `e` and `c` of `Terms`. A `Form` coefficient f adds f_i row
         to v_i, an int or int column k adds k row to j; c is the mask
         `keep`, a (terms, 1) column of ones for an unmasked form."""
-        rows = [0] * (self.width + 1)
+        rows = [None] * (self.width + 1)  # None: no term yet, a row of 0
+
+        def add(i, term):  # a row starts from its first product
+            rows[i] = term if rows[i] is None else rows[i] + term
+
         for k, row in pairs:
             if isinstance(k, Form):
                 for i, f in enumerate(k.v):
                     if f:
-                        rows[i] = rows[i] + f * row
+                        add(i, f * row)
             else:
-                rows[-1] = rows[-1] + _col(k) * row
+                add(-1, _col(k) * row)
         if len(rows) == 1:  # numeric: j alone, a (terms, S) row, viewed
             e = rows[0][None]
         else:  # one assignment a row: np.stack of the broadcast rows is slower
             e = np.empty((len(rows), *np.broadcast_shapes((1, 1), *map(np.shape, rows))),
                          dtype=np.int64)
             for dst, row in zip(e, rows):
-                dst[...] = row
+                dst[...] = 0 if row is None else row
         if keep is True:
             return e, np.ones((e.shape[1], 1), dtype=np.int64)
         return e, np.asarray(keep, dtype=np.int64)
@@ -452,14 +456,36 @@ class IdentityCase:
     excluded: dict[str, frozenset[int]] | None = None
     mutation: Mutation | None = None
 
-    def elem_domain(self, ft: FieldTable, name: str) -> list[int]:
-        excl = (self.excluded or {}).get(name, frozenset())
-        return [i for i in range(ft.q) if i not in excl]
+    def elem_domain(self, ft: FieldTable, name: str) -> np.ndarray:
+        """The indices of F_q outside the element's exclusion set."""
+        return _domain(ft, (self.excluded or {}).get(name, frozenset()))
 
     def domain_size(self, ft: FieldTable) -> int:
         return ft.n ** len(self.chars) * math.prod(
             len(self.elem_domain(ft, e)) for e in self.elems
         )
+
+
+def _domain(ft: FieldTable, excluded: frozenset[int]) -> np.ndarray:
+    """range(q) minus `excluded` as an int64 array, made once a field and
+    exclusion set and kept, read-only, in its caches, since every caller
+    shares it."""
+    key = ("domain", excluded)
+    if key not in ft._caches:
+        dom = np.arange(ft.q, dtype=np.int64)
+        dom = ft._caches[key] = dom[~np.isin(dom, list(excluded))]
+        dom.flags.writeable = False
+    return ft._caches[key]
+
+
+def char_domain(ft: FieldTable) -> np.ndarray:
+    """The character exponents 0 .. n-1 as an int64 array, made once a
+    field and kept, read-only, in its caches."""
+    key = ("domain", "characters")
+    if key not in ft._caches:
+        dom = ft._caches[key] = np.arange(ft.n, dtype=np.int64)
+        dom.flags.writeable = False
+    return ft._caches[key]
 
 
 def _side(id, names, expr):

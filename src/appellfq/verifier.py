@@ -49,17 +49,32 @@ import numpy as np
 from .characters import _mod
 from .cyclotomic import _ring
 from .fields import FieldTable
-from .identities import BatchContext, IdentityCase, get_identity, registry
+from .identities import BatchContext, IdentityCase, char_domain, get_identity, registry
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# the same constants and shifts as uint64 scalars, for the array path
+_GOLDEN_U64, _M1_U64, _M2_U64 = np.uint64(_GOLDEN), np.uint64(_M1), np.uint64(_M2)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + _GOLDEN) & _U64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-    return z ^ (z >> 31)
+def _splitmix64(z):
+    """One splitmix64 step of a Python int, or of each word of a uint64
+    array, in place on one new array: uint64 arithmetic wraps modulo 2^64
+    as `& _U64` does, so every word is the int path's."""
+    if not isinstance(z, np.ndarray):
+        z = (z + _GOLDEN) & _U64
+        z = ((z ^ (z >> 30)) * _M1) & _U64
+        z = ((z ^ (z >> 27)) * _M2) & _U64
+        return z ^ (z >> 31)
+    z = z + _GOLDEN_U64
+    z ^= z >> _S30
+    z *= _M1_U64
+    z ^= z >> _S27
+    z *= _M2_U64
+    z ^= z >> _S31
+    return z
 
 
 @dataclass
@@ -121,10 +136,12 @@ def _decode(domains: list[np.ndarray], shape: list[int],
     return tuple(cols)
 
 
-def _entry_domains(entry: IdentityCase, ft: FieldTable) -> list[list[int]]:
-    doms: list[list[int]] = [list(range(ft.n)) for _ in entry.chars]
-    doms += [entry.elem_domain(ft, e) for e in entry.elems]
-    return doms
+def _entry_domains(entry: IdentityCase, ft: FieldTable) -> list[np.ndarray]:
+    """The entry's parameter domains in binding order, each an int64 array
+    made once a field: `char_domain` for each character, then each
+    element's `elem_domain`."""
+    return ([char_domain(ft)] * len(entry.chars)
+            + [entry.elem_domain(ft, e) for e in entry.elems])
 
 
 # int64 cells of a chunk's widest temporaries, which are (q, bindings):
@@ -218,7 +235,7 @@ def _failing_elements(entry, ft, domains):
     """
     q, n, width = ft.q, ft.n, len(entry.chars)
     ctx, ring = BatchContext.of(ft, width), _ring(n)
-    doms = [np.asarray(d, dtype=np.int64) for d in domains[width:]]
+    doms = domains[width:]
     shape = [len(d) for d in doms]
     # half a numeric chunk: both sides' terms, and their difference, are
     # held at once, each about a numeric chunk's widest temporary
@@ -356,10 +373,9 @@ def _check_exhaustive(entry, ft, domains, cap):
             break  # no later binding comes before the last record
     if not len(codes):
         return []
-    doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    shape = [len(d) for d in doms]
-    return _scan_range(entry, ft, (*_decode(doms[:width], shape[:width], codes),
-                                   *_decode(doms[width:], shape[width:], elems)))
+    shape = [len(d) for d in domains]
+    return _scan_range(entry, ft, (*_decode(domains[:width], shape[:width], codes),
+                                   *_decode(domains[width:], shape[width:], elems)))
 
 
 # The registered thm1.3 is checked under this name only so that the
@@ -387,7 +403,7 @@ def _draws(seed, start, stop, bounds):
     top = np.array([_U64 - (1 << 64) % bound for bound in bounds], dtype=np.uint64)
     word = np.arange(1, len(bounds) + 1, dtype=np.uint64).reshape(-1, 1)
     while True:
-        w = _splitmix64(base + word * np.uint64(_GOLDEN))
+        w = _splitmix64(base + word * _GOLDEN_U64)
         bad = w > top.reshape(-1, 1)
         if not bad.any():
             return w % b
@@ -396,10 +412,9 @@ def _draws(seed, start, stop, bounds):
 
 def _scan_samples(entry, ft, domains, seed, cases, cap):
     """`_scan` over the samples 0 .. cases - 1."""
-    doms = [np.asarray(d, dtype=np.int64) for d in domains]
-    bounds, step = [len(d) for d in doms], _step(ft.q)
+    bounds, step = [len(d) for d in domains], _step(ft.q)
     chunks = (tuple(dom[d] for dom, d in
-                    zip(doms, _draws(seed, lo, min(lo + step, cases), bounds)))
+                    zip(domains, _draws(seed, lo, min(lo + step, cases), bounds)))
               for lo in range(0, cases, step))
     return _scan(entry, ft, chunks, cap)
 
@@ -439,7 +454,7 @@ def verify(
         raise ValueError("sampled mode requires sample_count >= 1")
     cap = max_counterexamples
     domains = _entry_domains(entry, field)
-    if mode == "sampled" and any(not d for d in domains):
+    if mode == "sampled" and not all(map(len, domains)):
         raise ValueError(
             f"identity {entry.id} has an empty parameter domain at q={field.q}"
         )

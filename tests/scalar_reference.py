@@ -15,6 +15,10 @@ gathers the few terms that survive (`characters._slope_index`).
 `_CounterStream` is the scalar word stream of the sampler, one word and
 one draw at a time, which `verifier._draws` computes in columns.
 
+`dense_reduce_rows` and `dense_row_max` are the division by Phi_n and
+its coefficient bound over all n degrees, with no radical, which
+`cyclotomic._Ring` runs over the degrees of Phi_rad(n).
+
 `field_tables` is the field's construction as a Python loop, one
 polynomial product a power of the generator, with a dict by coefficient
 vector for the tables of 1 - x and -x, which `fields.FieldTable` builds
@@ -28,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from appellfq.cyclotomic import CycInt, cyc_zero, root_of_unity
+from appellfq.cyclotomic import CycInt, cyc_zero, cyclotomic_poly, root_of_unity
 from appellfq.fields import FieldTable, _find_modulus, _poly_mulmod
 from appellfq.verifier import _GOLDEN, _U64, _splitmix64
 
@@ -202,6 +206,36 @@ def root_rows(n: int) -> np.ndarray:
     of counts independently of `_Ring.reduce_rows`; cached."""
     return np.array([all_roots(n)[j].coeffs for j in range(n)],
                     dtype=np.int64).reshape(n, -1)
+
+
+def dense_reduce_rows(n: int, a: np.ndarray) -> np.ndarray:
+    """The (S, phi) reduction of (S, n) int64 counts by the top-down
+    division by Phi_n over all its degrees: one slice add a degree down
+    the (n, S) transpose."""
+    poly = cyclotomic_poly(n)
+    phi = len(poly) - 1
+    col = -np.array(poly[:-1], dtype=np.int64).reshape(phi, 1)
+    t = np.array(a.T, dtype=np.int64, order="C")
+    for k in range(n - 1, phi - 1, -1):
+        t[k - phi:k] += col * t[k]
+    return t[:phi].T
+
+
+def dense_row_max(n: int) -> int:
+    """max |coefficient| of z^j reduced over 0 <= j < n, keeping one row:
+    row j is row(j-1) shifted up one place plus its top coefficient times
+    the tail of Phi_n, and row j is the window of phi from buf[n-1-j]."""
+    poly = cyclotomic_poly(n)
+    phi = len(poly) - 1
+    at = np.flatnonzero(poly[:-1])
+    tail = -np.array(poly, dtype=np.int64)[at]
+    buf = np.zeros(n, dtype=np.int64)
+    buf[-1] = best = 1  # row phi - 1, the last unit row
+    for s in range(n - 1 - phi, -1, -1):  # row n - 1 - s
+        if c := int(buf[s + phi]):
+            buf[s + at] += c * tail
+            best = max(best, int(np.abs(buf[s + at]).max()))
+    return best
 
 
 class EvalContext:

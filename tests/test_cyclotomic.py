@@ -15,7 +15,7 @@ from appellfq import (
     root_of_unity,
 )
 from appellfq.cyclotomic import _ring, _Ring
-from scalar_reference import root_rows
+from scalar_reference import dense_reduce_rows, dense_row_max, root_rows
 
 
 def _naive_cyclotomic(n, _cache={}):
@@ -260,6 +260,27 @@ def test_reduce_rows_equals_from_powers(n, rows):
     assert got.shape == (rows, euler_phi(n)) and got.dtype == np.int64
     for row, counts in zip(got.tolist(), a.tolist()):
         assert tuple(row) == CycInt.from_powers(n, counts).coeffs
+
+
+# the division through the radical, Phi_n(z) = Phi_m(z^s) for m = rad(n),
+# against the dense division over all n degrees: s = 12 at n = 16380, 44
+# at n = 59048 (whose dense division takes seconds), 24 at n = 65520
+@pytest.mark.parametrize("n", [16380, pytest.param(59048, marks=pytest.mark.slow)])
+def test_reduce_rows_through_the_radical_equals_the_dense_division(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(-10**6, 10**6, (2, n))
+    kept = a.copy()
+    got = _ring(n).reduce_rows(a, int(np.abs(a).sum(axis=1).max()))
+    assert got.shape == (2, euler_phi(n)) and got.dtype == np.int64
+    assert (got == dense_reduce_rows(n, a)).all() and (a == kept).all()
+    # one row, whose transpose is already contiguous, is not reduced in place
+    one = a[:1].copy()
+    assert (_ring(n).reduce_rows(one, 10**12) == got[:1]).all() and (one == a[:1]).all()
+
+
+@pytest.mark.parametrize("n", [16380, 65520])
+def test_row_max_through_the_radical_equals_the_dense_rows(n):
+    assert _ring(n).row_max == dense_row_max(n)
 
 
 def test_reduce_rows_refuses_past_int64_before_any_work():

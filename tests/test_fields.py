@@ -10,7 +10,14 @@ import pytest
 import scalar_reference as ref
 from appellfq import build_field, get_identity, is_prime, prime_power_decompose, verify
 from appellfq.cli import main
-from appellfq.fields import DEFAULT_TABLE_CAP, FieldElement, FieldTable, _find_modulus, factorize
+from appellfq.fields import (
+    DEFAULT_TABLE_CAP,
+    FieldElement,
+    FieldTable,
+    _find_modulus,
+    _poly_generator,
+    factorize,
+)
 from appellfq.identities import BatchContext
 from appellfq.verifier import mutated_case
 
@@ -35,6 +42,16 @@ def test_build_examples(fields):
     assert ft5.generator.coeffs == (2,)
     # oracle: direct order computation of every candidate below 2
     assert pow(2, 4, 5) == 1 and pow(2, 2, 5) != 1 and pow(2, 1, 5) != 1
+
+
+def test_prime_generator_by_pow_equals_the_polynomial_search():
+    # a prime field's generator comes from builtin `pow`, in the candidate
+    # order of the polynomial search, so the two find the same one
+    for p in filter(is_prime, range(2, 2001)):
+        n, modulus = p - 1, _find_modulus(p, 1)
+        primes = list(factorize(n)) if n > 1 else []
+        want = _poly_generator(p, 1, modulus, n, primes)
+        assert FieldTable._find_generator(p, 1, p, modulus) == want, p
 
 
 def test_enumeration_order(fields):

@@ -3,13 +3,16 @@
 import dataclasses
 import itertools
 import json
+import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import appellfq.fields
 from appellfq import build_field, get_identity, registry, verify, verify_all
+from appellfq.fields import prime_power_decompose
 from appellfq.cyclotomic import root_of_unity
 from appellfq.identities import _entry
 from appellfq.verifier import (
@@ -83,7 +86,7 @@ def test_case_counts(ft5):
 
 def test_domain_restrictions_enumerated(ft5):
     entry = get_identity("thm3.7")
-    assert entry.elem_domain(ft5, "x") == [2, 3, 4]  # indices of F_5 \ {0,1}
+    assert entry.elem_domain(ft5, "x").tolist() == [2, 3, 4]  # indices of F_5 \ {0,1}
     domains = _entry_domains(entry, ft5)
     shape = [len(d) for d in domains]
     total = entry.domain_size(ft5)
@@ -92,8 +95,29 @@ def test_domain_restrictions_enumerated(ft5):
     assert not np.isin(cols[4], (0, 1)).any() and not np.isin(cols[5], (0, 1)).any()
     assert len(set(zip(*map(list, cols)))) == total
     # entries with a division by 1-x exclude only x = 1
-    assert get_identity("thm3.3-b").elem_domain(ft5, "x") == [0, 2, 3, 4]
-    assert get_identity("thm3.3-b").elem_domain(ft5, "y") == [0, 1, 2, 3, 4]
+    assert get_identity("thm3.3-b").elem_domain(ft5, "x").tolist() == [0, 2, 3, 4]
+    assert get_identity("thm3.3-b").elem_domain(ft5, "y").tolist() == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_domains_are_int64_arrays_made_once_a_field(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # q = 2 is degenerate
+        ft = build_field(*prime_power_decompose(q))
+    for entry in registry():
+        excluded = entry.excluded or {}
+        want = [list(range(q - 1)) for _ in entry.chars]
+        want += [[i for i in range(q) if i not in excluded.get(e, ())] for e in entry.elems]
+        domains = _entry_domains(entry, ft)
+        assert [d.tolist() for d in domains] == want, entry.id
+        assert all(d.dtype == np.int64 and not d.flags.writeable for d in domains)
+        assert entry.domain_size(ft) == math.prod(map(len, want))
+        # kept in the field's caches: a second read is the same arrays
+        assert all(a is b for a, b in zip(domains, _entry_domains(entry, ft)))
+    if q == 2:  # thm3.7's x and y lie outside {0, 1}: empty domains
+        assert not len(get_identity("thm3.7").elem_domain(ft, "x"))
+        with pytest.raises(ValueError, match="thm3.7 has an empty parameter domain at q=2"):
+            verify("thm3.7", ft, mode="sampled", sample_count=5)
 
 
 def test_deliberately_mutated_entry_fails():
